@@ -12,6 +12,7 @@ from .commutant import (
     commutant_basis,
     commutant_of_matrices,
     generalized_biorthogonality,
+    is_tracial_on_range,
     is_tracial_pair,
     reduced_commutant,
     regular_commutant_basis,
@@ -29,16 +30,19 @@ from .frames import (
     CoefficientOperator,
     InvariantProjection,
     TraceFunctional,
+    admissibility_defect,
     admissible_vector_for_projection,
     canonical_dual,
     coefficient_operator,
     dual_null_space,
     frame_operator,
+    is_admissible_on_range,
     is_admissible_pair,
     is_frame_vector,
     natural_trace,
     projection_from_spanning,
     random_invariant_projection_spectral,
+    regular_coefficient_matrix,
     tighten,
     trace_functional,
     trace_of_projection,
@@ -101,6 +105,6 @@ from .plancherel import (
     rank_measure,
     validate_irreps,
 )
-from .reporting import CheckResult, RunReport, report_write
+from .reporting import CheckResult, RunReport
 
 __version__ = "0.1.0"

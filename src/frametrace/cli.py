@@ -13,24 +13,17 @@ import sys
 import numpy as np
 
 from . import io as ftio
-from .commutant import (
-    commutant_basis,
-    is_tracial_pair,
-    reduced_commutant,
-    regular_commutant_basis,
-)
+from .commutant import is_tracial_on_range
 from .errors import FrametraceError, NotAFrame, NotInRange, NotInvertible, UnsupportedGroup
 from .frames import (
+    CoefficientOperator,
     InvariantProjection,
-    admissible_vector_for_projection,
-    coefficient_operator,
     canonical_dual,
-    frame_operator,
-    is_admissible_pair,
+    is_admissible_on_range,
     natural_trace,
     projection_from_spanning,
+    regular_coefficient_matrix,
     tighten,
-    trace_functional,
     trace_of_projection,
 )
 from .gabor import (
@@ -44,18 +37,16 @@ from .gabor import (
     wh_bridge_check,
     wh_group_build,
 )
-from .groups import GroupVector, builtin_group, left_regular_rep, restrict_rep
+from .groups import GroupVector, builtin_group
+from .numerics import DEFAULT_TOL
 from .plancherel import (
     builtin_irreps,
     fiber_admissibility_check,
     fiber_projections,
     parseval_residual,
-    plancherel_transform,
     rank_measure,
 )
-from .reporting import CheckResult, RunReport, digest_bytes, digest_text, report_dumps, report_write
-
-DEFAULT_TOL = 1e-9
+from .reporting import CheckResult, RunReport, digest_bytes, digest_text, report_dumps
 
 
 class _CliInputError(Exception):
@@ -63,15 +54,19 @@ class _CliInputError(Exception):
 
 
 def _resolve_tol(args) -> float:
-    if args.tol is not None:
-        return args.tol
     env = os.environ.get("FRAMETRACE_TOL")
-    if env:
+    if args.tol is not None:
+        tol = args.tol
+    elif env:
         try:
-            return float(env)
+            tol = float(env)
         except ValueError as exc:
             raise _CliInputError(f"bad FRAMETRACE_TOL value {env!r}") from exc
-    return DEFAULT_TOL
+    else:
+        return DEFAULT_TOL
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise _CliInputError(f"tolerance must be a finite positive number, got {tol!r}")
+    return tol
 
 
 def _digest_file(report: RunReport, key: str, path) -> None:
@@ -111,24 +106,25 @@ def cmd_group(args) -> int:
     report.metadata["group"] = group.label or "<file>"
     report.metadata["order"] = group.order
 
-    lam = left_regular_rep(group)
-    basis = regular_commutant_basis(group)
+    # The right translations R_x span the commutant of left translation, and
+    # R_x delta_e = delta_x shows they are linearly independent.
+    commutant_dim = int(np.unique(group.cayley[group.identity]).size)
     report.add(
         CheckResult(
             name="commutant_dim_regular",
-            residual=float(abs(len(basis) - group.order)),
+            residual=float(abs(commutant_dim - group.order)),
             tol=0.0,
         )
     )
-    report.metadata["commutant_dim"] = len(basis)
+    report.metadata["commutant_dim"] = commutant_dim
 
     # Trace identity sampling: tr(V_f^* V_g) = <f, g>.
     worst = 0.0
     for _ in range(20):
         f = rng.standard_normal(group.order) + 1j * rng.standard_normal(group.order)
         g = rng.standard_normal(group.order) + 1j * rng.standard_normal(group.order)
-        vf = coefficient_operator(lam, f).matrix
-        vg = coefficient_operator(lam, g).matrix
+        vf = regular_coefficient_matrix(group, f)
+        vg = regular_coefficient_matrix(group, g)
         lhs = natural_trace(vf.conj().T @ vg, group)
         rhs = np.vdot(g, f)  # <f, g>
         worst = max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
@@ -169,7 +165,6 @@ def cmd_group(args) -> int:
 
 def _frame_context(args, report: RunReport):
     """Resolve the group, the window vector and the analysis subspace."""
-    obj_group = None
     if args.builtin:
         obj_group = builtin_group(args.builtin)
         report.inputs["group"] = digest_text(args.builtin)
@@ -185,54 +180,47 @@ def _frame_context(args, report: RunReport):
         report.inputs["group"] = digest_text(label)
     _digest_file(report, "window", args.window)
     window = ftio.load_vector(args.window, obj_group)
-    lam = left_regular_rep(obj_group)
     if args.subspace:
         _digest_file(report, "subspace", args.subspace)
         vectors = ftio.load_vectors(args.subspace, obj_group)
-        proj = projection_from_spanning(lam, [v.data for v in vectors])
+        proj = projection_from_spanning(obj_group, [v.data for v in vectors])
     else:
         proj = InvariantProjection(obj_group, np.eye(obj_group.order, dtype=complex))
-    return obj_group, lam, window, proj
-
-
-def _compressed(lam, proj):
-    q = proj.range_basis()
-    rep = restrict_rep(lam, [q[:, j] for j in range(q.shape[1])])
-    return q, rep
+    return obj_group, window, proj
 
 
 def cmd_frame(args) -> int:
     tol = _resolve_tol(args)
     report = RunReport(seed=args.seed)
-    group, lam, window, proj = _frame_context(args, report)
+    group, window, proj = _frame_context(args, report)
     report.metadata["group"] = group.label
     report.metadata["subcommand"] = args.action
-    q, rep = _compressed(lam, proj)
-    w_c = q.conj().T @ window.data
 
     if args.action in ("dual", "tighten"):
-        v = coefficient_operator(rep, w_c)
+        q = proj.range_basis()  # the frame operator is inverted on range(p), in these coordinates
+        v = CoefficientOperator(
+            vector=q.conj().T @ window.data,
+            matrix=regular_coefficient_matrix(group, window.data) @ q,
+        )
         try:
             out_c = canonical_dual(v) if args.action == "dual" else tighten(v)
         except NotInvertible:
             report.add(CheckResult(name=f"{args.action}_not_a_frame", residual=1.0, tol=0.0))
             return _finish(report, args)
-        partner = out_c if args.action == "tighten" else w_c
-        check = is_admissible_pair(rep, partner, out_c, tol=tol)
+        out = q @ out_c
+        partner = out if args.action == "tighten" else window.data
+        check = is_admissible_on_range(proj, partner, out, tol)
         report.add(check.renamed(f"{args.action}_reconstruction"))
         if args.out_vector:
-            ftio.save_vector(GroupVector(group, q @ out_c), args.out_vector)
+            ftio.save_vector(GroupVector(group, out), args.out_vector)
     elif args.action == "check":
         eta_path, psi_path = args.pair
         _digest_file(report, "eta", eta_path)
         _digest_file(report, "psi", psi_path)
         eta = ftio.load_vector(eta_path, group)
         psi = ftio.load_vector(psi_path, group)
-        eta_c = q.conj().T @ eta.data
-        psi_c = q.conj().T @ psi.data
-        report.add(is_admissible_pair(rep, eta_c, psi_c, tol=tol))
-        reduced = reduced_commutant(regular_commutant_basis(group), proj)
-        report.add(is_tracial_pair(reduced, trace_functional(group), eta.data, psi.data, tol=tol))
+        report.add(is_admissible_on_range(proj, eta.data, psi.data, tol))
+        report.add(is_tracial_on_range(proj, eta.data, psi.data, tol))
         try:
             table = builtin_irreps(group)
             report.add(fiber_admissibility_check(table, proj, eta, psi, tol=tol))
@@ -325,7 +313,7 @@ def cmd_gabor(args) -> int:
             g = load_sys(args.candidate, "candidate").window
         else:
             g = rng.standard_normal(length) + 1j * rng.standard_normal(length)
-        report.add(wh_bridge_check(length, a, b, f, g, tol=tol))
+        report.add(wh_bridge_check(wh, f, g, tol=tol))
     else:
         raise _CliInputError(f"unknown gabor action {args.action!r}")
     return _finish(report, args)

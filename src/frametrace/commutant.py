@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NotInvariant, ReferencePairNotAdmissible
-from .frames import TraceFunctional, is_admissible_pair
+from .frames import InvariantProjection, TraceFunctional, admissibility_defect, is_admissible_pair
 from .groups import FiniteGroup, Rep, delta, convolution_operator
 from .numerics import DEFAULT_TOL, orthonormal_columns
 from .reporting import CheckResult
@@ -29,7 +29,6 @@ class CommutantBasis:
     dim: int
     elements: list = field(repr=False)
     rep: Rep | None = None
-    projection: np.ndarray | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -101,7 +100,7 @@ def reduced_commutant(
     stacked = np.column_stack([t.reshape(-1) for t in compressed])
     q = orthonormal_columns(stacked, rel_cutoff=cutoff)
     elems = [q[:, j].reshape(basis.dim, basis.dim) for j in range(q.shape[1])]
-    return CommutantBasis(dim=basis.dim, elements=elems, rep=basis.rep, projection=pm)
+    return CommutantBasis(dim=basis.dim, elements=elems, rep=basis.rep)
 
 
 def is_tracial_pair(
@@ -123,6 +122,18 @@ def is_tracial_pair(
         value = np.vdot(psi, t @ eta)  # <T eta, psi>
         residual = max(residual, abs(value - trace(t)))
     return CheckResult(name="tracial_pair", residual=float(residual), tol=tol)
+
+
+def is_tracial_on_range(p: InvariantProjection, eta, psi, tol: float) -> CheckResult:
+    """Check <T eta, psi> = tau(T) over the spanning set {p R_x p / sqrt(|G|)} of p VN_r(G) p.
+
+    With c, h from :func:`admissibility_defect`, <p R_x p eta, psi> = conj c(x) and
+    tau(p R_x p) = conj h(x), so the residual is max_x |c(x) - h(x)| / sqrt(|G|).  The scale
+    is that of :func:`regular_commutant_basis`; the set is not re-orthonormalised.
+    """
+    d = admissibility_defect(p, eta, psi)
+    residual = float(np.max(np.abs(d)) / np.sqrt(p.group.order))
+    return CheckResult(name="tracial_pair", residual=residual, tol=tol)
 
 
 def generalized_biorthogonality(

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolated, NotInvariant
-from .groups import FiniteGroup, GroupVector, Rep, convolution_operator, left_regular_rep
+from .groups import FiniteGroup, GroupVector, Rep, convolution_operator
 from .numerics import (
     DEFAULT_TOL,
     EIG_FLOOR,
@@ -29,7 +29,6 @@ from .reporting import CheckResult
 class CoefficientOperator:
     """Analysis operator V_eta of a window under a representation."""
 
-    rep: Rep
     vector: np.ndarray = field(repr=False)
     matrix: np.ndarray = field(repr=False)  # |G| x dim
 
@@ -40,7 +39,18 @@ def coefficient_operator(rep: Rep, eta) -> CoefficientOperator:
     if eta.shape[0] != rep.dim:
         raise DimensionMismatch(f"window length {eta.shape[0]} != rep dim {rep.dim}")
     orbit = np.einsum("xij,j->xi", rep.matrices, eta)
-    return CoefficientOperator(rep=rep, vector=eta, matrix=orbit.conj())
+    return CoefficientOperator(vector=eta, matrix=orbit.conj())
+
+
+def regular_coefficient_matrix(group: FiniteGroup, eta) -> np.ndarray:
+    """V_eta for left translation on l2(G): entry [x, y] = conj eta(x^-1 y), one table gather.
+
+    Equals ``coefficient_operator(left_regular_rep(group), eta).matrix`` without the n^3 tensor.
+    """
+    eta = as_vector(eta)
+    if eta.shape[0] != group.order:
+        raise DimensionMismatch(f"window length {eta.shape[0]} != group order {group.order}")
+    return eta[group.cayley[group.inverses]].conj()
 
 
 def frame_operator(v: CoefficientOperator) -> np.ndarray:
@@ -91,7 +101,6 @@ class TraceFunctional:
     """Linear extension of a finite trace: T -> normalization * matrix-trace(T)."""
 
     normalization: float
-    domain: str = "full"
 
     def __call__(self, t) -> complex:
         return self.normalization * complex(np.trace(np.asarray(t)))
@@ -110,16 +119,16 @@ class InvariantProjection:
 
     def validate(self, tol: float = DEFAULT_TOL) -> None:
         p = self.matrix
-        if np.linalg.norm(p @ p - p) > tol * max(1.0, np.linalg.norm(p)):
+        bound = tol * max(1.0, np.linalg.norm(p))
+        if np.linalg.norm(p @ p - p) > bound:
             raise InvariantViolated("matrix is not idempotent")
-        if np.linalg.norm(p - p.conj().T) > tol * max(1.0, np.linalg.norm(p)):
+        if np.linalg.norm(p - p.conj().T) > bound:
             raise InvariantViolated("matrix is not Hermitian")
-        lam = left_regular_rep(self.group)
-        for x in self.group.elements():
-            if np.linalg.norm(lam.matrices[x] @ p - p @ lam.matrices[x]) > tol * max(
-                1.0, np.linalg.norm(p)
-            ):
-                raise NotInvariant(f"projection does not commute with translation by {x}")
+        # p commutes with every left translation exactly when it is the right
+        # convolution by its own column at the identity, h = p delta_e.
+        h = GroupVector(self.group, p[:, self.group.identity])
+        if np.linalg.norm(p - convolution_operator(h, side="right")) > bound:
+            raise NotInvariant("projection does not commute with left translation")
 
     def rank(self) -> int:
         w = eig_hermitian(self.matrix).eigenvalues
@@ -131,22 +140,40 @@ class InvariantProjection:
         return dec.eigenvectors[:, keep]
 
 
-def projection_from_spanning(rep: Rep, vectors) -> InvariantProjection:
-    """Projection onto the invariant span of the orbit of ``vectors`` under ``rep``.
+def projection_from_spanning(group: FiniteGroup, vectors) -> InvariantProjection:
+    """Projection onto the span of the left-translation orbits of ``vectors`` in l2(G).
 
-    ``rep`` must act on l2(G) itself (dim == |G|), the usual setting for
-    left translation.
+    Column x of each orbit block is lambda(x) v, the conjugate transpose of V_v.
     """
-    if rep.dim != rep.group.order:
-        raise DimensionMismatch("projection_from_spanning expects a rep on l2(G)")
-    cols = []
-    for v in vectors:
-        w = as_vector(v)
-        cols.append(np.einsum("xij,j->ix", rep.matrices, w))
+    cols = [regular_coefficient_matrix(group, v).conj().T for v in vectors]
     if not cols:
-        return InvariantProjection(rep.group, np.zeros((rep.dim, rep.dim), dtype=complex))
+        return InvariantProjection(group, np.zeros((group.order, group.order), dtype=complex))
     q = orthonormal_columns(np.hstack(cols))
-    return InvariantProjection(rep.group, q @ q.conj().T)
+    return InvariantProjection(group, q @ q.conj().T)
+
+
+def admissibility_defect(p: InvariantProjection, eta, psi) -> np.ndarray:
+    """The function d = c - h on G with V_psi^* V_eta - p = R_d, for eta, psi projected to range(p).
+
+    R_f is right convolution, entry [x, y] = f(y^-1 x).  Both operators commute with left
+    translation, so V_psi^* V_eta = R_c with c(x) = sum_z psi(zx) conj eta(z), and p = R_h
+    with h = p delta_e.  O(|G|^2), with no compression to range(p).
+    """
+    group = p.group
+    eta = p.matrix @ as_vector(eta)
+    psi = p.matrix @ as_vector(psi)
+    c = psi[group.cayley].T @ eta.conj()
+    return c - p.matrix[:, group.identity]
+
+
+def is_admissible_on_range(p: InvariantProjection, eta, psi, tol: float) -> CheckResult:
+    """Check V_psi^* V_eta = p on l2(G); residual ||R_d||_F = sqrt(|G|) ||d||_2.
+
+    Equals :func:`is_admissible_pair` on the compression to range(p), as range_basis is an isometry.
+    """
+    d = admissibility_defect(p, eta, psi)
+    residual = float(np.sqrt(p.group.order) * np.linalg.norm(d))
+    return CheckResult(name="admissible_pair", residual=residual, tol=tol)
 
 
 def admissible_vector_for_projection(

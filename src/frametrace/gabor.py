@@ -57,14 +57,6 @@ class GaborSystem:
         w.setflags(write=False)
         object.__setattr__(self, "window", w)
 
-    @property
-    def size(self) -> int:
-        return (self.L // self.a) * (self.L // self.b)
-
-    @property
-    def redundancy(self) -> float:
-        return self.L / (self.a * self.b)
-
 
 def _coefficient_map(length: int, tstep: int, fstep: int, window: np.ndarray) -> np.ndarray:
     """Analysis matrix; row (m, n) is the conjugate of M_(m fstep) T_(n tstep) w."""
@@ -198,9 +190,6 @@ class WHGroup:
         m, n = divmod(mn, self.L // self.a)
         return m, n, z
 
-    def index(self, m: int, n: int, z: int) -> int:
-        return ((m % (self.L // self.b)) * (self.L // self.a) + n % (self.L // self.a)) * self.q + z % self.q
-
 
 def wh_group_build(length: int, a: int, b: int) -> WHGroup:
     """Build the finite Weyl-Heisenberg group with law
@@ -240,24 +229,21 @@ def wh_rep(wh: WHGroup) -> Rep:
     return Rep(group=wh.group, dim=wh.L, matrices=mats)
 
 
-def wh_bridge_check(
-    length: int, a: int, b: int, f, g, tol: float = DEFAULT_TOL
-) -> CheckResult:
+def wh_bridge_check(wh: WHGroup, f, g, tol: float = DEFAULT_TOL) -> CheckResult:
     """Averaging V_g^* V_f over the Weyl-Heisenberg group reproduces T_g^* T_f.
 
     The average over the finite central part replaces the circle integral.
     """
     f = as_vector(f)
     g = as_vector(g)
-    wh = wh_group_build(length, a, b)
     rep = wh_rep(wh)
-    acc = np.zeros((length, length), dtype=complex)
+    acc = np.zeros((wh.L, wh.L), dtype=complex)
     for idx in range(wh.group.order):
         pf = rep.matrices[idx] @ f
         pg = rep.matrices[idx] @ g
         acc += np.outer(pg, pf.conj())
     acc /= wh.q
-    cf = _coefficient_map(length, a, b, f)
-    cg = _coefficient_map(length, a, b, g)
+    cf = _coefficient_map(wh.L, wh.a, wh.b, f)
+    cg = _coefficient_map(wh.L, wh.a, wh.b, g)
     residual = float(np.linalg.norm(acc - cg.conj().T @ cf))
     return CheckResult(name="wh_bridge", residual=residual, tol=tol)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NotAGroup, NotInvariant
-from .numerics import DEFAULT_TOL, as_vector, orthonormal_columns
+from .numerics import DEFAULT_TOL, as_vector
 
 #: Largest order for which exhaustive table validation is attempted.
 MAX_ORDER = 512
@@ -37,9 +37,6 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
-    def vector(self, data) -> "GroupVector":
-        return GroupVector(self, as_vector(data))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FiniteGroup)
@@ -48,7 +45,8 @@ class FiniteGroup:
         )
 
     def __hash__(self):
-        return hash((self.order, self.label))
+        # Consistent with __eq__, which compares the table and ignores the label.
+        return hash((self.order, np.asarray(self.cayley, dtype=np.int64).tobytes()))
 
 
 def group_from_cayley(table, label: str = "") -> FiniteGroup:
@@ -340,16 +338,5 @@ def restrict_rep(rep: Rep, basis, tol: float = DEFAULT_TOL) -> Rep:
         leak = (eye - proj) @ rep.matrices[x] @ q
         if np.linalg.norm(leak) > tol * max(1.0, np.linalg.norm(q)):
             raise NotInvariant(f"span is not invariant under element {x}")
-    compressed = np.einsum("ij,xjk,kl->xil", q.conj().T, rep.matrices, q)
+    compressed = np.einsum("ij,xjk,kl->xil", q.conj().T, rep.matrices, q, optimize=True)
     return Rep(group=rep.group, dim=q.shape[1], matrices=compressed)
-
-
-def invariant_orthonormal_basis(rep: Rep, vectors, rel_cutoff: float = 1e-11) -> np.ndarray:
-    """Orthonormal basis of span{rep(x) v : x in G, v in vectors} as columns."""
-    cols = []
-    for v in vectors:
-        w = as_vector(v)
-        cols.append(np.einsum("xij,j->ix", rep.matrices, w))
-    if not cols:
-        return np.zeros((rep.dim, 0), dtype=complex)
-    return orthonormal_columns(np.hstack(cols), rel_cutoff=rel_cutoff)

@@ -36,7 +36,9 @@ from .errors import (
     UnsupportedGroup,
 )
 from .frames import InvariantProjection
-from .groups import FiniteGroup, GroupVector, Rep, builtin_group
+from .groups import (
+    _SPEC_RE, FiniteGroup, GroupVector, Rep, _product_table, builtin_group, convolution_operator,
+)
 from .numerics import DEFAULT_TOL
 from .reporting import CheckResult
 
@@ -189,15 +191,12 @@ def _tensor_irreps(group: FiniteGroup, parts: list[list[Irrep]], orders: list[in
     return out
 
 
-_SPEC_RE = re.compile(r"^(cyclic|dihedral|heisenberg):(\d+)$")
-
-
 def builtin_irreps(group: FiniteGroup) -> IrrepTable:
     """Irreducible representations for the builtin group families.
 
     Supports cyclic:n, dihedral:n, heisenberg:p (p prime) and their direct
     products; other groups raise :class:`UnsupportedGroup` and require a
-    user-supplied table.
+    user-supplied table, and so does a table that differs from the one its label names.
     """
     parts = [p.strip() for p in re.split(r"\s*x\s*", group.label.strip()) if p.strip()]
     if not parts or not all(_SPEC_RE.match(p) for p in parts):
@@ -206,6 +205,7 @@ def builtin_irreps(group: FiniteGroup) -> IrrepTable:
         )
     factor_irreps = []
     orders = []
+    table = None
     for part in parts:
         family, n_str = part.split(":")
         n = int(n_str)
@@ -217,9 +217,9 @@ def builtin_irreps(group: FiniteGroup) -> IrrepTable:
         else:
             factor_irreps.append(_heisenberg_irreps(sub, n))
         orders.append(sub.order)
-    total = int(np.prod(orders))
-    if total != group.order:
-        raise UnsupportedGroup("group label does not match its order")
+        table = sub.cayley if table is None else _product_table(table, sub.cayley)
+    if not np.array_equal(group.cayley, table):
+        raise UnsupportedGroup(f"group table does not match its label {group.label!r}")
     if len(parts) == 1:
         irreps = [
             Irrep(s.label, s.dim, Rep(group=group, dim=s.dim, matrices=s.rep.matrices))
@@ -359,9 +359,7 @@ def projection_from_fibers(table: IrrepTable, projections) -> InvariantProjectio
             raise DimensionMismatch(f"fiber block at {s.label!r} has wrong shape")
         blocks.append(b)
     h = inverse_plancherel(PlancherelCoefficients(table=table, blocks=tuple(blocks)))
-    # p = right convolution by h: entry [x, y] = h(y^-1 x)
-    mat = h.data[group.cayley[group.inverses]].T.copy()
-    return InvariantProjection(group=group, matrix=mat)
+    return InvariantProjection(group=group, matrix=convolution_operator(h, side="right"))
 
 
 def fiber_admissibility_check(

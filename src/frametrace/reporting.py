@@ -72,9 +72,4 @@ def digest_text(text: str) -> str:
 
 
 def report_dumps(report: RunReport) -> str:
-    return json.dumps(report.to_json(), indent=2, separators=(",", ": ")) + "\n"
-
-
-def report_write(report: RunReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(report_dumps(report))
+    return json.dumps(report.to_json(), indent=2, separators=(",", ": "), allow_nan=False) + "\n"

@@ -355,7 +355,7 @@ def test_criterion_8_wh_bridge():
     worst = 0.0
     for _ in range(20):
         f, g = rand_c(rng, 12), rand_c(rng, 12)
-        worst = max(worst, wh_bridge_check(12, 3, 2, f, g).residual)
+        worst = max(worst, wh_bridge_check(wh, f, g).residual)
     announce(8, worst <= 1e-9, f"order {wh.group.order}, bridge residual {worst:.3e}")
 
 

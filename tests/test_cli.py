@@ -1,5 +1,6 @@
 """CLI integration tests: exit codes, report schema, determinism."""
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from frametrace.cli import main
 from frametrace.frames import admissible_vector_for_projection, projection_from_spanning
 from frametrace.gabor import GaborSystem, gabor_canonical_dual, reference_window
 from frametrace.groups import GroupVector, builtin_group, delta, left_regular_rep
-from frametrace.reporting import CheckResult, RunReport
+from frametrace.reporting import CheckResult, RunReport, report_dumps
 
 
 def run(args, capsys=None):
@@ -205,10 +206,22 @@ def test_gabor_dual_not_a_frame(tmp_path):
     assert rep["checks"][0]["name"] == "dual_not_a_frame"
 
 
-def test_gabor_bridge(tmp_path):
+def test_gabor_bridge(tmp_path, monkeypatch):
+    import frametrace.cli as cli
+    import frametrace.gabor as gabor
+
+    build, builds = gabor.wh_group_build, []
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+
+    for module in (cli, gabor):
+        monkeypatch.setattr(module, "wh_group_build", counted)
     out = tmp_path / "r.json"
     code = run(["gabor", "bridge", "--L", "12", "--a", "3", "--b", "2", "--out", str(out)])
     assert code == 0
+    assert builds == [(12, 3, 2)]
     rep = read_report(out)
     assert rep["metadata"]["wh_order"] == 48
     assert rep["metadata"]["wh_central_order"] == 2
@@ -242,6 +255,88 @@ def test_tol_env_and_flag(tmp_path, monkeypatch):
     )
     monkeypatch.setenv("FRAMETRACE_TOL", "not-a-number")
     assert run(["group", "analyze", "--builtin", "cyclic:3"]) == 2
+
+
+@pytest.mark.parametrize("flag", ["-1", "0", "nan", "inf"])
+def test_tol_flag_must_be_finite_and_positive(tmp_path, flag, capsys):
+    out = tmp_path / "r.json"
+    args = ["group", "analyze", "--builtin", "cyclic:3", "--out", str(out)]
+    assert run(args + ["--tol", flag]) == 2
+    assert "tolerance must be a finite positive number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_tol_env_must_be_finite(tmp_path, monkeypatch):
+    out = tmp_path / "r.json"
+    monkeypatch.setenv("FRAMETRACE_TOL", "nan")
+    assert run(["group", "analyze", "--builtin", "cyclic:3", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_report_refuses_non_finite_numbers():
+    rep = RunReport()
+    rep.add(CheckResult(name="nan", residual=float("nan"), tol=1e-9))
+    with pytest.raises(ValueError):
+        report_dumps(rep)
+
+
+def test_group_analyze_file_table_contradicting_label(tmp_path):
+    klein = tmp_path / "klein.json"
+    table = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
+    klein.write_text(json.dumps({"label": "cyclic:4", "order": 4, "cayley": table}))
+    out = tmp_path / "r.json"
+    assert run(["group", "analyze", "--file", str(klein), "--out", str(out)]) == 0
+    rep = read_report(out)
+    assert rep["metadata"]["irreps"] == "unavailable"
+    assert [c["name"] for c in rep["checks"]] == ["commutant_dim_regular", "trace_identity_sampled"]
+
+
+def _traced_peak_mib(argv) -> tuple[int, float]:
+    tracemalloc.start()
+    try:
+        code = run(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, peak / 2 ** 20
+
+
+def test_order_512_frame_and_order_256_group_stay_quadratic(tmp_path):
+    # Orders the README promises.  The dense n x n x n tensor of the regular
+    # representation alone takes 2 GiB at order 512 and 256 MiB at order 256.
+    n = 256
+    label = f"dihedral:{n}"
+    # x -> x s for the reflection s = index n: r^i s = s r^-i, (s r^i) s = r^-i.
+    i = np.arange(n)
+    times_s = np.concatenate([n + (-i % n), -i % n])
+    rng = np.random.default_rng(12)
+    f = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
+    window = f + f[times_s]  # in the invariant subspace {f : f(x s) = f(x)}
+    spanning = np.zeros(2 * n, dtype=complex)
+    spanning[[0, n]] = 1.0  # delta_e + delta_s, whose orbit spans that subspace
+
+    def pairs(v):
+        return np.stack([v.real, v.imag], axis=1).tolist()
+
+    eta, sub, psi = tmp_path / "eta.json", tmp_path / "sub.json", tmp_path / "psi.json"
+    eta.write_text(json.dumps({"group": label, "data": pairs(window)}))
+    sub.write_text(json.dumps({"group": label, "vectors": [pairs(spanning)]}))
+    code, peak = _traced_peak_mib(
+        ["frame", "dual", "--window", str(eta), "--subspace", str(sub),
+         "--out-vector", str(psi), "--out", str(tmp_path / "dual.json")]
+    )
+    assert code == 0 and peak < 200, peak
+    code, peak = _traced_peak_mib(
+        ["frame", "check", "--window", str(eta), "--subspace", str(sub),
+         "--pair", str(eta), str(psi), "--out", str(tmp_path / "check.json")]
+    )
+    assert code == 0 and peak < 200, peak
+    checks = [c["name"] for c in read_report(tmp_path / "check.json")["checks"]]
+    assert checks == ["admissible_pair", "tracial_pair", "fiber_admissibility"]
+    code, peak = _traced_peak_mib(
+        ["group", "analyze", "--builtin", "dihedral:128", "--out", str(tmp_path / "g.json")]
+    )
+    assert code == 0 and peak < 200, peak
 
 
 def test_report_overall_pass_logic():

@@ -242,19 +242,18 @@ def test_trace_functional_axioms():
 
 def test_projection_from_spanning_cases():
     g = builtin_group("cyclic:2")
-    lam = left_regular_rep(g)
-    p_full = projection_from_spanning(lam, [delta(g, g.identity).data])
+    p_full = projection_from_spanning(g, [delta(g, g.identity).data])
     assert np.allclose(p_full.matrix, np.eye(2))
-    p_half = projection_from_spanning(lam, [np.ones(2)])
+    p_half = projection_from_spanning(g, [np.ones(2)])
     assert np.allclose(p_half.matrix, 0.5 * np.ones((2, 2)))
-    p_zero = projection_from_spanning(lam, [])
+    p_zero = projection_from_spanning(g, [])
     assert np.allclose(p_zero.matrix, 0.0)
 
 
 def test_admissible_vector_for_projection():
     g = builtin_group("cyclic:2")
     lam = left_regular_rep(g)
-    p = projection_from_spanning(lam, [np.ones(2)])
+    p = projection_from_spanning(g, [np.ones(2)])
     v = admissible_vector_for_projection(p)
     assert np.allclose(v.data, [0.5, 0.5])
     vv = coefficient_operator(lam, v.data)
@@ -273,12 +272,11 @@ def test_admissible_vector_for_projection():
 
 def test_trace_of_projection_cases():
     g = builtin_group("cyclic:2")
-    lam = left_regular_rep(g)
-    assert trace_of_projection(projection_from_spanning(lam, [np.eye(2)[:, 0], np.eye(2)[:, 1]])) == pytest.approx(1.0)
-    half = projection_from_spanning(lam, [np.ones(2)])
+    assert trace_of_projection(projection_from_spanning(g, [np.eye(2)[:, 0], np.eye(2)[:, 1]])) == pytest.approx(1.0)
+    half = projection_from_spanning(g, [np.ones(2)])
     assert trace_of_projection(half) == pytest.approx(0.5)
     assert abs(np.linalg.norm([0.5, 0.5]) ** 2 - 0.5) < 1e-12
-    assert trace_of_projection(projection_from_spanning(lam, [])) == 0.0
+    assert trace_of_projection(projection_from_spanning(g, [])) == 0.0
 
 
 def test_random_invariant_projection_spectral_is_invariant():

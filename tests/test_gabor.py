@@ -218,6 +218,7 @@ def test_wh_rep_is_projective_lift():
 
 def test_wh_bridge():
     rng = np.random.default_rng(58)
+    wh = wh_group_build(12, 3, 2)
     for _ in range(3):
         f, g = rand_c(rng, 12), rand_c(rng, 12)
-        assert wh_bridge_check(12, 3, 2, f, g).residual <= 1e-9
+        assert wh_bridge_check(wh, f, g).residual <= 1e-9

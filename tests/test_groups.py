@@ -108,6 +108,14 @@ def test_heisenberg3_center():
     assert z == naive
 
 
+def test_equal_groups_hash_alike():
+    g = builtin_group("cyclic:4")
+    same = group_from_cayley(g.cayley.tolist())
+    assert same == g and same.label != g.label
+    assert hash(same) == hash(g)
+    assert len({g, same}) == 1
+
+
 def test_direct_product_spec():
     g = builtin_group("cyclic:2 x cyclic:3")
     assert g.order == 6

@@ -87,6 +87,18 @@ def test_builtin_rejects_unknown_label():
         builtin_irreps(g)
 
 
+KLEIN_FOUR = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
+
+
+def test_builtin_rejects_table_that_contradicts_label():
+    from frametrace.groups import group_from_cayley
+
+    klein = group_from_cayley(KLEIN_FOUR, label="cyclic:4")
+    with pytest.raises(UnsupportedGroup, match="does not match"):
+        builtin_irreps(klein)
+    assert len(builtin_irreps(group_from_cayley(KLEIN_FOUR, label="cyclic:2 x cyclic:2")).irreps) == 4
+
+
 def test_builtin_heisenberg_requires_prime():
     g = builtin_group("heisenberg:4")
     with pytest.raises(UnsupportedGroup):
