@@ -54,6 +54,7 @@ from .gabor import (
     gabor_canonical_dual,
     gabor_coefficient_map,
     gabor_frame_operator,
+    gabor_reconstruction_check,
     lattice_ops,
     modulation,
     reference_window,
@@ -81,12 +82,9 @@ from .numerics import (
     DEFAULT_TOL,
     EIG_FLOOR,
     HermEig,
-    adjoint,
     eig_hermitian,
-    frob_inner,
     inv_psd,
     inv_sqrt_psd,
-    matmul,
 )
 from .plancherel import (
     FiberProjectionField,

@@ -5,6 +5,11 @@ Z_L play the roles of the lattice parameters, with density ab/L in place of
 the product of the continuous steps.  The adjoint (commuting) lattice has
 time step L/b and frequency step L/a; its operators commute with every
 lattice operator exactly and span the commutant of the system.
+
+Every lattice operator is a cyclic shift times a phase, so the kernels work
+on index arithmetic: V_gamma^* V_g vanishes off the residue classes mod L/b
+(Walnut), leaving L/b blocks of size b.  The dense operator functions
+(``translation`` ... ``wh_rep``) are API and test oracles.
 """
 from __future__ import annotations
 
@@ -58,17 +63,17 @@ class GaborSystem:
         object.__setattr__(self, "window", w)
 
 
+def _phases(length: int, freqs: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """exp(2 pi i w j / L) for every frequency w (rows) and index j (columns)."""
+    return np.exp(2j * np.pi * (np.outer(freqs, j) % length) / length)
+
+
 def _coefficient_map(length: int, tstep: int, fstep: int, window: np.ndarray) -> np.ndarray:
     """Analysis matrix; row (m, n) is the conjugate of M_(m fstep) T_(n tstep) w."""
-    n_time = length // tstep
-    n_freq = length // fstep
     j = np.arange(length)
-    rows = np.empty((n_freq * n_time, length), dtype=complex)
-    for m in range(n_freq):
-        phase = np.exp(2j * np.pi * (m * fstep) * j / length)
-        for n in range(n_time):
-            rows[m * n_time + n] = (phase * np.roll(window, n * tstep)).conj()
-    return rows
+    shifted = window[(j - tstep * np.arange(length // tstep)[:, None]) % length]
+    phase = _phases(length, fstep * np.arange(length // fstep), j)
+    return (phase[:, None, :] * shifted[None, :, :]).conj().reshape(-1, length)
 
 
 def gabor_coefficient_map(sys: GaborSystem) -> np.ndarray:
@@ -76,26 +81,64 @@ def gabor_coefficient_map(sys: GaborSystem) -> np.ndarray:
     return _coefficient_map(sys.L, sys.a, sys.b, sys.window)
 
 
+def _residue_classes(length: int, b: int) -> np.ndarray:
+    """idx[r, s] = r + s L/b: row r lists the residue class of r mod L/b."""
+    return np.arange(length // b)[:, None] + (length // b) * np.arange(b)
+
+
+def _walnut_blocks(length: int, a: int, b: int, gamma: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The L/b diagonal blocks of V_gamma^* V_g, one b x b block per residue class.
+
+    Block r is (L/b) sum_n gamma[idx_r - n a] conj g[idx_r - n a]^T; every
+    entry of V_gamma^* V_g off the classes is exactly 0, because the sum over
+    the modulations vanishes unless j = k mod L/b.
+    """
+    shifted = (_residue_classes(length, b)[:, :, None] - a * np.arange(length // a)) % length
+    return (length / b) * (gamma[shifted] @ g[shifted].conj().swapaxes(1, 2))
+
+
+def _walnut_dense(length: int, b: int, blocks: np.ndarray) -> np.ndarray:
+    """Scatter Walnut blocks into the dense L x L operator."""
+    idx = _residue_classes(length, b)
+    out = np.zeros((length, length), dtype=complex)
+    out[idx[:, :, None], idx[:, None, :]] = blocks
+    return out
+
+
+def _frame_blocks(sys: GaborSystem) -> np.ndarray:
+    """Walnut blocks of the frame operator S = V_g^* V_g, symmetrised."""
+    s = _walnut_blocks(sys.L, sys.a, sys.b, sys.window, sys.window)
+    return 0.5 * (s + s.conj().swapaxes(1, 2))
+
+
 def gabor_frame_operator(sys: GaborSystem) -> np.ndarray:
-    v = gabor_coefficient_map(sys)
-    s = v.conj().T @ v
-    return 0.5 * (s + s.conj().T)
+    return _walnut_dense(sys.L, sys.b, _frame_blocks(sys))
 
 
 def gabor_canonical_dual(sys: GaborSystem, floor: float = EIG_FLOOR) -> np.ndarray:
-    """Canonical dual window S^-1 g; raises :class:`NotAFrame` when S is singular."""
+    """Canonical dual window S^-1 g, block by block; raises :class:`NotAFrame`
+    when the spectrum of S (all blocks together) falls to the floor."""
     try:
-        s_inv = inv_psd(gabor_frame_operator(sys), floor=floor)
+        s_inv = inv_psd(_frame_blocks(sys), floor=floor)
     except NotInvertible as exc:
         raise NotAFrame(str(exc)) from exc
-    return s_inv @ sys.window
+    # window.reshape(b, L/b)[s, r] is entry idx[r, s] of the window.
+    return np.einsum("rij,jr->ir", s_inv, sys.window.reshape(sys.b, -1)).ravel()
 
 
 def frame_bounds_ratio(sys: GaborSystem) -> float:
     """lambda_min / lambda_max of the frame operator (0 for the zero window)."""
-    w = eig_hermitian(gabor_frame_operator(sys)).eigenvalues
-    top = float(w[-1]) if w.size else 0.0
-    return float(w[0]) / top if top > 0.0 else 0.0
+    w = eig_hermitian(_frame_blocks(sys)).eigenvalues
+    top = float(w.max())
+    return float(w.min()) / top if top > 0.0 else 0.0
+
+
+def gabor_reconstruction_check(sys: GaborSystem, gamma, tol: float) -> CheckResult:
+    """||V_gamma^* V_g - I||_F from the Walnut blocks (0 for a dual window gamma)."""
+    gamma = GaborSystem(sys.L, sys.a, sys.b, gamma).window  # checks the length
+    blocks = _walnut_blocks(sys.L, sys.a, sys.b, gamma, sys.window)
+    residual = float(np.linalg.norm(blocks - np.eye(sys.b)))
+    return CheckResult(name="gabor_reconstruction", residual=residual, tol=tol)
 
 
 def reference_window(length: int, a: int, b: int) -> np.ndarray:
@@ -108,6 +151,15 @@ def reference_window(length: int, a: int, b: int) -> np.ndarray:
     return g
 
 
+def _dense_ops(length: int, tstep: int, fstep: int) -> list[np.ndarray]:
+    """Dense M_(m fstep) T_(n tstep), m outer and n inner."""
+    return [
+        modulation(length, m * fstep) @ translation(length, n * tstep)
+        for m in range(length // fstep)
+        for n in range(length // tstep)
+    ]
+
+
 def adjoint_lattice_ops(length: int, a: int, b: int) -> list[np.ndarray]:
     """Operators M_(s L/a) T_(t L/b), s in Z_a, t in Z_b, of the adjoint lattice.
 
@@ -115,38 +167,30 @@ def adjoint_lattice_ops(length: int, a: int, b: int) -> list[np.ndarray]:
     identity (s = t = 0) comes first.
     """
     _check_lattice(length, a, b)
-    ops = []
-    for s in range(a):
-        m = modulation(length, (s * (length // a)) % length)
-        for t in range(b):
-            ops.append(m @ translation(length, (t * (length // b)) % length))
-    return ops
+    return _dense_ops(length, length // b, length // a)
 
 
 def lattice_ops(length: int, a: int, b: int) -> list[np.ndarray]:
     """All lattice operators M_(mb) T_(na) of the system itself."""
     _check_lattice(length, a, b)
-    ops = []
-    for m in range(length // b):
-        mod = modulation(length, (m * b) % length)
-        for n in range(length // a):
-            ops.append(mod @ translation(length, (n * a) % length))
-    return ops
+    return _dense_ops(length, a, b)
 
 
 def wexler_raz_check(sys: GaborSystem, gamma, tol: float = DEFAULT_TOL) -> CheckResult:
     """Biorthogonality over the adjoint lattice: <A gamma, g> = (ab/L) [A = Id].
 
     Passing is equivalent to gamma being a dual window of the system's g.
+    With A = M_(s L/a) T_(t L/b), <A gamma, g> = sum_j conj g(j) gamma(j - t L/b)
+    exp(2 pi i s j / a): one shifted product per t, summed over j mod a, then
+    a length-a DFT over s.
     """
-    gamma = as_vector(gamma)
-    constant = sys.a * sys.b / sys.L
-    residual = 0.0
-    for k, op in enumerate(adjoint_lattice_ops(sys.L, sys.a, sys.b)):
-        value = np.vdot(sys.window, op @ gamma)  # <A gamma, g>
-        target = constant if k == 0 else 0.0
-        residual = max(residual, abs(value - target))
-    return CheckResult(name="wexler_raz", residual=float(residual), tol=tol)
+    length, a, b = sys.L, sys.a, sys.b
+    j = np.arange(length)
+    gamma = GaborSystem(length, a, b, gamma).window  # checks the length
+    products = sys.window.conj() * gamma[(j - (length // b) * np.arange(b)[:, None]) % length]
+    values = a * np.fft.ifft(products.reshape(b, length // a, a).sum(axis=1), axis=1)
+    values[0, 0] -= a * b / length  # the identity (s = t = 0)
+    return CheckResult(name="wexler_raz", residual=float(np.abs(values).max()), tol=tol)
 
 
 def wr_fundamental_relation_check(
@@ -185,10 +229,13 @@ class WHGroup:
     q: int
     group: FiniteGroup
 
-    def coords(self, idx: int) -> tuple[int, int, int]:
-        mn, z = divmod(idx, self.q)
-        m, n = divmod(mn, self.L // self.a)
-        return m, n, z
+    def coords(self, idx):
+        """(m, n, z) of an element index, or of an array of them."""
+        return _wh_coords(idx, self.L // self.a, self.q)
+
+
+def _wh_coords(idx, n_n: int, q: int):
+    return idx // (n_n * q), (idx // q) % n_n, idx % q
 
 
 def wh_group_build(length: int, a: int, b: int) -> WHGroup:
@@ -199,33 +246,19 @@ def wh_group_build(length: int, a: int, b: int) -> WHGroup:
     q = length // gcd(length, a * b)
     k = (a * b) // gcd(length, a * b)
     n_m, n_n = length // b, length // a
-    order = n_m * n_n * q
-    table = np.zeros((order, order), dtype=np.int64)
-
-    def index(m, n, z):
-        return ((m % n_m) * n_n + n % n_n) * q + z % q
-
-    for i in range(order):
-        mn, z = divmod(i, q)
-        m, n = divmod(mn, n_n)
-        for j in range(order):
-            mn2, z2 = divmod(j, q)
-            m2, n2 = divmod(mn2, n_n)
-            table[i, j] = index(m + m2, n + n2, z + z2 - k * n * m2)
-
+    m, n, z = _wh_coords(np.arange(n_m * n_n * q, dtype=np.int64), n_n, q)
+    m, n, z, m2, n2, z2 = m[:, None], n[:, None], z[:, None], m, n, z
+    table = (((m + m2) % n_m) * n_n + (n + n2) % n_n) * q + (z + z2 - k * n * m2) % q
     group = group_from_cayley(table, label=f"wh:{length}:{a}:{b}")
     return WHGroup(L=length, a=a, b=b, q=q, group=group)
 
 
 def wh_rep(wh: WHGroup) -> Rep:
     """Representation pi(m, n, z) = exp(2 pi i z / q) M_(mb) T_(na) on C^L."""
-    mats = np.zeros((wh.group.order, wh.L, wh.L), dtype=complex)
-    for idx in range(wh.group.order):
-        m, n, z = wh.coords(idx)
-        phase = np.exp(2j * np.pi * z / wh.q)
-        mats[idx] = phase * modulation(wh.L, (m * wh.b) % wh.L) @ translation(
-            wh.L, (n * wh.a) % wh.L
-        )
+    mats = np.array([
+        np.exp(2j * np.pi * z / wh.q) * modulation(wh.L, m * wh.b) @ translation(wh.L, n * wh.a)
+        for m, n, z in map(wh.coords, range(wh.group.order))
+    ])
     return Rep(group=wh.group, dim=wh.L, matrices=mats)
 
 
@@ -233,17 +266,15 @@ def wh_bridge_check(wh: WHGroup, f, g, tol: float = DEFAULT_TOL) -> CheckResult:
     """Averaging V_g^* V_f over the Weyl-Heisenberg group reproduces T_g^* T_f.
 
     The average over the finite central part replaces the circle integral.
+    pi(m, n, z) f (j) = exp(2 pi i z / q) exp(2 pi i m b j / L) f(j - n a) for
+    every group element at once; the right-hand side is the dense Walnut form.
     """
-    f = as_vector(f)
-    g = as_vector(g)
-    rep = wh_rep(wh)
-    acc = np.zeros((wh.L, wh.L), dtype=complex)
-    for idx in range(wh.group.order):
-        pf = rep.matrices[idx] @ f
-        pg = rep.matrices[idx] @ g
-        acc += np.outer(pg, pf.conj())
-    acc /= wh.q
-    cf = _coefficient_map(wh.L, wh.a, wh.b, f)
-    cg = _coefficient_map(wh.L, wh.a, wh.b, g)
-    residual = float(np.linalg.norm(acc - cg.conj().T @ cf))
-    return CheckResult(name="wh_bridge", residual=residual, tol=tol)
+    length = wh.L
+    f, g = (GaborSystem(length, wh.a, wh.b, v).window for v in (f, g))  # check the lengths
+    m, n, z = wh.coords(np.arange(wh.group.order))
+    j = np.arange(length)
+    phase = np.exp(2j * np.pi * z / wh.q)[:, None] * _phases(length, wh.b * m, j)
+    shift = (j - wh.a * n[:, None]) % length
+    acc = (phase * g[shift]).T @ (phase * f[shift]).conj() / wh.q
+    cross = _walnut_dense(length, wh.b, _walnut_blocks(length, wh.a, wh.b, g, f))
+    return CheckResult(name="wh_bridge", residual=float(np.linalg.norm(acc - cross)), tol=tol)

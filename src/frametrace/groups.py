@@ -53,7 +53,7 @@ def group_from_cayley(table, label: str = "") -> FiniteGroup:
     """Validate a multiplication table and build a :class:`FiniteGroup`.
 
     Checks, in order: shape, Latin-square property, existence of an identity,
-    inverses, and full associativity.  Raises :class:`NotAGroup` naming the
+    inverses, and associativity.  Raises :class:`NotAGroup` naming the
     first violated axiom.
     """
     cayley = np.asarray(table, dtype=np.int64)
@@ -83,12 +83,21 @@ def group_from_cayley(table, label: str = "") -> FiniteGroup:
     if not (np.all(cayley[idx, inverses] == identity) and np.all(cayley[inverses, idx] == identity)):
         raise NotAGroup("inverses missing")
 
-    # Associativity, one O(n^2) slice per z to keep memory flat.
-    for z in range(n):
-        left = cayley[:, z][cayley]          # (xy)z
-        right = cayley[:, cayley[:, z]]      # x(yz)
-        if not np.array_equal(left, right):
+    # Associativity by Light's test: the z with (xy)z = x(yz) for all x, y contain
+    # e and are closed under products, so one O(n^2) slice per z in a greedy set S
+    # suffices once the left-bracketed words (...((e s1) s2)...) reach every element.
+    reached, gens = idx == identity, []
+    while not reached.all():
+        z = int(np.argmin(reached))
+        if not np.array_equal(cayley[:, z][cayley], cayley[:, cayley[:, z]]):  # (xy)z vs x(yz)
             raise NotAGroup("associativity fails")
+        gens.append(z)
+        frontier = idx[reached]
+        while frontier.size:
+            fresh = np.zeros(n, dtype=bool)
+            fresh[cayley[np.ix_(frontier, gens)]] = True
+            frontier = idx[fresh & ~reached]
+            reached |= fresh
 
     cayley.setflags(write=False)
     inverses.setflags(write=False)
@@ -102,29 +111,17 @@ def _cyclic_table(n: int) -> np.ndarray:
 
 def _dihedral_table(n: int) -> np.ndarray:
     """Dihedral group of order 2n; indices 0..n-1 are r^j, n..2n-1 are s r^j."""
-    m = 2 * n
-    table = np.zeros((m, m), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            table[i, j] = (i + j) % n                    # r^i r^j
-            table[i, n + j] = n + (j - i) % n            # r^i (s r^j) = s r^(j-i)
-            table[n + i, j] = n + (i + j) % n            # (s r^i) r^j
-            table[n + i, n + j] = (j - i) % n            # (s r^i)(s r^j) = r^(j-i)
-    return table
+    i, j = np.arange(n)[:, None], np.arange(n)[None, :]
+    rot, ref = (i + j) % n, (j - i) % n  # r^i r^j = r^(i+j); r^i (s r^j) = s r^(j-i)
+    return np.block([[rot, n + ref], [n + rot, ref]])  # (s r^i) r^j, (s r^i)(s r^j)
 
 
 def _heisenberg_table(n: int) -> np.ndarray:
     """Unitriangular 3x3 matrices over Z_n; element (x, y, z) has index x n^2 + y n + z."""
-    m = n ** 3
-    table = np.zeros((m, m), dtype=np.int64)
-    for a in range(m):
-        x, r = divmod(a, n * n)
-        y, z = divmod(r, n)
-        for b in range(m):
-            x2, r2 = divmod(b, n * n)
-            y2, z2 = divmod(r2, n)
-            table[a, b] = ((x + x2) % n) * n * n + ((y + y2) % n) * n + (z + z2 + x * y2) % n
-    return table
+    e = np.arange(n ** 3)
+    x, y, z = e // (n * n), (e // n) % n, e % n
+    x, y, z, x2, y2, z2 = x[:, None], y[:, None], z[:, None], x, y, z
+    return ((x + x2) % n) * n * n + ((y + y2) % n) * n + (z + z2 + x * y2) % n
 
 
 def _product_table(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Dense complex linear-algebra kernels used by every other module.
 
-All operations work on ordinary numpy arrays of complex doubles.  Inputs
-pass through :func:`as_matrix`, which rejects non-finite entries; everything
-downstream may assume clean data.
+All operations work on ordinary numpy arrays of complex doubles, with
+non-finite entries rejected.  The Hermitian kernels also take a stack of
+square matrices (the blocks of a block-diagonal operator) as one operator:
+one Hermitian test, one spectrum, one floor.
 """
 from __future__ import annotations
 
@@ -37,55 +38,31 @@ def as_vector(v) -> np.ndarray:
     return w
 
 
-def matmul(a, b) -> np.ndarray:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionMismatch(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def adjoint(a) -> np.ndarray:
-    return as_matrix(a).conj().T
-
-
-def frob_inner(a, b) -> complex:
-    """Frobenius inner product sum_ij a[i,j] * conj(b[i,j])."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shapes differ: {a.shape} vs {b.shape}")
-    return complex(np.sum(a * b.conj()))
-
-
 def frob_norm(a) -> float:
     return float(np.linalg.norm(np.asarray(a)))
 
 
 @dataclass(frozen=True)
 class HermEig:
-    """Eigendecomposition A = Q diag(w) Q* with w ascending and Q unitary."""
+    """Eigendecomposition A = Q diag(w) Q* with w ascending and Q unitary (per matrix of a stack)."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
         q = self.eigenvectors
-        return (q * self.eigenvalues) @ q.conj().T
-
-
-def _require_hermitian(a: np.ndarray, tol: float) -> None:
-    scale = max(frob_norm(a), 1.0)
-    if frob_norm(a - a.conj().T) > tol * scale:
-        raise NotHermitian("matrix is not Hermitian within tolerance")
+        return (q * self.eigenvalues[..., None, :]) @ q.conj().swapaxes(-1, -2)
 
 
 def eig_hermitian(a, tol: float = DEFAULT_TOL) -> HermEig:
-    """Hermitian eigendecomposition (ascending eigenvalues)."""
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatch("eig_hermitian needs a square matrix")
-    _require_hermitian(a, tol)
+    """Hermitian eigendecomposition (ascending eigenvalues) of a matrix or a stack."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatch("eig_hermitian needs a square matrix or a stack of them")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix contains non-finite entries")
+    if frob_norm(a - a.conj().swapaxes(-1, -2)) > tol * max(frob_norm(a), 1.0):
+        raise NotHermitian("matrix is not Hermitian within tolerance")
     w, q = np.linalg.eigh(a)
     return HermEig(eigenvalues=w, eigenvectors=q)
 
@@ -93,31 +70,31 @@ def eig_hermitian(a, tol: float = DEFAULT_TOL) -> HermEig:
 def _psd_spectrum(a, floor: float, tol: float) -> HermEig:
     dec = eig_hermitian(a, tol=tol)
     w = dec.eigenvalues
-    top = float(w[-1]) if w.size else 0.0
-    if top <= 0.0 or float(w[0]) <= floor * top:
+    low, top = (float(w.min()), float(w.max())) if w.size else (0.0, 0.0)
+    if top <= 0.0 or low <= floor * top:
         raise NotInvertible(
-            f"eigenvalue floor violated: min={w[0] if w.size else 0.0:.3e}, "
-            f"max={top:.3e}, floor={floor:.1e}"
+            f"eigenvalue floor violated: min={low:.3e}, max={top:.3e}, floor={floor:.1e}"
         )
     return dec
+
 
 def inv_psd(a, floor: float = EIG_FLOOR, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Inverse of a Hermitian positive definite matrix.
 
     Raises :class:`NotInvertible` when the smallest eigenvalue falls at or
     below ``floor`` times the largest, which is how a failed frame property
-    surfaces numerically.
+    surfaces numerically.  A stack gives the stack of inverses.
     """
     dec = _psd_spectrum(a, floor, tol)
     q = dec.eigenvectors
-    return (q / dec.eigenvalues) @ q.conj().T
+    return (q / dec.eigenvalues[..., None, :]) @ q.conj().swapaxes(-1, -2)
 
 
 def inv_sqrt_psd(a, floor: float = EIG_FLOOR, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Inverse square root A^(-1/2) of a Hermitian positive definite matrix."""
+    """Inverse square root A^(-1/2) of a Hermitian positive definite matrix (or stack)."""
     dec = _psd_spectrum(a, floor, tol)
     q = dec.eigenvectors
-    return (q / np.sqrt(dec.eigenvalues)) @ q.conj().T
+    return (q / np.sqrt(dec.eigenvalues[..., None, :])) @ q.conj().swapaxes(-1, -2)
 
 
 def orthonormal_columns(vectors, rel_cutoff: float = 1e-11) -> np.ndarray:

@@ -339,6 +339,42 @@ def test_order_512_frame_and_order_256_group_stay_quadratic(tmp_path):
     assert code == 0 and peak < 200, peak
 
 
+def test_gabor_walnut_jobs_stay_small_at_L2048(tmp_path):
+    # a b = 1024 adjoint lattice operators of size 2048 x 2048 would take
+    # 64 GiB as dense matrices; the Walnut blocks and gathers need O(L^2 b / a).
+    length, a, b = 2048, 32, 32
+    lat = ["--L", str(length), "--a", str(a), "--b", str(b)]
+    rng = np.random.default_rng(2048)
+    g = (rng.standard_normal(length) + 1j * rng.standard_normal(length)) / np.sqrt(length)
+    window, gamma = tmp_path / "g.json", tmp_path / "gamma.json"
+    ftio.save_window(GaborSystem(L=length, a=a, b=b, window=g), window)
+    code, peak = _traced_peak_mib(
+        ["gabor", "dual", *lat, "--window", str(window), "--out-window", str(gamma),
+         "--out", str(tmp_path / "dual.json")]
+    )
+    assert code == 0 and peak < 64, peak
+    code, peak = _traced_peak_mib(
+        ["gabor", "wexler-raz", *lat, "--window", str(window), "--candidate", str(gamma),
+         "--out", str(tmp_path / "wr.json")]
+    )
+    assert code == 0 and peak < 64, peak
+    checks = [c["name"] for c in read_report(tmp_path / "wr.json")["checks"]]
+    assert checks == ["wexler_raz", "reconstruction_crosscheck"]
+
+
+def test_memory_error_exits_2(tmp_path, monkeypatch, capsys):
+    import frametrace.cli as cli
+
+    def too_big(*args, **kwargs):
+        raise MemoryError("Unable to allocate 64.0 GiB")
+
+    monkeypatch.setattr(cli, "gabor_reconstruction_check", too_big)
+    out = tmp_path / "r.json"
+    assert run(["gabor", "reference", "--L", "12", "--a", "3", "--b", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: out of memory")
+    assert not out.exists()
+
+
 def test_report_overall_pass_logic():
     rep = RunReport()
     assert rep.overall_pass is True

@@ -1,0 +1,194 @@
+"""Walnut-block and gather Gabor kernels against the dense operators they replaced.
+
+Every lattice operator is a shift times a phase, so the kernels never build an
+L x L operator.  The dense versions stay here as oracles: the analysis matrix
+built from ``lattice_ops``, ``inv_psd``/``eigvalsh`` of the dense frame
+operator, the loop over ``adjoint_lattice_ops`` (applied as M_(sL/a) and
+T_(tL/b) at L = 512, where the whole list takes 256 MiB), the dense product
+V_gamma^* V_g and the ``wh_rep`` sum.  Windows: random ones, and ones that
+vanish on a residue class mod a, which are never frames.
+"""
+import numpy as np
+import pytest
+
+from frametrace.errors import DimensionMismatch, NotAFrame, NotInvertible
+from frametrace.gabor import (
+    GaborSystem,
+    adjoint_lattice_ops,
+    frame_bounds_ratio,
+    gabor_canonical_dual,
+    gabor_coefficient_map,
+    gabor_frame_operator,
+    gabor_reconstruction_check,
+    lattice_ops,
+    modulation,
+    translation,
+    wexler_raz_check,
+    wh_bridge_check,
+    wh_group_build,
+    wh_rep,
+)
+from frametrace.numerics import inv_psd
+
+LATTICES = [
+    (4, 2, 2), (6, 1, 1), (12, 3, 2), (24, 4, 3), (30, 5, 3),
+    (36, 6, 6), (48, 4, 4), (60, 5, 6), (256, 8, 8), (512, 8, 8),
+]
+SMALL = [lat for lat in LATTICES if lat[0] <= 60]  # WH groups of order <= 512
+PERTURBATIONS = (0.0, 1e-13, 1e-9, 1e-6, 1e-3)
+
+
+def ids(lat):
+    return "L{}a{}b{}".format(*lat)
+
+
+def rand_c(rng, n):
+    return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(n)
+
+
+def seeds(length):
+    return range(3) if length <= 60 else range(1)
+
+
+def windows(length, a, seed):
+    """A random window, then the same window zeroed on one residue class mod a."""
+    rng = np.random.default_rng(1000 * seed + length)
+    g = rand_c(rng, length)
+    zeroed = g.copy()
+    zeroed[int(rng.integers(a)) :: a] = 0.0
+    return [("random", g), ("zeroed", zeroed)]
+
+
+def dense_frame_operator(sys_):
+    v = gabor_coefficient_map(sys_)
+    s = v.conj().T @ v
+    return 0.5 * (s + s.conj().T)
+
+
+def dense_cross(length, a, b, gamma, g):
+    """V_gamma^* V_g from the analysis matrices."""
+    v_gamma = gabor_coefficient_map(GaborSystem(length, a, b, gamma))
+    return v_gamma.conj().T @ gabor_coefficient_map(GaborSystem(length, a, b, g))
+
+
+def adjoint_images(length, a, b, cands):
+    """A @ cands for each adjoint lattice operator A, identity first.
+
+    At L = 512 the operators are built one at a time as M_(sL/a) and T_(tL/b).
+    """
+    if length <= 256:
+        return [op @ cands for op in adjoint_lattice_ops(length, a, b)]
+    return [
+        modulation(length, s * (length // a)) @ (translation(length, t * (length // b)) @ cands)
+        for s in range(a)
+        for t in range(b)
+    ]
+
+
+def wr_oracle(sys_, cands):
+    """Residual of the check, for each column of cands, as the loop over the dense
+    adjoint lattice operators it replaced."""
+    constant = sys_.a * sys_.b / sys_.L
+    residual = np.zeros(cands.shape[1])
+    for k, images in enumerate(adjoint_images(sys_.L, sys_.a, sys_.b, cands)):
+        values = sys_.window.conj() @ images
+        residual = np.maximum(residual, np.abs(values - (constant if k == 0 else 0.0)))
+    return residual
+
+
+@pytest.mark.parametrize("lat", SMALL, ids=ids)
+def test_coefficient_map_matches_lattice_operators(lat):
+    length, a, b = lat
+    ops = lattice_ops(length, a, b)
+    for seed in seeds(length):
+        for _, g in windows(length, a, seed):
+            rows = np.array([(op @ g).conj() for op in ops])
+            got = gabor_coefficient_map(GaborSystem(length, a, b, g))
+            assert np.abs(got - rows).max() <= 1e-12
+
+
+@pytest.mark.parametrize("lat", LATTICES, ids=ids)
+def test_frame_operator_dual_and_bounds_match_dense(lat):
+    length, a, b = lat
+    for seed in seeds(length):
+        for kind, g in windows(length, a, seed):
+            sys_ = GaborSystem(length, a, b, g)
+            dense = dense_frame_operator(sys_)
+            scale = np.linalg.norm(dense)
+            assert np.linalg.norm(gabor_frame_operator(sys_) - dense) <= 1e-12 * scale
+
+            w = np.linalg.eigvalsh(dense)
+            oracle_ratio = w[0] / w[-1] if w[-1] > 0 else 0.0
+            assert abs(frame_bounds_ratio(sys_) - oracle_ratio) <= 1e-12
+
+            try:
+                oracle = inv_psd(dense) @ g
+            except NotInvertible:
+                oracle = None
+            if oracle is None:
+                with pytest.raises(NotAFrame):
+                    gabor_canonical_dual(sys_)
+            else:
+                gamma = gabor_canonical_dual(sys_)
+                assert np.linalg.norm(gamma - oracle) <= 1e-10 * np.linalg.norm(oracle)
+            # A window that vanishes on a residue class mod a is never a frame.
+            assert (oracle is None) == (kind == "zeroed")
+
+
+@pytest.mark.parametrize("lat", LATTICES, ids=ids)
+def test_wexler_raz_and_reconstruction_match_dense(lat):
+    length, a, b = lat
+    for seed in seeds(length):
+        rng = np.random.default_rng(seed)
+        _, g = windows(length, a, seed)[0]
+        sys_ = GaborSystem(length, a, b, g)
+        gamma0 = gabor_canonical_dual(sys_)
+        cands = np.stack([gamma0 + eps * rand_c(rng, length) for eps in PERTURBATIONS], axis=1)
+        for cand, oracle in zip(cands.T, wr_oracle(sys_, cands)):
+            wr = wexler_raz_check(sys_, cand, tol=1e-9)
+            assert abs(wr.residual - oracle) <= 1e-12
+            assert wr.passed == (oracle <= 1e-9)
+
+            dense = dense_cross(length, a, b, cand, g) - np.eye(length)
+            recon = gabor_reconstruction_check(sys_, cand, 1e-9).residual
+            assert abs(recon - np.linalg.norm(dense)) <= 1e-11
+
+
+@pytest.mark.parametrize("lat", SMALL, ids=ids)
+def test_wh_table_and_bridge_match_dense(lat):
+    length, a, b = lat
+    wh = wh_group_build(length, a, b)
+    n_m, n_n, q = length // b, length // a, wh.q
+    k = (a * b * q) // length
+
+    def index(m, n, z):
+        return ((m % n_m) * n_n + n % n_n) * q + z % q
+
+    order = wh.group.order
+    table = np.zeros((order, order), dtype=np.int64)
+    for i in range(order):
+        m, n, z = wh.coords(i)
+        for j in range(order):
+            m2, n2, z2 = wh.coords(j)
+            table[i, j] = index(m + m2, n + n2, z + z2 - k * n * m2)
+    assert np.array_equal(wh.group.cayley, table)
+
+    mats = wh_rep(wh).matrices
+    for seed in seeds(length):
+        rng = np.random.default_rng(seed)
+        f, g = rand_c(rng, length), rand_c(rng, length)
+        acc = sum(np.outer(p @ g, (p @ f).conj()) for p in mats) / q
+        oracle = float(np.linalg.norm(acc - dense_cross(length, a, b, g, f)))
+        assert abs(wh_bridge_check(wh, f, g).residual - oracle) <= 1e-11
+
+
+def test_kernels_reject_a_window_of_the_wrong_length():
+    sys_ = GaborSystem(12, 3, 2, np.ones(12))
+    wh = wh_group_build(12, 3, 2)
+    for wrong in (np.ones(11), np.ones(13)):
+        with pytest.raises(DimensionMismatch):
+            wexler_raz_check(sys_, wrong)
+        with pytest.raises(DimensionMismatch):
+            gabor_reconstruction_check(sys_, wrong, 1e-9)
+        with pytest.raises(DimensionMismatch):
+            wh_bridge_check(wh, wrong, np.ones(12))

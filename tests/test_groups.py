@@ -44,17 +44,53 @@ def test_no_identity_rejected():
         group_from_cayley(t)
 
 
+# Latin square with identity 0 that is not a group (order 5 loop)
+NONASSOCIATIVE_LOOP = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+
 def test_nonassociative_rejected():
-    # Latin square with identity 0 that is not a group (order 5 loop)
-    t = [
-        [0, 1, 2, 3, 4],
-        [1, 0, 3, 4, 2],
-        [2, 4, 0, 1, 3],
-        [3, 2, 4, 0, 1],
-        [4, 3, 1, 2, 0],
-    ]
     with pytest.raises(NotAGroup, match="associativity"):
-        group_from_cayley(t)
+        group_from_cayley(NONASSOCIATIVE_LOOP)
+
+
+def associative_by_full_loop(table) -> bool:
+    """The check group_from_cayley made before Light's test: every z."""
+    t = np.asarray(table)
+    return all(np.array_equal(t[:, z][t], t[:, t[:, z]]) for z in range(t.shape[0]))
+
+
+def test_light_associativity_agrees_with_full_loop():
+    loop = np.array(NONASSOCIATIVE_LOOP)
+    groups = [builtin_group(s).cayley for s in
+              ("cyclic:4", "dihedral:3", "heisenberg:2", "cyclic:2 x cyclic:3", "dihedral:5")]
+
+    def product(t1, t2):
+        n2 = t2.shape[0]
+        return (t1[:, None, :, None] * n2 + t2[None, :, None, :]).reshape(len(t1) * n2, -1)
+
+    tables = [loop] + groups + [product(loop, t) for t in groups] + [product(t, loop) for t in groups]
+    rng = np.random.default_rng(13)
+    checked = 0
+    for table in tables:
+        for _ in range(5):
+            perm = rng.permutation(len(table))
+            inv = np.argsort(perm)
+            relabeled = perm[table[np.ix_(inv, inv)]]
+            try:
+                group_from_cayley(relabeled)
+                accepted = True
+            except NotAGroup as exc:
+                assert "associativity" in str(exc)
+                accepted = False
+            assert accepted == associative_by_full_loop(relabeled)
+            checked += 1
+    assert checked == 80
 
 
 def test_relabeled_z6_preserves_orders():

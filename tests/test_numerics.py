@@ -6,15 +6,12 @@ from hypothesis import strategies as st
 
 from frametrace.errors import DimensionMismatch, NotHermitian, NotInvertible
 from frametrace.numerics import (
-    adjoint,
     as_matrix,
     as_vector,
     eig_hermitian,
-    frob_inner,
     frob_norm,
     inv_psd,
     inv_sqrt_psd,
-    matmul,
     orthonormal_columns,
 )
 
@@ -23,66 +20,10 @@ def rand_c(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def naive_matmul(a, b):
-    m, k = a.shape
-    k2, n = b.shape
-    assert k == k2
-    out = np.zeros((m, n), dtype=complex)
-    for i in range(m):
-        for j in range(n):
-            for t in range(k):
-                out[i, j] += a[i, t] * b[t, j]
-    return out
-
-
-def test_matmul_identity():
-    rng = np.random.default_rng(0)
-    a = rand_c(rng, 3, 3)
-    assert np.allclose(matmul(np.eye(3), a), a)
-
-
-def test_matmul_inverse_pair():
-    rng = np.random.default_rng(1)
-    a = rand_c(rng, 4, 4) + 4 * np.eye(4)
-    inv = np.linalg.inv(a)
-    assert np.linalg.norm(matmul(a, inv) - np.eye(4)) < 1e-10
-    assert np.allclose(matmul(a, inv), naive_matmul(a, inv), atol=1e-12)
-
-
-def test_matmul_rectangular_vs_naive():
-    rng = np.random.default_rng(2)
-    a = rand_c(rng, 2, 3)
-    b = rand_c(rng, 3, 1)
-    assert np.allclose(matmul(a, b), naive_matmul(a, b))
-
-
-def test_matmul_shape_mismatch():
-    with pytest.raises(DimensionMismatch):
-        matmul(np.eye(2), np.eye(3))
-
-
-def test_adjoint_identity_and_involution():
-    rng = np.random.default_rng(3)
-    a = rand_c(rng, 4, 2)
-    assert np.allclose(adjoint(np.eye(3)), np.eye(3))
-    assert np.allclose(adjoint(adjoint(a)), a)
-
-
-def test_adjoint_inner_product_relation():
-    rng = np.random.default_rng(4)
-    a = rand_c(rng, 5, 3)
-    x = rand_c(rng, 3)
-    y = rand_c(rng, 5)
-    # <Ax, y> = <x, A^* y> with <u, v> = sum u conj(v)
-    lhs = np.vdot(y, a @ x).conjugate()
-    rhs = np.vdot(adjoint(a) @ y, x).conjugate()
-    assert abs(lhs - rhs) < 1e-12
-
-
 def test_adjoint_isometry():
     rng = np.random.default_rng(5)
     a = rand_c(rng, 6, 4)
-    assert abs(frob_norm(adjoint(a)) - frob_norm(a)) < 1e-12
+    assert abs(frob_norm(a.conj().T) - frob_norm(a)) < 1e-12
 
 
 def test_eig_diagonal():
@@ -126,6 +67,40 @@ def test_inv_psd_singular_raises():
         inv_psd(np.diag([1.0, 0.0]))
 
 
+def test_stack_is_one_operator_for_the_floor():
+    # Each block is well conditioned, but the stack as one block-diagonal
+    # operator has min/max = 1e-13 <= EIG_FLOOR.
+    stack = np.array([np.eye(2), 1e-13 * np.eye(2)])
+    for blk in stack:
+        assert np.allclose(inv_psd(blk) @ blk, np.eye(2))
+    with pytest.raises(NotInvertible):
+        inv_psd(stack)
+    with pytest.raises(NotInvertible):
+        inv_psd(np.zeros((3, 2, 2)))
+    with pytest.raises(DimensionMismatch):
+        eig_hermitian(np.zeros((3, 2, 4)))
+
+
+def test_stack_agrees_with_block_diagonal():
+    rng = np.random.default_rng(11)
+    b = rand_c(rng, 4, 3, 3)
+    stack = b @ b.conj().swapaxes(1, 2) + np.eye(3)
+    dense = np.zeros((12, 12), dtype=complex)
+    for k in range(4):
+        dense[3 * k : 3 * k + 3, 3 * k : 3 * k + 3] = stack[k]
+    dec = eig_hermitian(stack)
+    assert np.allclose(np.sort(dec.eigenvalues.ravel()), eig_hermitian(dense).eigenvalues)
+    assert np.linalg.norm(dec.reconstruct() - stack) <= 1e-10 * frob_norm(stack)
+    inv = inv_psd(stack)
+    root = inv_sqrt_psd(stack)
+    for k in range(4):
+        blk = slice(3 * k, 3 * k + 3)
+        assert np.allclose(inv[k], inv_psd(dense)[blk, blk], atol=1e-12)
+        assert np.allclose(root[k], inv_sqrt_psd(dense)[blk, blk], atol=1e-12)
+    with pytest.raises(NotHermitian):
+        eig_hermitian(np.array([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]]))
+
+
 def test_inv_sqrt_psd_cases():
     assert np.allclose(inv_sqrt_psd(np.eye(4)), np.eye(4))
     assert np.allclose(inv_sqrt_psd(np.diag([4.0, 1.0])), np.diag([0.5, 1.0]))
@@ -138,18 +113,6 @@ def test_inv_sqrt_psd_random():
     a = 0.5 * (a + a.conj().T)
     r = inv_sqrt_psd(a)
     assert np.linalg.norm(r @ r @ a - np.eye(6)) <= 1e-10
-
-
-def test_frob_inner_cases():
-    rng = np.random.default_rng(9)
-    assert abs(frob_inner(np.eye(7), np.eye(7)) - 7) < 1e-14
-    a = rand_c(rng, 4, 4)
-    val = frob_inner(a, a)
-    assert abs(val.imag) < 1e-14 and val.real >= 0
-    assert abs(val.real - frob_norm(a) ** 2) < 1e-12
-    b = rand_c(rng, 4, 4)
-    oracle = sum(a[i, j] * b[i, j].conjugate() for i in range(4) for j in range(4))
-    assert abs(frob_inner(a, b) - oracle) < 1e-12
 
 
 def test_as_matrix_rejects_nan():
