@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotAFrame, NotInvertible
 from .groups import FiniteGroup, Rep, group_from_cayley
-from .numerics import DEFAULT_TOL, EIG_FLOOR, as_vector, eig_hermitian, inv_psd
+from .numerics import DEFAULT_TOL, EIG_FLOOR, _unit_roots, as_vector, eig_hermitian, inv_psd
 from .reporting import CheckResult
 
 
@@ -63,16 +63,11 @@ class GaborSystem:
         object.__setattr__(self, "window", w)
 
 
-def _phases(length: int, freqs: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """exp(2 pi i w j / L) for every frequency w (rows) and index j (columns)."""
-    return np.exp(2j * np.pi * (np.outer(freqs, j) % length) / length)
-
-
 def _coefficient_map(length: int, tstep: int, fstep: int, window: np.ndarray) -> np.ndarray:
     """Analysis matrix; row (m, n) is the conjugate of M_(m fstep) T_(n tstep) w."""
     j = np.arange(length)
     shifted = window[(j - tstep * np.arange(length // tstep)[:, None]) % length]
-    phase = _phases(length, fstep * np.arange(length // fstep), j)
+    phase = _unit_roots(np.outer(fstep * np.arange(length // fstep), j), length)
     return (phase[:, None, :] * shifted[None, :, :]).conj().reshape(-1, length)
 
 
@@ -273,7 +268,7 @@ def wh_bridge_check(wh: WHGroup, f, g, tol: float = DEFAULT_TOL) -> CheckResult:
     f, g = (GaborSystem(length, wh.a, wh.b, v).window for v in (f, g))  # check the lengths
     m, n, z = wh.coords(np.arange(wh.group.order))
     j = np.arange(length)
-    phase = np.exp(2j * np.pi * z / wh.q)[:, None] * _phases(length, wh.b * m, j)
+    phase = _unit_roots(z, wh.q)[:, None] * _unit_roots(np.outer(wh.b * m, j), length)
     shift = (j - wh.a * n[:, None]) % length
     acc = (phase * g[shift]).T @ (phase * f[shift]).conj() / wh.q
     cross = _walnut_dense(length, wh.b, _walnut_blocks(length, wh.a, wh.b, g, f))

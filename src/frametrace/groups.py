@@ -6,6 +6,8 @@ and inner product <f, g> = sum_x f(x) conj(g(x)).
 """
 from __future__ import annotations
 
+import functools
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -133,6 +135,41 @@ def _product_table(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
 
 _SPEC_RE = re.compile(r"^(cyclic|dihedral|heisenberg):(\d+)$")
 
+#: Group order and Cayley table of each builtin family, by its parameter n.
+_FAMILIES = {
+    "cyclic": (lambda n: n, _cyclic_table),
+    "dihedral": (lambda n: 2 * n, _dihedral_table),
+    "heisenberg": (lambda n: n ** 3, _heisenberg_table),
+}
+
+
+def _parse_spec(spec: str) -> list[tuple[str, int]]:
+    """The ``(family, n)`` factors of a group spec such as ``cyclic:2 x dihedral:3``.
+
+    Refuses a spec whose order exceeds :data:`MAX_ORDER` before any table exists.
+    """
+    parts = [p.strip() for p in re.split(r"\s*x\s*", spec.strip()) if p.strip()]
+    if not parts:
+        raise NotAGroup(f"empty group spec {spec!r}")
+    factors = []
+    for part in parts:
+        m = _SPEC_RE.match(part)
+        if not m:
+            raise NotAGroup(f"unknown group spec {part!r}")
+        family, n = m.group(1), int(m.group(2))
+        if n < 1:
+            raise NotAGroup("group parameter must be at least 1")
+        factors.append((family, n))
+    order = math.prod(_FAMILIES[family][0](n) for family, n in factors)
+    if order > MAX_ORDER:
+        raise NotAGroup(f"order {order} exceeds the supported maximum {MAX_ORDER}")
+    return factors
+
+
+def _spec_table(factors: list[tuple[str, int]]) -> np.ndarray:
+    """Cayley table of the direct product of the factors, first factor outermost."""
+    return functools.reduce(_product_table, (_FAMILIES[f][1](n) for f, n in factors))
+
 
 def builtin_group(spec: str) -> FiniteGroup:
     """Build one of the named group families.
@@ -141,30 +178,9 @@ def builtin_group(spec: str) -> FiniteGroup:
     (order n^3), and direct products joined with ``x``, for example
     ``cyclic:2 x dihedral:3``.
     """
-    parts = [p.strip() for p in re.split(r"\s*x\s*", spec.strip()) if p.strip()]
-    if not parts:
-        raise NotAGroup(f"empty group spec {spec!r}")
-    if len(parts) > 1:
-        groups = [builtin_group(p) for p in parts]
-        table = groups[0].cayley
-        for g in groups[1:]:
-            table = _product_table(table, g.cayley)
-        label = " x ".join(g.label for g in groups)
-        return group_from_cayley(table, label=label)
-
-    m = _SPEC_RE.match(parts[0])
-    if not m:
-        raise NotAGroup(f"unknown group spec {parts[0]!r}")
-    family, n = m.group(1), int(m.group(2))
-    if n < 1:
-        raise NotAGroup("group parameter must be at least 1")
-    if family == "cyclic":
-        table = _cyclic_table(n)
-    elif family == "dihedral":
-        table = _dihedral_table(n)
-    else:
-        table = _heisenberg_table(n)
-    return group_from_cayley(table, label=f"{family}:{n}")
+    factors = _parse_spec(spec)
+    label = " x ".join(f"{family}:{n}" for family, n in factors)
+    return group_from_cayley(_spec_table(factors), label=label)
 
 
 def element_orders(group: FiniteGroup) -> list[int]:

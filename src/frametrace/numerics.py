@@ -20,22 +20,18 @@ DEFAULT_TOL = 1e-9
 EIG_FLOOR = 1e-12
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a 2-d complex array, rejecting NaN/Inf entries."""
-    m = np.asarray(a, dtype=complex)
-    if m.ndim != 2:
-        raise DimensionMismatch(f"expected a matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-        raise ValueError("matrix contains non-finite entries")
-    return m
-
-
 def as_vector(v) -> np.ndarray:
     """Coerce to a 1-d complex array, rejecting NaN/Inf entries."""
     w = np.asarray(v, dtype=complex).reshape(-1)
     if not np.all(np.isfinite(w.real)) or not np.all(np.isfinite(w.imag)):
         raise ValueError("vector contains non-finite entries")
     return w
+
+
+def _unit_roots(k, n: int) -> np.ndarray:
+    """exp(2 pi i k / n) for an integer array k, with k reduced mod n first so
+    that large exponents lose no accuracy."""
+    return np.exp(2j * np.pi * (np.asarray(k) % n) / n)
 
 
 def frob_norm(a) -> float:

@@ -20,7 +20,7 @@ is what turns the usual "psi^* eta" into "psi eta^*" in this orientation).
 """
 from __future__ import annotations
 
-import re
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,18 +28,18 @@ import numpy as np
 from .commutant import commutant_of_matrices
 from .errors import (
     DimensionMismatch,
+    NotAGroup,
     NotComplete,
     NotHomomorphism,
     NotInequivalent,
     NotInRange,
+    NotInvariant,
     NotIrreducible,
     UnsupportedGroup,
 )
 from .frames import InvariantProjection
-from .groups import (
-    _SPEC_RE, FiniteGroup, GroupVector, Rep, _product_table, builtin_group, convolution_operator,
-)
-from .numerics import DEFAULT_TOL
+from .groups import FiniteGroup, GroupVector, Rep, _parse_spec, _spec_table, convolution_operator
+from .numerics import DEFAULT_TOL, _unit_roots
 from .reporting import CheckResult
 
 
@@ -85,44 +85,30 @@ class FiberProjectionField:
 
 
 # ---------------------------------------------------------------------------
-# Builtin irreducible representations
+# Builtin irreducible representations: each family builder returns
+# (label, matrices) pairs, the matrices of shape (order, d, d).
 
 
-def _cyclic_irreps(group: FiniteGroup, n: int) -> list[Irrep]:
-    out = []
-    js = np.arange(n)
-    for k in range(n):
-        chars = np.exp(2j * np.pi * k * js / n)
-        mats = chars.reshape(n, 1, 1)
-        out.append(Irrep(label=f"chi{k}", dim=1, rep=Rep(group=group, dim=1, matrices=mats)))
-    return out
+def _cyclic_irreps(n: int) -> list[tuple[str, np.ndarray]]:
+    chars = _unit_roots(np.outer(np.arange(n), np.arange(n)), n)  # chi_k(j) = omega^(k j)
+    return [(f"chi{k}", row.reshape(n, 1, 1)) for k, row in enumerate(chars)]
 
 
-def _dihedral_irreps(group: FiniteGroup, n: int) -> list[Irrep]:
+def _dihedral_irreps(n: int) -> list[tuple[str, np.ndarray]]:
     # Elements 0..n-1 are rotations r^j, n..2n-1 are reflections s r^j.
-    out = []
-
-    def one_dim(r_val: complex, s_val: complex, label: str) -> Irrep:
-        vals = np.empty(2 * n, dtype=complex)
-        vals[:n] = r_val ** np.arange(n)
-        vals[n:] = s_val * r_val ** np.arange(n)
-        return Irrep(label=label, dim=1, rep=Rep(group=group, dim=1, matrices=vals.reshape(-1, 1, 1)))
-
-    out.append(one_dim(1.0, 1.0, "triv"))
-    out.append(one_dim(1.0, -1.0, "sgn"))
-    if n % 2 == 0:
-        out.append(one_dim(-1.0, 1.0, "alt+"))
-        out.append(one_dim(-1.0, -1.0, "alt-"))
-    omega = np.exp(2j * np.pi / n)
-    flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    for h in range(1, (n + 1) // 2 if n % 2 else n // 2):
-        mats = np.zeros((2 * n, 2, 2), dtype=complex)
-        for j in range(n):
-            rot = np.diag([omega ** (h * j), omega ** (-h * j)])
-            mats[j] = rot
-            mats[n + j] = flip @ rot
-        out.append(Irrep(label=f"rho{h}", dim=2, rep=Rep(group=group, dim=2, matrices=mats)))
-    return out
+    j = np.arange(n)
+    signs = [("triv", 1, 1), ("sgn", 1, -1), ("alt+", -1, 1), ("alt-", -1, -1)]  # values at r, s
+    out = [
+        (label, np.concatenate([r ** j, s * r ** j]).astype(complex).reshape(-1, 1, 1))
+        for label, r, s in signs[: 4 if n % 2 == 0 else 2]
+    ]
+    # rho_h(r^j) = diag(omega^(h j), omega^(-h j)) and rho_h(s r^j) = flip . rho_h(r^j).
+    hs = np.arange(1, (n + 1) // 2)
+    up, down = _unit_roots(np.outer(hs, j), n), _unit_roots(-np.outer(hs, j), n)
+    mats = np.zeros((len(hs), 2 * n, 2, 2), dtype=complex)
+    mats[:, :n, 0, 0], mats[:, :n, 1, 1] = up, down
+    mats[:, n:, 0, 1], mats[:, n:, 1, 0] = down, up
+    return out + [(f"rho{h}", m) for h, m in zip(hs, mats)]
 
 
 def _is_prime(n: int) -> bool:
@@ -131,63 +117,36 @@ def _is_prime(n: int) -> bool:
     return all(n % k for k in range(2, int(n ** 0.5) + 1))
 
 
-def _heisenberg_irreps(group: FiniteGroup, p: int) -> list[Irrep]:
+def _heisenberg_irreps(p: int) -> list[tuple[str, np.ndarray]]:
     if not _is_prime(p):
         raise UnsupportedGroup(
             f"builtin Heisenberg irreps require a prime modulus, got {p}"
         )
-    n = p
-    out = []
-    omega = np.exp(2j * np.pi / n)
-
-    def coords(idx: int) -> tuple[int, int, int]:
-        x, r = divmod(idx, n * n)
-        y, z = divmod(r, n)
-        return x, y, z
-
-    for a in range(n):
-        for b in range(n):
-            vals = np.array(
-                [omega ** ((a * x + b * y) % n) for x, y, _ in map(coords, range(n ** 3))],
-                dtype=complex,
-            )
-            out.append(
-                Irrep(
-                    label=f"chi{a},{b}",
-                    dim=1,
-                    rep=Rep(group=group, dim=1, matrices=vals.reshape(-1, 1, 1)),
-                )
-            )
+    e, t = np.arange(p ** 3), np.arange(p)
+    x, y, z = e // (p * p), (e // p) % p, e % p  # element (x, y, z) has index x p^2 + y p + z
+    # chi_(a,b)(x, y, z) = omega^(a x + b y), a along the first axis and b along the second
+    chars = _unit_roots(t[:, None, None] * x + t[:, None] * y, p).reshape(p * p, -1, 1, 1)
+    out = [(f"chi{a},{b}", c) for (a, b), c in zip(np.ndindex(p, p), chars)]
     # p-dimensional irreps, one per nontrivial central character:
     # (pi_c(x, y, z) f)(t) = omega^(c (z + y t)) f(t + x)
-    for c in range(1, n):
-        mats = np.zeros((n ** 3, n, n), dtype=complex)
-        for idx in range(n ** 3):
-            x, y, z = coords(idx)
-            for t in range(n):
-                mats[idx, t, (t + x) % n] = omega ** ((c * (z + y * t)) % n)
-        out.append(Irrep(label=f"pi{c}", dim=n, rep=Rep(group=group, dim=n, matrices=mats)))
+    for c in range(1, p):
+        mats = np.zeros((p ** 3, p, p), dtype=complex)
+        mats[e[:, None], t, (t + x[:, None]) % p] = _unit_roots(c * (z[:, None] + y[:, None] * t), p)
+        out.append((f"pi{c}", mats))
     return out
 
 
-def _tensor_irreps(group: FiniteGroup, parts: list[list[Irrep]], orders: list[int]) -> list[Irrep]:
-    if len(parts) == 1:
-        return parts[0]
-    tail_group_order = int(np.prod(orders[1:]))
-    tail = _tensor_irreps(group, parts[1:], orders[1:])
+_FAMILY_IRREPS = {"cyclic": _cyclic_irreps, "dihedral": _dihedral_irreps, "heisenberg": _heisenberg_irreps}
+
+
+def _tensor_product(left: list, right: list) -> list[tuple[str, np.ndarray]]:
+    """Irreps of G1 x G2: element i1 |G2| + i2 maps to sigma1(i1) (x) sigma2(i2)."""
     out = []
-    for s1 in parts[0]:
-        for s2 in tail:
-            d = s1.dim * s2.dim
-            mats = np.zeros((group.order, d, d), dtype=complex)
-            for i1 in range(orders[0]):
-                for i2 in range(tail_group_order):
-                    mats[i1 * tail_group_order + i2] = np.kron(
-                        s1.rep.matrices[i1], s2.rep.matrices[i2]
-                    )
-            out.append(
-                Irrep(label=f"{s1.label}*{s2.label}", dim=d, rep=Rep(group=group, dim=d, matrices=mats))
-            )
+    for l1, m1 in left:
+        for l2, m2 in right:
+            d = m1.shape[1] * m2.shape[1]
+            mats = np.einsum("xij,ykl->xyikjl", m1, m2).reshape(len(m1) * len(m2), d, d)
+            out.append((f"{l1}*{l2}", mats))
     return out
 
 
@@ -195,39 +154,22 @@ def builtin_irreps(group: FiniteGroup) -> IrrepTable:
     """Irreducible representations for the builtin group families.
 
     Supports cyclic:n, dihedral:n, heisenberg:p (p prime) and their direct
-    products; other groups raise :class:`UnsupportedGroup` and require a
-    user-supplied table, and so does a table that differs from the one its label names.
+    products, as tensor products of the factors' irreps; other groups raise
+    :class:`UnsupportedGroup` and require a user-supplied table, and so does a
+    table that differs from the one its label names.
     """
-    parts = [p.strip() for p in re.split(r"\s*x\s*", group.label.strip()) if p.strip()]
-    if not parts or not all(_SPEC_RE.match(p) for p in parts):
+    try:
+        factors = _parse_spec(group.label)
+    except NotAGroup:
         raise UnsupportedGroup(
             f"no builtin irreps for group {group.label!r}; supply a table"
-        )
-    factor_irreps = []
-    orders = []
-    table = None
-    for part in parts:
-        family, n_str = part.split(":")
-        n = int(n_str)
-        sub = builtin_group(part)
-        if family == "cyclic":
-            factor_irreps.append(_cyclic_irreps(sub, n))
-        elif family == "dihedral":
-            factor_irreps.append(_dihedral_irreps(sub, n))
-        else:
-            factor_irreps.append(_heisenberg_irreps(sub, n))
-        orders.append(sub.order)
-        table = sub.cayley if table is None else _product_table(table, sub.cayley)
-    if not np.array_equal(group.cayley, table):
+        ) from None
+    if not np.array_equal(group.cayley, _spec_table(factors)):  # shapes first, then entries
         raise UnsupportedGroup(f"group table does not match its label {group.label!r}")
-    if len(parts) == 1:
-        irreps = [
-            Irrep(s.label, s.dim, Rep(group=group, dim=s.dim, matrices=s.rep.matrices))
-            for s in factor_irreps[0]
-        ]
-    else:
-        irreps = _tensor_irreps(group, factor_irreps, orders)
-    return IrrepTable(group=group, irreps=tuple(irreps))
+    pairs = functools.reduce(_tensor_product, (_FAMILY_IRREPS[f](n) for f, n in factors))
+    return IrrepTable(group=group, irreps=tuple(
+        Irrep(label, m.shape[1], Rep(group=group, dim=m.shape[1], matrices=m)) for label, m in pairs
+    ))
 
 
 def validate_irreps(group: FiniteGroup, supplied, tol: float = DEFAULT_TOL) -> IrrepTable:

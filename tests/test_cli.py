@@ -283,12 +283,15 @@ def test_report_refuses_non_finite_numbers():
 def test_group_analyze_file_table_contradicting_label(tmp_path):
     klein = tmp_path / "klein.json"
     table = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
-    klein.write_text(json.dumps({"label": "cyclic:4", "order": 4, "cayley": table}))
     out = tmp_path / "r.json"
-    assert run(["group", "analyze", "--file", str(klein), "--out", str(out)]) == 0
-    rep = read_report(out)
-    assert rep["metadata"]["irreps"] == "unavailable"
-    assert [c["name"] for c in rep["checks"]] == ["commutant_dim_regular", "trace_identity_sampled"]
+    # A label naming another group, a spec that is no group, and specs above the
+    # order limit (heisenberg:100 would be a 10^6 x 10^6 table).
+    for label in ("cyclic:4", "cyclic:0", "cyclic:1000", "heisenberg:100"):
+        klein.write_text(json.dumps({"label": label, "order": 4, "cayley": table}))
+        assert run(["group", "analyze", "--file", str(klein), "--out", str(out)]) == 0, label
+        rep = read_report(out)
+        assert rep["metadata"]["irreps"] == "unavailable"
+        assert [c["name"] for c in rep["checks"]] == ["commutant_dim_regular", "trace_identity_sampled"]
 
 
 def _traced_peak_mib(argv) -> tuple[int, float]:

@@ -1,4 +1,6 @@
 """Group construction, convolution and regular representation tests."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,20 @@ def test_direct_product_spec():
 def test_bad_spec_rejected():
     with pytest.raises(NotAGroup):
         builtin_group("quaternion:2")
+
+
+def test_builtin_spec_order_refused_before_any_table():
+    # heisenberg:100 has order 10^6; its table would take 7.28 TiB.
+    tracemalloc.start()
+    try:
+        with pytest.raises(NotAGroup, match="order 1000000 exceeds"):
+            builtin_group("heisenberg:100")
+        with pytest.raises(NotAGroup, match="order 1024 exceeds"):
+            builtin_group("cyclic:2 x dihedral:256")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_convolve_deltas_cyclic3():

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from frametrace.errors import DimensionMismatch, NotHermitian, NotInvertible
 from frametrace.numerics import (
-    as_matrix,
     as_vector,
     eig_hermitian,
     frob_norm,
@@ -115,9 +114,7 @@ def test_inv_sqrt_psd_random():
     assert np.linalg.norm(r @ r @ a - np.eye(6)) <= 1e-10
 
 
-def test_as_matrix_rejects_nan():
-    with pytest.raises(ValueError):
-        as_matrix([[np.nan, 0.0], [0.0, 0.0]])
+def test_as_vector_rejects_non_finite():
     with pytest.raises(ValueError):
         as_vector([np.inf, 0.0])
 

@@ -5,6 +5,7 @@ import pytest
 from frametrace.errors import (
     NotComplete,
     NotInRange,
+    NotInvariant,
     NotIrreducible,
     UnsupportedGroup,
 )
@@ -217,6 +218,19 @@ def test_fiber_projections_cyclic2_halfspace():
     assert abs(vals["chi0"] - 1.0) < 1e-12
     assert abs(vals["chi1"]) < 1e-12
     assert rank_measure(field) == pytest.approx(0.5)
+
+
+def test_fiber_projections_rejects_non_idempotent_block():
+    # p = R_h holds exactly, so p.validate passes at this tolerance; the first
+    # fiber block, 1.003, is not idempotent.
+    g = builtin_group("cyclic:64")
+    table = builtin_irreps(g)
+    blocks = [np.eye(1) * (k < 32) for k in range(64)]
+    blocks[0] = blocks[0] * 1.003
+    p = projection_from_fibers(table, blocks)
+    p.validate(tol=1e-3)
+    with pytest.raises(NotInvariant, match="chi0"):
+        fiber_projections(table, p, tol=1e-3)
 
 
 def test_fiber_projections_single_copy_dihedral4():
