@@ -29,7 +29,6 @@ from .errors import (
 from .frames import (
     CoefficientOperator,
     InvariantProjection,
-    TraceFunctional,
     admissibility_defect,
     admissible_vector_for_projection,
     canonical_dual,
@@ -44,7 +43,6 @@ from .frames import (
     random_invariant_projection_spectral,
     regular_coefficient_matrix,
     tighten,
-    trace_functional,
     trace_of_projection,
 )
 from .gabor import (

@@ -13,13 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NotInvariant, ReferencePairNotAdmissible
-from .frames import InvariantProjection, TraceFunctional, admissibility_defect, is_admissible_pair
+from .frames import InvariantProjection, admissibility_defect, is_admissible_pair, natural_trace
 from .groups import FiniteGroup, Rep, delta, convolution_operator
-from .numerics import DEFAULT_TOL, orthonormal_columns
+from .numerics import DEFAULT_TOL, NULLSPACE_CUTOFF, orthonormal_columns, within_tol
 from .reporting import CheckResult
-
-#: Relative cutoff for the null-space rank decision.
-NULLSPACE_CUTOFF = 1e-9
 
 
 @dataclass(frozen=True)
@@ -37,7 +34,7 @@ class CommutantBasis:
         return iter(self.elements)
 
 
-def commutant_of_matrices(matrices, cutoff: float = NULLSPACE_CUTOFF) -> list:
+def commutant_of_matrices(matrices) -> list:
     """Orthonormal basis of {T : T U = U T for every U in ``matrices``}.
 
     ``matrices`` must be unitary.  Solves the stacked commutation equations
@@ -54,13 +51,13 @@ def commutant_of_matrices(matrices, cutoff: float = NULLSPACE_CUTOFF) -> list:
     m = 2.0 * n * (np.eye(d * d) - 0.5 * (avg + avg.conj().T))
     w, q = np.linalg.eigh(m)
     top = max(float(w[-1]), 1.0)
-    keep = w <= cutoff * top
+    keep = w <= NULLSPACE_CUTOFF * top
     return [q[:, j].reshape(d, d) for j in np.nonzero(keep)[0]]
 
 
-def commutant_basis(rep: Rep, cutoff: float = NULLSPACE_CUTOFF) -> CommutantBasis:
+def commutant_basis(rep: Rep) -> CommutantBasis:
     """Orthonormal basis of the commutant pi(G)' of a representation."""
-    elems = commutant_of_matrices(rep.matrices, cutoff=cutoff)
+    elems = commutant_of_matrices(rep.matrices)
     return CommutantBasis(dim=rep.dim, elements=elems, rep=rep)
 
 
@@ -73,15 +70,13 @@ def regular_commutant_basis(group: FiniteGroup) -> CommutantBasis:
     """
     scale = 1.0 / np.sqrt(group.order)
     elems = [
-        scale * convolution_operator(delta(group, x), side="right")
+        scale * convolution_operator(delta(group, x))
         for x in group.elements()
     ]
     return CommutantBasis(dim=group.order, elements=elems)
 
 
-def reduced_commutant(
-    basis: CommutantBasis, p, tol: float = DEFAULT_TOL, cutoff: float = NULLSPACE_CUTOFF
-) -> CommutantBasis:
+def reduced_commutant(basis: CommutantBasis, p, tol: float = DEFAULT_TOL) -> CommutantBasis:
     """Compressions {p T p} of a commutant basis, re-orthonormalized.
 
     The matrix ``p`` (an invariant projection, or its raw matrix) must commute
@@ -94,33 +89,34 @@ def reduced_commutant(
     if basis.rep is not None:
         for x in basis.rep.group.elements():
             u = basis.rep.matrices[x]
-            if np.linalg.norm(u @ pm - pm @ u) > tol * max(1.0, np.linalg.norm(pm)):
+            if not within_tol(np.linalg.norm(u @ pm - pm @ u), tol, pm):
                 raise NotInvariant("projection does not commute with the representation")
     compressed = [pm @ t @ pm for t in basis.elements]
     stacked = np.column_stack([t.reshape(-1) for t in compressed])
-    q = orthonormal_columns(stacked, rel_cutoff=cutoff)
+    q = orthonormal_columns(stacked, rel_cutoff=NULLSPACE_CUTOFF)
     elems = [q[:, j].reshape(basis.dim, basis.dim) for j in range(q.shape[1])]
     return CommutantBasis(dim=basis.dim, elements=elems, rep=basis.rep)
 
 
 def is_tracial_pair(
     basis: CommutantBasis,
-    trace: TraceFunctional,
+    group: FiniteGroup,
     eta,
     psi,
     tol: float = DEFAULT_TOL,
 ) -> CheckResult:
-    """Check <T eta, psi> = tr(T) over a spanning set of the commutant.
+    """Check <T eta, psi> = tau(T) over a spanning set of the commutant on l2(G).
 
-    The finite trace extends linearly to the whole algebra, so checking a
-    linear spanning set is equivalent to checking positive elements.
+    tau is the natural trace :func:`natural_trace`.  The finite trace extends
+    linearly to the whole algebra, so checking a linear spanning set is
+    equivalent to checking positive elements.
     """
     eta = np.asarray(eta, dtype=complex).reshape(-1)
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     residual = 0.0
     for t in basis.elements:
         value = np.vdot(psi, t @ eta)  # <T eta, psi>
-        residual = max(residual, abs(value - trace(t)))
+        residual = max(residual, abs(value - natural_trace(t, group)))
     return CheckResult(name="tracial_pair", residual=float(residual), tol=tol)
 
 

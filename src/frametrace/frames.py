@@ -11,16 +11,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvariantViolated, NotInvariant
+from .errors import DimensionMismatch, InvariantViolated, NotInvariant, NotInvertible
 from .groups import FiniteGroup, GroupVector, Rep, convolution_operator
 from .numerics import (
     DEFAULT_TOL,
-    EIG_FLOOR,
+    PROJECTION_RANK_CUT,
+    RANK_CUTOFF,
+    _psd_spectrum,
     as_vector,
     eig_hermitian,
     inv_psd,
     inv_sqrt_psd,
     orthonormal_columns,
+    within_tol,
 )
 from .reporting import CheckResult
 
@@ -59,21 +62,23 @@ def frame_operator(v: CoefficientOperator) -> np.ndarray:
     return 0.5 * (s + s.conj().T)
 
 
-def is_frame_vector(v: CoefficientOperator, floor: float = EIG_FLOOR) -> bool:
+def is_frame_vector(v: CoefficientOperator) -> bool:
     """True iff the frame operator is invertible above the eigenvalue floor."""
-    w = eig_hermitian(frame_operator(v)).eigenvalues
-    top = float(w[-1]) if w.size else 0.0
-    return top > 0.0 and float(w[0]) > floor * top
+    try:
+        _psd_spectrum(frame_operator(v))
+    except NotInvertible:
+        return False
+    return True
 
 
-def canonical_dual(v: CoefficientOperator, floor: float = EIG_FLOOR) -> np.ndarray:
+def canonical_dual(v: CoefficientOperator) -> np.ndarray:
     """Minimal-norm dual window S^-1 eta; raises NotInvertible for non-frames."""
-    return inv_psd(frame_operator(v), floor=floor) @ v.vector
+    return inv_psd(frame_operator(v)) @ v.vector
 
 
-def tighten(v: CoefficientOperator, floor: float = EIG_FLOOR) -> np.ndarray:
+def tighten(v: CoefficientOperator) -> np.ndarray:
     """Self-dual window S^-1/2 eta."""
-    return inv_sqrt_psd(frame_operator(v), floor=floor) @ v.vector
+    return inv_sqrt_psd(frame_operator(v)) @ v.vector
 
 
 def is_admissible_pair(rep: Rep, eta, psi, tol: float = DEFAULT_TOL) -> CheckResult:
@@ -97,20 +102,6 @@ def natural_trace(t, group: FiniteGroup) -> complex:
 
 
 @dataclass(frozen=True)
-class TraceFunctional:
-    """Linear extension of a finite trace: T -> normalization * matrix-trace(T)."""
-
-    normalization: float
-
-    def __call__(self, t) -> complex:
-        return self.normalization * complex(np.trace(np.asarray(t)))
-
-
-def trace_functional(group: FiniteGroup) -> TraceFunctional:
-    return TraceFunctional(normalization=1.0 / group.order)
-
-
-@dataclass(frozen=True)
 class InvariantProjection:
     """Orthogonal projection on l2(G) commuting with left translation."""
 
@@ -119,25 +110,22 @@ class InvariantProjection:
 
     def validate(self, tol: float = DEFAULT_TOL) -> None:
         p = self.matrix
-        bound = tol * max(1.0, np.linalg.norm(p))
-        if np.linalg.norm(p @ p - p) > bound:
+        if not within_tol(np.linalg.norm(p @ p - p), tol, p):
             raise InvariantViolated("matrix is not idempotent")
-        if np.linalg.norm(p - p.conj().T) > bound:
+        if not within_tol(np.linalg.norm(p - p.conj().T), tol, p):
             raise InvariantViolated("matrix is not Hermitian")
         # p commutes with every left translation exactly when it is the right
         # convolution by its own column at the identity, h = p delta_e.
         h = GroupVector(self.group, p[:, self.group.identity])
-        if np.linalg.norm(p - convolution_operator(h, side="right")) > bound:
+        if not within_tol(np.linalg.norm(p - convolution_operator(h)), tol, p):
             raise NotInvariant("projection does not commute with left translation")
 
     def rank(self) -> int:
-        w = eig_hermitian(self.matrix).eigenvalues
-        return int(np.sum(w > 0.5))
+        return self.range_basis().shape[1]
 
     def range_basis(self) -> np.ndarray:
         dec = eig_hermitian(self.matrix)
-        keep = dec.eigenvalues > 0.5
-        return dec.eigenvectors[:, keep]
+        return dec.eigenvectors[:, dec.eigenvalues > PROJECTION_RANK_CUT]
 
 
 def projection_from_spanning(group: FiniteGroup, vectors) -> InvariantProjection:
@@ -207,7 +195,7 @@ def random_invariant_projection_spectral(
     """
     while True:
         data = rng.standard_normal(group.order) + 1j * rng.standard_normal(group.order)
-        u = convolution_operator(GroupVector(group, data), side="right")
+        u = convolution_operator(GroupVector(group, data))
         dec = eig_hermitian(u + u.conj().T)
         w = dec.eigenvalues
         spread = max(float(w[-1] - w[0]), 1.0)
@@ -219,7 +207,7 @@ def random_invariant_projection_spectral(
         return InvariantProjection(group, q @ q.conj().T)
 
 
-def dual_null_space(rep: Rep, eta, rel_cutoff: float = 1e-11) -> np.ndarray:
+def dual_null_space(rep: Rep, eta) -> np.ndarray:
     """Orthonormal basis (columns) of W = {w : V_w^* V_eta = 0}.
 
     The difference of any two dual vectors of eta lies in W, and the
@@ -237,5 +225,5 @@ def dual_null_space(rep: Rep, eta, rel_cutoff: float = 1e-11) -> np.ndarray:
     _, s, vh = np.linalg.svd(a)
     if s.size == 0 or s[0] == 0.0:
         return np.eye(d, dtype=complex)
-    rank = int(np.sum(s > rel_cutoff * s[0]))
+    rank = int(np.sum(s > RANK_CUTOFF * s[0]))
     return vh[rank:].conj().T

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotAFrame, NotInvertible
 from .groups import FiniteGroup, Rep, group_from_cayley
-from .numerics import DEFAULT_TOL, EIG_FLOOR, _unit_roots, as_vector, eig_hermitian, inv_psd
+from .numerics import DEFAULT_TOL, _unit_roots, as_vector, eig_hermitian, inv_psd
 from .reporting import CheckResult
 
 
@@ -110,11 +110,11 @@ def gabor_frame_operator(sys: GaborSystem) -> np.ndarray:
     return _walnut_dense(sys.L, sys.b, _frame_blocks(sys))
 
 
-def gabor_canonical_dual(sys: GaborSystem, floor: float = EIG_FLOOR) -> np.ndarray:
+def gabor_canonical_dual(sys: GaborSystem) -> np.ndarray:
     """Canonical dual window S^-1 g, block by block; raises :class:`NotAFrame`
     when the spectrum of S (all blocks together) falls to the floor."""
     try:
-        s_inv = inv_psd(_frame_blocks(sys), floor=floor)
+        s_inv = inv_psd(_frame_blocks(sys))
     except NotInvertible as exc:
         raise NotAFrame(str(exc)) from exc
     # window.reshape(b, L/b)[s, r] is entry idx[r, s] of the window.

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NotAGroup, NotInvariant
-from .numerics import DEFAULT_TOL, as_vector
+from .numerics import DEFAULT_TOL, as_vector, within_tol
 
 #: Largest order for which exhaustive table validation is attempted.
 MAX_ORDER = 512
@@ -257,7 +257,7 @@ def _same_group(f: GroupVector, g: GroupVector) -> None:
 def convolve(f: GroupVector, g: GroupVector) -> GroupVector:
     """(f * g)(x) = sum_y f(y) g(y^-1 x) with counting measure."""
     _same_group(f, g)
-    return GroupVector(f.group, convolution_operator(g, side="right") @ f.data)
+    return GroupVector(f.group, convolution_operator(g) @ f.data)
 
 
 def involution(f: GroupVector) -> GroupVector:
@@ -265,16 +265,10 @@ def involution(f: GroupVector) -> GroupVector:
     return GroupVector(f.group, f.data[f.group.inverses].conj())
 
 
-def convolution_operator(f: GroupVector, side: str = "right") -> np.ndarray:
-    """Matrix of right convolution g -> g * f, or left convolution g -> f * g."""
+def convolution_operator(f: GroupVector) -> np.ndarray:
+    """Matrix of right convolution g -> g * f: entry [x, y] = f(y^-1 x)."""
     group = f.group
-    if side == "right":
-        # entry [x, y] = f(y^-1 x)
-        return f.data[group.cayley[group.inverses]].T.copy()
-    if side == "left":
-        # entry [x, y] = f(x y^-1)
-        return f.data[group.cayley[:, group.inverses]].copy()
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    return f.data[group.cayley[group.inverses]].T.copy()
 
 
 @dataclass(frozen=True)
@@ -349,7 +343,7 @@ def restrict_rep(rep: Rep, basis, tol: float = DEFAULT_TOL) -> Rep:
     eye = np.eye(rep.dim)
     for x in rep.group.elements():
         leak = (eye - proj) @ rep.matrices[x] @ q
-        if np.linalg.norm(leak) > tol * max(1.0, np.linalg.norm(q)):
+        if not within_tol(np.linalg.norm(leak), tol, q):
             raise NotInvariant(f"span is not invariant under element {x}")
     compressed = np.einsum("ij,xjk,kl->xil", q.conj().T, rep.matrices, q, optimize=True)
     return Rep(group=rep.group, dim=q.shape[1], matrices=compressed)

@@ -1,6 +1,8 @@
 """JSON file formats for groups, vectors, irrep tables and Gabor windows.
 
-All complex numbers serialize as two-element [re, im] arrays of doubles.
+All complex numbers serialize as two-element [re, im] arrays of doubles; an
+array of any shape is nested lists of such pairs, and each loader checks the
+exact shape its schema names.
 """
 from __future__ import annotations
 
@@ -33,18 +35,27 @@ def _require(obj: dict, key: str, path):
 
 
 def complex_to_json(values) -> list:
-    arr = np.asarray(values, dtype=complex)
-    return [[float(z.real), float(z.imag)] for z in arr.reshape(-1)]
+    """Nested lists of [re, im] pairs, one per entry of a complex array of any shape."""
+    z = np.asarray(values, dtype=complex)
+    return np.stack([z.real, z.imag], -1).tolist()
 
 
 def complex_from_json(pairs, path="<data>") -> np.ndarray:
+    """Inverse of :func:`complex_to_json`: an array of shape s from one of shape s + (2,)."""
     try:
         arr = np.asarray(pairs, dtype=float)
     except (TypeError, ValueError) as exc:
         raise MalformedInput(f"{path}: bad complex array: {exc}") from exc
-    if arr.ndim != 2 or arr.shape[1] != 2:
+    if arr.ndim == 0 or arr.shape[-1] != 2:
         raise MalformedInput(f"{path}: complex values must be [re, im] pairs")
-    return arr[:, 0] + 1j * arr[:, 1]
+    return arr[..., 0] + 1j * arr[..., 1]
+
+
+def _vector_from_json(pairs, length: int, what: str, path) -> np.ndarray:
+    data = complex_from_json(pairs, path)
+    if data.shape != (length,):
+        raise MalformedInput(f"{path}: {what} has shape {data.shape}, expected ({length},)")
+    return data
 
 
 def save_group(group: FiniteGroup, path) -> None:
@@ -84,14 +95,12 @@ def save_vector(vec: GroupVector, path) -> None:
 def load_vector(path, group: FiniteGroup) -> GroupVector:
     obj = _load_json(path)
     label = _require(obj, "group", path)
-    data = complex_from_json(_require(obj, "data", path), path)
+    raw = _require(obj, "data", path)
     if label != group.label:
         raise MalformedInput(
             f"{path}: vector belongs to group {label!r}, expected {group.label!r}"
         )
-    if data.shape[0] != group.order:
-        raise MalformedInput(f"{path}: vector length {data.shape[0]} != |G| = {group.order}")
-    return GroupVector(group, data)
+    return GroupVector(group, _vector_from_json(raw, group.order, "vector", path))
 
 
 def load_vectors(path, group: FiniteGroup) -> list[GroupVector]:
@@ -102,13 +111,10 @@ def load_vectors(path, group: FiniteGroup) -> list[GroupVector]:
         raise MalformedInput(
             f"{path}: vectors belong to group {label!r}, expected {group.label!r}"
         )
-    out = []
-    for k, raw in enumerate(_require(obj, "vectors", path)):
-        data = complex_from_json(raw, path)
-        if data.shape[0] != group.order:
-            raise MalformedInput(f"{path}: vector {k} has length {data.shape[0]}")
-        out.append(GroupVector(group, data))
-    return out
+    return [
+        GroupVector(group, _vector_from_json(raw, group.order, f"vector {k}", path))
+        for k, raw in enumerate(_require(obj, "vectors", path))
+    ]
 
 
 def save_irreps(table: IrrepTable, path) -> None:
@@ -118,9 +124,7 @@ def save_irreps(table: IrrepTable, path) -> None:
             {
                 "label": s.label,
                 "dim": s.dim,
-                "matrices": [
-                    [complex_to_json(row) for row in mat] for mat in s.rep.matrices
-                ],
+                "matrices": complex_to_json(s.rep.matrices),
             }
             for s in table.irreps
         ],
@@ -141,15 +145,12 @@ def load_irreps(path, group: FiniteGroup) -> IrrepTable:
     for item in _require(obj, "irreps", path):
         name = _require(item, "label", path)
         dim = int(_require(item, "dim", path))
-        raw = _require(item, "matrices", path)
-        if len(raw) != group.order:
-            raise MalformedInput(f"{path}: irrep {name!r} has {len(raw)} matrices")
-        mats = np.empty((group.order, dim, dim), dtype=complex)
-        for x, mat in enumerate(raw):
-            if len(mat) != dim:
-                raise MalformedInput(f"{path}: irrep {name!r} matrix {x} has wrong shape")
-            for i, row in enumerate(mat):
-                mats[x, i] = complex_from_json(row, path)
+        mats = complex_from_json(_require(item, "matrices", path), path)
+        if mats.shape != (group.order, dim, dim):
+            raise MalformedInput(
+                f"{path}: irrep {name!r} has matrices of shape {mats.shape}, "
+                f"expected {(group.order, dim, dim)}"
+            )
         entries.append(Irrep(label=name, dim=dim, rep=Rep(group=group, dim=dim, matrices=mats)))
     return validate_irreps(group, entries)
 
@@ -171,7 +172,7 @@ def load_window(path) -> GaborSystem:
     length = int(_require(obj, "L", path))
     a = int(_require(obj, "a", path))
     b = int(_require(obj, "b", path))
-    window = complex_from_json(_require(obj, "window", path), path)
+    window = _vector_from_json(_require(obj, "window", path), length, "window", path)
     try:
         return GaborSystem(L=length, a=a, b=b, window=window)
     except (ValueError, FrametraceError) as exc:

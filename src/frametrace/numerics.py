@@ -19,6 +19,21 @@ DEFAULT_TOL = 1e-9
 #: Relative eigenvalue floor below which an operator counts as singular.
 EIG_FLOOR = 1e-12
 
+#: Relative eigenvalue cut-off below which a direction solves the commutation
+#: equations (commutant bases) or a compressed commutant element is dependent.
+NULLSPACE_CUTOFF = 1e-9
+
+#: Relative singular-value cut-off of a numerical rank (spans and null spaces).
+RANK_CUTOFF = 1e-11
+
+#: Smallest tolerance of the Plancherel-side checks: character norms and
+#: overlaps, fiber blocks and range leaks pass at max(tol, this).
+PLANCHEREL_TOL_FLOOR = 1e-8
+
+#: Eigenvalue cut between the 0 and 1 eigenvalues of a projection; the rank
+#: of a projection counts the eigenvalues above it.
+PROJECTION_RANK_CUT = 0.5
+
 
 def as_vector(v) -> np.ndarray:
     """Coerce to a 1-d complex array, rejecting NaN/Inf entries."""
@@ -38,6 +53,11 @@ def frob_norm(a) -> float:
     return float(np.linalg.norm(np.asarray(a)))
 
 
+def within_tol(residual: float, tol: float, scale) -> bool:
+    """The relative rule: residual <= tol * max(1, ||scale||_F).  A NaN residual fails."""
+    return residual <= tol * max(1.0, frob_norm(scale))
+
+
 @dataclass(frozen=True)
 class HermEig:
     """Eigendecomposition A = Q diag(w) Q* with w ascending and Q unitary (per matrix of a stack)."""
@@ -50,50 +70,52 @@ class HermEig:
         return (q * self.eigenvalues[..., None, :]) @ q.conj().swapaxes(-1, -2)
 
 
-def eig_hermitian(a, tol: float = DEFAULT_TOL) -> HermEig:
+def eig_hermitian(a) -> HermEig:
     """Hermitian eigendecomposition (ascending eigenvalues) of a matrix or a stack."""
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch("eig_hermitian needs a square matrix or a stack of them")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains non-finite entries")
-    if frob_norm(a - a.conj().swapaxes(-1, -2)) > tol * max(frob_norm(a), 1.0):
+    if not within_tol(frob_norm(a - a.conj().swapaxes(-1, -2)), DEFAULT_TOL, a):
         raise NotHermitian("matrix is not Hermitian within tolerance")
     w, q = np.linalg.eigh(a)
     return HermEig(eigenvalues=w, eigenvectors=q)
 
 
-def _psd_spectrum(a, floor: float, tol: float) -> HermEig:
-    dec = eig_hermitian(a, tol=tol)
+def _psd_spectrum(a) -> HermEig:
+    """Hermitian eigendecomposition; raises :class:`NotInvertible` when the
+    smallest eigenvalue is at or below ``EIG_FLOOR`` times the largest."""
+    dec = eig_hermitian(a)
     w = dec.eigenvalues
     low, top = (float(w.min()), float(w.max())) if w.size else (0.0, 0.0)
-    if top <= 0.0 or low <= floor * top:
+    if top <= 0.0 or low <= EIG_FLOOR * top:
         raise NotInvertible(
-            f"eigenvalue floor violated: min={low:.3e}, max={top:.3e}, floor={floor:.1e}"
+            f"eigenvalue floor violated: min={low:.3e}, max={top:.3e}, floor={EIG_FLOOR:.1e}"
         )
     return dec
 
 
-def inv_psd(a, floor: float = EIG_FLOOR, tol: float = DEFAULT_TOL) -> np.ndarray:
+def inv_psd(a) -> np.ndarray:
     """Inverse of a Hermitian positive definite matrix.
 
     Raises :class:`NotInvertible` when the smallest eigenvalue falls at or
-    below ``floor`` times the largest, which is how a failed frame property
+    below ``EIG_FLOOR`` times the largest, which is how a failed frame property
     surfaces numerically.  A stack gives the stack of inverses.
     """
-    dec = _psd_spectrum(a, floor, tol)
+    dec = _psd_spectrum(a)
     q = dec.eigenvectors
     return (q / dec.eigenvalues[..., None, :]) @ q.conj().swapaxes(-1, -2)
 
 
-def inv_sqrt_psd(a, floor: float = EIG_FLOOR, tol: float = DEFAULT_TOL) -> np.ndarray:
+def inv_sqrt_psd(a) -> np.ndarray:
     """Inverse square root A^(-1/2) of a Hermitian positive definite matrix (or stack)."""
-    dec = _psd_spectrum(a, floor, tol)
+    dec = _psd_spectrum(a)
     q = dec.eigenvectors
     return (q / np.sqrt(dec.eigenvalues[..., None, :])) @ q.conj().swapaxes(-1, -2)
 
 
-def orthonormal_columns(vectors, rel_cutoff: float = 1e-11) -> np.ndarray:
+def orthonormal_columns(vectors, rel_cutoff: float = RANK_CUTOFF) -> np.ndarray:
     """Orthonormal basis for the column span of ``vectors`` (d x k array).
 
     Uses an SVD with a relative singular-value cutoff, so nearly dependent

@@ -39,7 +39,7 @@ from .errors import (
 )
 from .frames import InvariantProjection
 from .groups import FiniteGroup, GroupVector, Rep, _parse_spec, _spec_table, convolution_operator
-from .numerics import DEFAULT_TOL, _unit_roots
+from .numerics import DEFAULT_TOL, PLANCHEREL_TOL_FLOOR, PROJECTION_RANK_CUT, _unit_roots, within_tol
 from .reporting import CheckResult
 
 
@@ -56,10 +56,6 @@ class IrrepTable:
 
     group: FiniteGroup
     irreps: tuple
-
-    def weights(self) -> np.ndarray:
-        """Plancherel weights d_sigma / |G|."""
-        return np.array([s.dim for s in self.irreps], dtype=float) / self.group.order
 
     def dims(self) -> list[int]:
         return [s.dim for s in self.irreps]
@@ -80,7 +76,7 @@ class FiberProjectionField:
         out = []
         for p in self.projections:
             w = np.linalg.eigvalsh(0.5 * (p + p.conj().T))
-            out.append(int(np.sum(w > 0.5)))
+            out.append(int(np.sum(w > PROJECTION_RANK_CUT)))
         return out
 
 
@@ -194,14 +190,15 @@ def validate_irreps(group: FiniteGroup, supplied, tol: float = DEFAULT_TOL) -> I
         except Exception as exc:
             raise NotHomomorphism(f"irrep {s.label!r}: {exc}") from exc
     chars = [s.rep.character() for s in irreps]
+    loose = max(tol, PLANCHEREL_TOL_FLOOR)
     for s, chi in zip(irreps, chars):
         norm2 = float(np.vdot(chi, chi).real) / group.order
-        if abs(norm2 - 1.0) > max(tol, 1e-8):
+        if abs(norm2 - 1.0) > loose:
             raise NotIrreducible(f"irrep {s.label!r} has character norm^2 {norm2:.6f}")
     for i in range(len(irreps)):
         for j in range(i + 1, len(irreps)):
             overlap = abs(np.vdot(chars[j], chars[i])) / group.order
-            if overlap > max(tol, 1e-8):
+            if overlap > loose:
                 raise NotInequivalent(
                     f"irreps {irreps[i].label!r} and {irreps[j].label!r} are equivalent"
                 )
@@ -283,10 +280,11 @@ def fiber_projections(
     p.validate(tol=tol)
     h = GroupVector(table.group, p.matrix[:, table.group.identity])
     blocks = plancherel_transform(table, h).blocks
+    loose = max(tol, PLANCHEREL_TOL_FLOOR)
     for s, b in zip(table.irreps, blocks):
-        if np.linalg.norm(b @ b - b) > max(tol, 1e-8) * max(1.0, np.linalg.norm(b)):
+        if not within_tol(np.linalg.norm(b @ b - b), loose, b):
             raise NotInvariant(f"fiber block at {s.label!r} is not idempotent")
-        if np.linalg.norm(b - b.conj().T) > max(tol, 1e-8) * max(1.0, np.linalg.norm(b)):
+        if not within_tol(np.linalg.norm(b - b.conj().T), loose, b):
             raise NotInvariant(f"fiber block at {s.label!r} is not Hermitian")
     return FiberProjectionField(table=table, projections=blocks)
 
@@ -301,7 +299,7 @@ def projection_from_fibers(table: IrrepTable, projections) -> InvariantProjectio
             raise DimensionMismatch(f"fiber block at {s.label!r} has wrong shape")
         blocks.append(b)
     h = inverse_plancherel(PlancherelCoefficients(table=table, blocks=tuple(blocks)))
-    return InvariantProjection(group=group, matrix=convolution_operator(h, side="right"))
+    return InvariantProjection(group=group, matrix=convolution_operator(h))
 
 
 def fiber_admissibility_check(
@@ -318,7 +316,7 @@ def fiber_admissibility_check(
     """
     for name, v in (("eta", eta), ("psi", psi)):
         leak = np.linalg.norm(p.matrix @ v.data - v.data)
-        if leak > max(tol, 1e-8) * max(1.0, v.norm()):
+        if not within_tol(leak, max(tol, PLANCHEREL_TOL_FLOOR), v.data):
             raise NotInRange(f"{name} is not in the range of the projection")
     field = fiber_projections(table, p, tol=tol)
     etahat = plancherel_transform(table, eta).blocks

@@ -25,7 +25,6 @@ from frametrace.frames import (
     natural_trace,
     random_invariant_projection_spectral,
     tighten,
-    trace_functional,
     trace_of_projection,
 )
 from frametrace.gabor import (
@@ -203,7 +202,6 @@ def test_criterion_4_admissible_iff_tracial():
         q = p.range_basis()
         rep = restrict_rep(lam, [q[:, j] for j in range(q.shape[1])])
         red = reduced_commutant(regular_commutant_basis(group), p)
-        tr = trace_functional(group)
         for k in range(100):
             while True:
                 eta_c = rand_c(rng, rep.dim)
@@ -216,7 +214,7 @@ def test_criterion_4_admissible_iff_tracial():
                 size = 10.0 ** rng.uniform(-6, -2)
                 psi_c = psi_c + size * np.linalg.norm(psi_c) * rand_c(rng, rep.dim)
             adm = is_admissible_pair(rep, eta_c, psi_c)
-            tra = is_tracial_pair(red, tr, q @ eta_c, q @ psi_c)
+            tra = is_tracial_pair(red, group, q @ eta_c, q @ psi_c)
             assert adm.passed == tra.passed, (
                 group.label, k, adm.residual, tra.residual)
             assert adm.passed == (not perturbed), (

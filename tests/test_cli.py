@@ -49,6 +49,50 @@ def test_group_analyze_bad_file(tmp_path, capsys):
     assert "Latin" in capsys.readouterr().err
 
 
+def _drop_last_irrep(obj):
+    obj["irreps"].pop()
+
+
+def _sgn_as_triv(obj):
+    by_label = {item["label"]: item for item in obj["irreps"]}
+    by_label["sgn"]["matrices"] = by_label["triv"]["matrices"]
+
+
+def _ragged_matrix(obj):
+    rho = next(item for item in obj["irreps"] if item["dim"] == 2)
+    rho["matrices"][3][1].pop()  # one row of one 2x2 matrix has a single entry
+
+
+@pytest.mark.parametrize(
+    "corrupt, code, message",
+    [
+        (None, 0, None),
+        (_drop_last_irrep, 2, "sum of squared dims"),  # NotComplete
+        (_sgn_as_triv, 2, "are equivalent"),  # NotInequivalent
+        (_ragged_matrix, 2, "bad complex array"),  # MalformedInput
+    ],
+)
+def test_group_analyze_irreps_file(tmp_path, capsys, corrupt, code, message):
+    from frametrace.plancherel import builtin_irreps
+
+    irreps, out = tmp_path / "irr.json", tmp_path / "r.json"
+    ftio.save_irreps(builtin_irreps(builtin_group("dihedral:4")), irreps)
+    if corrupt is not None:
+        obj = read_report(irreps)
+        corrupt(obj)
+        irreps.write_text(json.dumps(obj))
+    argv = ["group", "analyze", "--builtin", "dihedral:4", "--irreps", str(irreps), "--out", str(out)]
+    assert run(argv) == code
+    if message is not None:
+        assert message in capsys.readouterr().err
+        return
+    rep = read_report(out)
+    assert rep["metadata"]["irreps"] == 5
+    assert rep["metadata"]["irrep_dims"] == [1, 1, 1, 1, 2]
+    assert "irreps" in rep["inputs"]
+    assert all(c["pass"] for c in rep["checks"])
+
+
 def test_group_analyze_missing_source():
     assert run(["group", "analyze"]) == 2
 

@@ -15,7 +15,6 @@ from frametrace.frames import (
     canonical_dual,
     coefficient_operator,
     is_admissible_pair,
-    trace_functional,
 )
 from frametrace.groups import (
     GroupVector,
@@ -122,10 +121,9 @@ def test_reduced_commutant_cases():
 def test_tracial_pair_regular_delta():
     g = builtin_group("dihedral:4")
     basis = regular_commutant_basis(g)
-    tr = trace_functional(g)
     e = delta(g, g.identity).data
-    assert is_tracial_pair(basis, tr, e, e).passed
-    assert not is_tracial_pair(basis, tr, e, 1.1 * e).passed
+    assert is_tracial_pair(basis, g, e, e).passed
+    assert not is_tracial_pair(basis, g, e, 1.1 * e).passed
 
 
 def test_tracial_matches_admissible_on_subrep():
@@ -137,7 +135,6 @@ def test_tracial_matches_admissible_on_subrep():
     q = p.range_basis()
     rep = restrict_rep(lam, [q[:, j] for j in range(q.shape[1])])
     red = reduced_commutant(regular_commutant_basis(g), p)
-    tr = trace_functional(g)
     agreements = 0
     for k in range(100):
         eta_c = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
@@ -148,7 +145,7 @@ def test_tracial_matches_admissible_on_subrep():
                 rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
             )
         adm = is_admissible_pair(rep, eta_c, psi_c)
-        tra = is_tracial_pair(red, tr, q @ eta_c, q @ psi_c)
+        tra = is_tracial_pair(red, g, q @ eta_c, q @ psi_c)
         assert adm.passed == tra.passed == (k % 2 == 0)
         agreements += 1
     assert agreements == 100

@@ -15,7 +15,6 @@ from frametrace.frames import (
     projection_from_spanning,
     random_invariant_projection_spectral,
     tighten,
-    trace_functional,
     trace_of_projection,
 )
 from frametrace.groups import (
@@ -49,7 +48,7 @@ def test_coefficient_operator_equals_right_convolution_of_involution():
     lam = left_regular_rep(g)
     f = rand_vec(g, rng)
     v = coefficient_operator(lam, f.data)
-    u = convolution_operator(involution(f), side="right")
+    u = convolution_operator(involution(f))
     assert np.linalg.norm(v.matrix - u) <= 1e-12
 
 
@@ -216,7 +215,7 @@ def test_natural_trace_identity_and_paper_values():
     g = builtin_group("dihedral:3")
     assert abs(natural_trace(np.eye(g.order), g) - 1.0) < 1e-14
     f = rand_vec(g, rng)
-    u = convolution_operator(f, side="right")
+    u = convolution_operator(f)
     assert abs(natural_trace(u.conj().T @ u, g) - f.norm() ** 2) <= 1e-10
     # trace identity via coefficient operators of the regular rep
     lam = left_regular_rep(g)
@@ -226,17 +225,20 @@ def test_natural_trace_identity_and_paper_values():
     assert abs(natural_trace(vf.conj().T @ vh, g) - f.inner(h)) <= 1e-10
 
 
-def test_trace_functional_axioms():
+def test_natural_trace_axioms():
     rng = np.random.default_rng(27)
     g = builtin_group("cyclic:6")
-    tr = trace_functional(g)
+
+    def tr(t):
+        return natural_trace(t, g)
+
     f = rand_vec(g, rng)
-    u = convolution_operator(f, side="right")
+    u = convolution_operator(f)
     pos = u.conj().T @ u
     assert abs(tr(pos + 2 * pos) - 3 * tr(pos)) < 1e-12
     assert tr(pos).real >= -1e-12
     # unitary invariance with a convolution unitary
-    w = convolution_operator(delta(g, 2), side="right")
+    w = convolution_operator(delta(g, 2))
     assert abs(tr(w @ pos @ w.conj().T) - tr(pos)) <= 1e-12
 
 

@@ -256,7 +256,7 @@ def test_right_convolution_operator():
     rng = np.random.default_rng(17)
     g = builtin_group("dihedral:3")
     f = rand_vec(g, rng)
-    u = convolution_operator(f, side="right")
+    u = convolution_operator(f)
     assert np.allclose(convolution_operator(delta(g, g.identity)), np.eye(g.order))
     # U_f is in the commutant of left translation
     lam = left_regular_rep(g)

@@ -12,6 +12,7 @@ from frametrace.numerics import (
     inv_psd,
     inv_sqrt_psd,
     orthonormal_columns,
+    within_tol,
 )
 
 
@@ -46,6 +47,13 @@ def test_eig_reconstruction():
 def test_eig_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
         eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_within_tol_is_relative_above_unit_scale_and_fails_nan():
+    small, big = np.eye(2) / 10, 10 * np.eye(2)  # ||small||_F < 1 < ||big||_F
+    assert within_tol(1e-9, 1e-9, small) and not within_tol(1.1e-9, 1e-9, small)
+    assert within_tol(1e-8, 1e-9, big) and not within_tol(1.5e-8, 1e-9, big)
+    assert not within_tol(float("nan"), 1e-9, big)
 
 
 def test_inv_psd_cases():

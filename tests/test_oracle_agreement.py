@@ -27,7 +27,6 @@ from frametrace.frames import (
     projection_from_spanning,
     random_invariant_projection_spectral,
     regular_coefficient_matrix,
-    trace_functional,
 )
 from frametrace.gabor import wh_group_build
 from frametrace.groups import builtin_group, left_regular_rep, restrict_rep
@@ -93,7 +92,7 @@ def test_residuals_agree_with_compressed_and_commutant_oracles(group):
             eta, psi = q @ eta_c, q @ psi_c
             old_adm = is_admissible_pair(rep, eta_c, psi_c, tol=TOL)
             new_adm = is_admissible_on_range(p, eta, psi, TOL)
-            old_tra = is_tracial_pair(reduced, trace_functional(group), eta, psi, tol=TOL)
+            old_tra = is_tracial_pair(reduced, group, eta, psi, tol=TOL)
             new_tra = is_tracial_on_range(p, eta, psi, TOL)
             assert new_adm.name == old_adm.name and new_tra.name == old_tra.name
             assert new_adm.passed == old_adm.passed == (not perturbed)

@@ -1,10 +1,14 @@
-"""Every global name a function body reads is defined.
+"""Every global name a function body reads is defined, and every import is read.
 
-A stand-in for a linter's undefined-name rule, standard library only: walk
-each module's symbol table and look every global read inside a function or
-class body up in the imported module's namespace and in ``builtins``.  Such a
-name fails only when its line runs, so an untested error path hides it.
+A stand-in for a linter's undefined-name and unused-import rules, standard
+library only.  Undefined names: walk each module's symbol table and look every
+global read inside a function or class body up in the imported module's
+namespace and in ``builtins``.  Such a name fails only when its line runs, so an
+untested error path hides it.  Unused imports: every name a module binds by
+``import`` must appear as a ``Name`` node (an attribute base such as ``np`` in
+``np.sum`` is one) somewhere in that module.
 """
+import ast
 import builtins
 import importlib
 import pkgutil
@@ -31,12 +35,47 @@ def undefined_globals(module) -> set[str]:
     }
 
 
+def _modules():
+    for info in pkgutil.iter_modules(frametrace.__path__, "frametrace."):
+        yield importlib.import_module(info.name)
+
+
 def test_no_function_reads_an_undefined_global():
     missing = {}
-    for info in pkgutil.iter_modules(frametrace.__path__, "frametrace."):
-        module = importlib.import_module(info.name)
+    for module in _modules():
         names = undefined_globals(module)
         if names:
-            missing[info.name] = sorted(names)
+            missing[module.__name__] = sorted(names)
     assert missing == {}
+
+
+def unused_imports(source: str) -> set[str]:
+    """Names bound by an import statement that no ``Name`` node reads."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.add(alias.asname or alias.name.split(".")[0])
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - read
+
+
+def test_unused_imports_are_found():
+    assert unused_imports("import os\nimport numpy as np\nnp.sum(0)\n") == {"os"}
+    assert unused_imports("from .a import b, c as d\nprint(d)\n") == {"b"}
+    assert unused_imports("from __future__ import annotations\n") == set()
+
+
+def test_every_import_is_read():
+    # The package's __init__ imports only to re-export, so it is not a module here.
+    unused = {}
+    for module in _modules():
+        with open(module.__file__, "r", encoding="utf-8") as fh:
+            names = unused_imports(fh.read())
+        if names:
+            unused[module.__name__] = sorted(names)
+    assert unused == {}
 
