@@ -29,9 +29,26 @@ def _load_json(path) -> dict:
 
 
 def _require(obj: dict, key: str, path):
+    if not isinstance(obj, dict):
+        raise MalformedInput(f"{path}: expected a JSON object, got {type(obj).__name__}")
     if key not in obj:
         raise MalformedInput(f"{path}: missing field {key!r}")
     return obj[key]
+
+
+def _require_int(obj: dict, key: str, path) -> int:
+    value = _require(obj, key, path)
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise MalformedInput(f"{path}: field {key!r} is not an integer: {value!r}") from exc
+
+
+def _require_list(obj: dict, key: str, path) -> list:
+    value = _require(obj, key, path)
+    if not isinstance(value, list):
+        raise MalformedInput(f"{path}: field {key!r} is not a list: {value!r}")
+    return value
 
 
 def complex_to_json(values) -> list:
@@ -72,7 +89,7 @@ def save_group(group: FiniteGroup, path) -> None:
 def load_group(path) -> FiniteGroup:
     obj = _load_json(path)
     label = _require(obj, "label", path)
-    order = _require(obj, "order", path)
+    order = _require_int(obj, "order", path)
     cayley = _require(obj, "cayley", path)
     try:
         group = group_from_cayley(cayley, label=str(label))
@@ -80,7 +97,7 @@ def load_group(path) -> FiniteGroup:
         raise
     except Exception as exc:
         raise MalformedInput(f"{path}: {exc}") from exc
-    if group.order != int(order):
+    if group.order != order:
         raise MalformedInput(f"{path}: declared order {order} != table size {group.order}")
     return group
 
@@ -103,6 +120,11 @@ def load_vector(path, group: FiniteGroup) -> GroupVector:
     return GroupVector(group, _vector_from_json(raw, group.order, "vector", path))
 
 
+def load_label(path) -> str:
+    """The group label a vector file names: {"group": label, ...}."""
+    return str(_require(_load_json(path), "group", path))
+
+
 def load_vectors(path, group: FiniteGroup) -> list[GroupVector]:
     """Load a list of vectors: {"group": label, "vectors": [[[re, im], ...], ...]}."""
     obj = _load_json(path)
@@ -113,7 +135,7 @@ def load_vectors(path, group: FiniteGroup) -> list[GroupVector]:
         )
     return [
         GroupVector(group, _vector_from_json(raw, group.order, f"vector {k}", path))
-        for k, raw in enumerate(_require(obj, "vectors", path))
+        for k, raw in enumerate(_require_list(obj, "vectors", path))
     ]
 
 
@@ -142,9 +164,9 @@ def load_irreps(path, group: FiniteGroup) -> IrrepTable:
             f"{path}: irreps belong to group {label!r}, expected {group.label!r}"
         )
     entries = []
-    for item in _require(obj, "irreps", path):
+    for item in _require_list(obj, "irreps", path):
         name = _require(item, "label", path)
-        dim = int(_require(item, "dim", path))
+        dim = _require_int(item, "dim", path)
         mats = complex_from_json(_require(item, "matrices", path), path)
         if mats.shape != (group.order, dim, dim):
             raise MalformedInput(
@@ -169,9 +191,9 @@ def save_window(sys: GaborSystem, path) -> None:
 
 def load_window(path) -> GaborSystem:
     obj = _load_json(path)
-    length = int(_require(obj, "L", path))
-    a = int(_require(obj, "a", path))
-    b = int(_require(obj, "b", path))
+    length = _require_int(obj, "L", path)
+    a = _require_int(obj, "a", path)
+    b = _require_int(obj, "b", path)
     window = _vector_from_json(_require(obj, "window", path), length, "window", path)
     try:
         return GaborSystem(L=length, a=a, b=b, window=window)

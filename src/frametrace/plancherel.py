@@ -189,19 +189,22 @@ def validate_irreps(group: FiniteGroup, supplied, tol: float = DEFAULT_TOL) -> I
             s.rep.validate(tol=tol)
         except Exception as exc:
             raise NotHomomorphism(f"irrep {s.label!r}: {exc}") from exc
-    chars = [s.rep.character() for s in irreps]
+    # gram[i, j] = <chi_i, chi_j> / |G|: every character norm and overlap from one product
+    chars = np.array([s.rep.character() for s in irreps]).reshape(len(irreps), group.order)
+    gram = chars @ chars.conj().T / group.order
     loose = max(tol, PLANCHEREL_TOL_FLOOR)
-    for s, chi in zip(irreps, chars):
-        norm2 = float(np.vdot(chi, chi).real) / group.order
-        if abs(norm2 - 1.0) > loose:
-            raise NotIrreducible(f"irrep {s.label!r} has character norm^2 {norm2:.6f}")
-    for i in range(len(irreps)):
-        for j in range(i + 1, len(irreps)):
-            overlap = abs(np.vdot(chars[j], chars[i])) / group.order
-            if overlap > loose:
-                raise NotInequivalent(
-                    f"irreps {irreps[i].label!r} and {irreps[j].label!r} are equivalent"
-                )
+    bad_norms = np.flatnonzero(np.abs(gram.diagonal().real - 1.0) > loose)
+    if bad_norms.size:
+        i = bad_norms[0]
+        raise NotIrreducible(
+            f"irrep {irreps[i].label!r} has character norm^2 {gram[i, i].real:.6f}"
+        )
+    equivalent = np.argwhere(np.triu(np.abs(gram) > loose, 1))  # pairs i < j, row-major
+    if equivalent.size:
+        i, j = equivalent[0]
+        raise NotInequivalent(
+            f"irreps {irreps[i].label!r} and {irreps[j].label!r} are equivalent"
+        )
     if sum(s.dim ** 2 for s in irreps) != group.order:
         raise NotComplete(
             f"sum of squared dims {sum(s.dim ** 2 for s in irreps)} != |G| = {group.order}"
@@ -215,36 +218,70 @@ def irreducibility_by_commutant(rep: Rep) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Transform and inverse
+# Transform and inverse: one |G| x sum d^2 matrix.  Row x of the kernel holds
+# every sigma(x), each transposed and flattened, so the flat coefficients
+# conj(conj(F) @ M) of a (..., |G|) stack F split block by block into
+# fhat(sigma) = sum_x f(x) sigma(x)^*, and the inverse is M @ (w c) with
+# w = d_sigma/|G| over each block.
+
+
+def _kernel(table: IrrepTable) -> np.ndarray:
+    n = table.group.order
+    return np.concatenate(
+        [s.rep.matrices.transpose(0, 2, 1).reshape(n, -1) for s in table.irreps], axis=1
+    )
+
+
+def _weights(table: IrrepTable) -> np.ndarray:
+    dims = np.array(table.dims())
+    return np.repeat(dims / table.group.order, dims ** 2)
+
+
+def _samples(table: IrrepTable, f) -> np.ndarray:
+    """The data of a vector on the table's group, or a (..., |G|) stack of samples as is."""
+    if isinstance(f, GroupVector):
+        if f.group != table.group:
+            raise DimensionMismatch("vector and irrep table belong to different groups")
+        return f.data
+    data = np.asarray(f, dtype=complex)
+    if data.shape[-1:] != (table.group.order,):
+        raise DimensionMismatch(
+            f"samples of shape {data.shape} do not fit a group of order {table.group.order}"
+        )
+    return data
+
+
+def _coefficients(table: IrrepTable, data: np.ndarray) -> np.ndarray:
+    """Flat coefficients of a (..., |G|) stack; the stack is conjugated, never the kernel."""
+    return (data.conj() @ _kernel(table)).conj()
+
+
+def _blocks(table: IrrepTable, flat: np.ndarray) -> tuple:
+    """Split one row of flat coefficients into the d_sigma x d_sigma blocks."""
+    ends = np.cumsum([d * d for d in table.dims()])
+    return tuple(flat[e - d * d:e].reshape(d, d) for d, e in zip(table.dims(), ends))
 
 
 def plancherel_transform(table: IrrepTable, f: GroupVector) -> PlancherelCoefficients:
     """Blocks fhat(sigma) = sum_x f(x) sigma(x)^*."""
-    if f.group != table.group:
-        raise DimensionMismatch("vector and irrep table belong to different groups")
-    blocks = tuple(
-        np.einsum("x,xij->ji", f.data, s.rep.matrices.conj()) for s in table.irreps
-    )
-    return PlancherelCoefficients(table=table, blocks=blocks)
+    flat = _coefficients(table, _samples(table, f))
+    return PlancherelCoefficients(table=table, blocks=_blocks(table, flat))
 
 
 def inverse_plancherel(coeffs: PlancherelCoefficients) -> GroupVector:
     """f(x) = sum_sigma (d_sigma/|G|) trace(sigma(x) fhat(sigma))."""
     table = coeffs.table
-    n = table.group.order
-    data = np.zeros(n, dtype=complex)
-    for s, block in zip(table.irreps, coeffs.blocks):
-        data += (s.dim / n) * np.einsum("xij,ji->x", s.rep.matrices, block)
-    return GroupVector(table.group, data)
+    flat = np.concatenate([np.asarray(b, dtype=complex).reshape(-1) for b in coeffs.blocks])
+    return GroupVector(table.group, _kernel(table) @ (_weights(table) * flat))
 
 
-def parseval_residual(table: IrrepTable, f: GroupVector) -> float:
-    coeffs = plancherel_transform(table, f)
-    total = sum(
-        (s.dim / table.group.order) * float(np.linalg.norm(b) ** 2)
-        for s, b in zip(table.irreps, coeffs.blocks)
-    )
-    return abs(total - f.norm() ** 2)
+def parseval_residual(table: IrrepTable, f):
+    """|sum_sigma (d_sigma/|G|) ||fhat(sigma)||_F^2 - ||f||^2| for a vector, or per row
+    of a (k, |G|) stack of samples."""
+    data = _samples(table, f)
+    total = np.abs(_coefficients(table, data)) ** 2 @ _weights(table)
+    residual = np.abs(total - np.linalg.norm(data, axis=-1) ** 2)
+    return float(residual) if residual.ndim == 0 else residual
 
 
 def convolution_to_product_check(
@@ -253,18 +290,33 @@ def convolution_to_product_check(
     """Pin the convolution transport: (f * g)^(sigma) = ghat(sigma) fhat(sigma)."""
     from .groups import convolve
 
-    fg = plancherel_transform(table, convolve(f, g))
-    fhat = plancherel_transform(table, f)
-    ghat = plancherel_transform(table, g)
+    flat = _coefficients(table, np.stack([_samples(table, v) for v in (convolve(f, g), f, g)]))
+    fg, fhat, ghat = (_blocks(table, row) for row in flat)
     residual = max(
-        float(np.linalg.norm(c - bg @ bf))
-        for c, bf, bg in zip(fg.blocks, fhat.blocks, ghat.blocks)
+        float(np.linalg.norm(c - bg @ bf)) for c, bf, bg in zip(fg, fhat, ghat)
     )
     return CheckResult(name="convolution_to_product", residual=residual, tol=tol)
 
 
 # ---------------------------------------------------------------------------
 # Fiber projections and the type-I admissibility criterion
+
+
+def _fibers(table: IrrepTable, p: InvariantProjection, tol: float, *vectors):
+    """The fiber field of p and the blocks of each vector, from one transform of [h, *vectors]."""
+    if p.group != table.group:
+        raise DimensionMismatch("projection and table belong to different groups")
+    p.validate(tol=tol)
+    h = GroupVector(table.group, p.matrix[:, table.group.identity])
+    flat = _coefficients(table, np.stack([_samples(table, v) for v in (h, *vectors)]))
+    hhat, *others = (_blocks(table, row) for row in flat)
+    loose = max(tol, PLANCHEREL_TOL_FLOOR)
+    for s, b in zip(table.irreps, hhat):
+        if not within_tol(np.linalg.norm(b @ b - b), loose, b):
+            raise NotInvariant(f"fiber block at {s.label!r} is not idempotent")
+        if not within_tol(np.linalg.norm(b - b.conj().T), loose, b):
+            raise NotInvariant(f"fiber block at {s.label!r} is not Hermitian")
+    return FiberProjectionField(table=table, projections=hhat), others
 
 
 def fiber_projections(
@@ -275,18 +327,7 @@ def fiber_projections(
     The blocks are the transform of h = p delta_e; invariance of p makes each
     block Hermitian idempotent, which is verified.
     """
-    if p.group != table.group:
-        raise DimensionMismatch("projection and table belong to different groups")
-    p.validate(tol=tol)
-    h = GroupVector(table.group, p.matrix[:, table.group.identity])
-    blocks = plancherel_transform(table, h).blocks
-    loose = max(tol, PLANCHEREL_TOL_FLOOR)
-    for s, b in zip(table.irreps, blocks):
-        if not within_tol(np.linalg.norm(b @ b - b), loose, b):
-            raise NotInvariant(f"fiber block at {s.label!r} is not idempotent")
-        if not within_tol(np.linalg.norm(b - b.conj().T), loose, b):
-            raise NotInvariant(f"fiber block at {s.label!r} is not Hermitian")
-    return FiberProjectionField(table=table, projections=blocks)
+    return _fibers(table, p, tol)[0]
 
 
 def projection_from_fibers(table: IrrepTable, projections) -> InvariantProjection:
@@ -318,9 +359,7 @@ def fiber_admissibility_check(
         leak = np.linalg.norm(p.matrix @ v.data - v.data)
         if not within_tol(leak, max(tol, PLANCHEREL_TOL_FLOOR), v.data):
             raise NotInRange(f"{name} is not in the range of the projection")
-    field = fiber_projections(table, p, tol=tol)
-    etahat = plancherel_transform(table, eta).blocks
-    psihat = plancherel_transform(table, psi).blocks
+    field, (etahat, psihat) = _fibers(table, p, tol, eta, psi)
     residual = max(
         float(np.linalg.norm(bp @ be.conj().T - pb))
         for be, bp, pb in zip(etahat, psihat, field.projections)

@@ -93,6 +93,49 @@ def test_group_analyze_irreps_file(tmp_path, capsys, corrupt, code, message):
     assert all(c["pass"] for c in rep["checks"])
 
 
+_IRREPS_ARGV = ["group", "analyze", "--builtin", "cyclic:2", "--irreps"]
+
+
+@pytest.mark.parametrize(
+    "payload, argv, message",
+    [
+        (5, ["group", "analyze", "--file"], "expected a JSON object, got int"),
+        (None, ["group", "analyze", "--file"], "expected a JSON object, got NoneType"),
+        ([1, 2], ["frame", "dual", "--window"], "expected a JSON object, got list"),
+        ({"data": [[1.0, 0.0]]}, ["frame", "dual", "--window"], "missing field 'group'"),
+        (
+            {"label": "x", "order": [1], "cayley": [[0]]},
+            ["group", "analyze", "--file"],
+            "field 'order' is not an integer",
+        ),
+        (
+            {"L": [4], "a": 1, "b": 1, "window": []},
+            ["gabor", "dual", "--L", "4", "--a", "1", "--b", "1", "--window"],
+            "field 'L' is not an integer",
+        ),
+        (
+            {"group": "cyclic:2", "irreps": [{"label": "a", "dim": None, "matrices": []}]},
+            _IRREPS_ARGV,
+            "field 'dim' is not an integer",
+        ),
+        ({"group": "cyclic:2", "irreps": 5}, _IRREPS_ARGV, "field 'irreps' is not a list"),
+        (
+            {"group": "cyclic:2", "vectors": 5},
+            ["frame", "dual", "--builtin", "cyclic:2", "--window", "v.json", "--subspace"],
+            "field 'vectors' is not a list",
+        ),
+    ],
+)
+def test_wrong_json_type_exits_2(tmp_path, capsys, monkeypatch, payload, argv, message):
+    monkeypatch.chdir(tmp_path)
+    ftio.save_vector(GroupVector(builtin_group("cyclic:2"), [1.0, 0.0]), "v.json")
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    assert run([*argv, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+
+
 def test_group_analyze_missing_source():
     assert run(["group", "analyze"]) == 2
 
@@ -348,7 +391,7 @@ def _traced_peak_mib(argv) -> tuple[int, float]:
     return code, peak / 2 ** 20
 
 
-def test_order_512_frame_and_order_256_group_stay_quadratic(tmp_path):
+def test_order_512_frame_and_group_analyze_stay_quadratic(tmp_path):
     # Orders the README promises.  The dense n x n x n tensor of the regular
     # representation alone takes 2 GiB at order 512 and 256 MiB at order 256.
     n = 256
@@ -380,10 +423,11 @@ def test_order_512_frame_and_order_256_group_stay_quadratic(tmp_path):
     assert code == 0 and peak < 200, peak
     checks = [c["name"] for c in read_report(tmp_path / "check.json")["checks"]]
     assert checks == ["admissible_pair", "tracial_pair", "fiber_admissibility"]
-    code, peak = _traced_peak_mib(
-        ["group", "analyze", "--builtin", "dihedral:128", "--out", str(tmp_path / "g.json")]
-    )
-    assert code == 0 and peak < 200, peak
+    for spec, order in (("dihedral:128", 256), ("dihedral:256", 512), ("cyclic:512", 512)):
+        out = tmp_path / "g.json"
+        code, peak = _traced_peak_mib(["group", "analyze", "--builtin", spec, "--out", str(out)])
+        assert code == 0 and peak < 200, (spec, peak)
+        assert read_report(out)["metadata"]["order"] == order
 
 
 def test_gabor_walnut_jobs_stay_small_at_L2048(tmp_path):

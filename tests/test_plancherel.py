@@ -4,6 +4,7 @@ import pytest
 
 from frametrace.errors import (
     NotComplete,
+    NotInequivalent,
     NotInRange,
     NotInvariant,
     NotIrreducible,
@@ -129,6 +130,22 @@ def test_validate_irreps_reducible():
     table = builtin_irreps(g)
     with pytest.raises(NotIrreducible):
         validate_irreps(g, [("bad", red), ("chi0", table.irreps[0].rep)])
+
+
+def test_validate_irreps_names_first_equivalent_pair_row_major():
+    # Two equivalent pairs, (0, 4) and (1, 3): row-major order over i < j names
+    # (triv, triv-copy) first, although (sgn, sgn-copy) closes first by column.
+    g = builtin_group("dihedral:4")
+    by_label = {s.label: s.rep for s in builtin_irreps(g).irreps}
+    supplied = [
+        ("triv", by_label["triv"]),
+        ("sgn", by_label["sgn"]),
+        ("alt+", by_label["alt+"]),
+        ("sgn-copy", by_label["sgn"]),
+        ("triv-copy", by_label["triv"]),
+    ]
+    with pytest.raises(NotInequivalent, match="'triv' and 'triv-copy' are equivalent"):
+        validate_irreps(g, supplied)
 
 
 def test_transform_delta_identity_blocks():
