@@ -13,13 +13,14 @@ on index arithmetic: V_gamma^* V_g vanishes off the residue classes mod L/b
 """
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
-from math import gcd
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotAFrame, NotInvertible
-from .groups import FiniteGroup, Rep, group_from_cayley
+from .errors import DimensionMismatch, NotAFrame, NotAGroup, NotInvertible
+from .groups import MAX_ORDER, FiniteGroup, Rep, group_from_cayley
 from .numerics import DEFAULT_TOL, _unit_roots, as_vector, eig_hermitian, inv_psd
 from .reporting import CheckResult
 
@@ -212,47 +213,68 @@ def wr_fundamental_relation_check(
 
 @dataclass(frozen=True)
 class WHGroup:
-    """Finite Weyl-Heisenberg group (m, n, z) covering the lattice operators.
-
-    The central part is the group of q-th roots of unity with
-    q = L / gcd(L, ab), the exact value group of the commutation cocycle.
-    """
+    """Finite Weyl-Heisenberg group: (m, n, z) in Z_(L/b) x Z_(L/a) x Z_q, q = L / gcd(L, ab), with law
+    (m, n, z)(m', n', z') = (m + m', n + n', z + z' - k n m'), where exp(2 pi i ab / L) = exp(2 pi i k / q);
+    the central part is the q-th roots of unity, the exact value group of that cocycle."""
 
     L: int
     a: int
     b: int
     q: int
-    group: FiniteGroup
+    k: int
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return self.L // self.b, self.L // self.a, self.q
+
+    @property
+    def order(self) -> int:
+        return math.prod(self.shape)
 
     def coords(self, idx):
         """(m, n, z) of an element index, or of an array of them."""
-        return _wh_coords(idx, self.L // self.a, self.q)
+        return idx // (self.L // self.a * self.q), idx // self.q % (self.L // self.a), idx % self.q
 
+    def product(self, x, y):
+        """Index of x y by the law, for broadcastable index arrays x and y."""
+        (m, n, z), (m2, n2, z2) = self.coords(x), self.coords(y)
+        return np.ravel_multi_index((m + m2, n + n2, z + z2 - self.k * n * m2), self.shape, mode="wrap")
 
-def _wh_coords(idx, n_n: int, q: int):
-    return idx // (n_n * q), (idx // q) % n_n, idx % q
+    @functools.cached_property
+    def group(self) -> FiniteGroup:
+        table = self.product(*np.ogrid[: self.order, : self.order])
+        return group_from_cayley(table, label=f"wh:{self.L}:{self.a}:{self.b}")
+
+    def law_residual(self) -> float:
+        """max_{x,j,s} |phase_x(j) phase_s(j - n_x a) - phase_(xs)(j)|, s = (1,0,0), (0,1,0), (0,0,1):
+        0 iff pi(x) pi(s) = pi(xs); words in these s reach every x, so {pi(x)} is then a group."""
+        phase, shift = _wh_operators(self)
+        x, gens = np.arange(self.order), np.ravel_multi_index(np.eye(3, dtype=int), self.shape, mode="wrap")
+        return max(float(np.abs(phase * phase[s][shift] - phase[self.product(x, s)]).max()) for s in gens)
 
 
 def wh_group_build(length: int, a: int, b: int) -> WHGroup:
-    """Build the finite Weyl-Heisenberg group with law
-    (m, n, z)(m', n', z') = (m + m', n + n', z + z' - k n m') in Z_q,
-    where omega = exp(2 pi i ab / L) = exp(2 pi i k / q)."""
+    """The Weyl-Heisenberg group of the lattice, refused above MAX_ORDER; builds no table."""
     _check_lattice(length, a, b)
-    q = length // gcd(length, a * b)
-    k = (a * b) // gcd(length, a * b)
-    n_m, n_n = length // b, length // a
-    m, n, z = _wh_coords(np.arange(n_m * n_n * q, dtype=np.int64), n_n, q)
-    m, n, z, m2, n2, z2 = m[:, None], n[:, None], z[:, None], m, n, z
-    table = (((m + m2) % n_m) * n_n + (n + n2) % n_n) * q + (z + z2 - k * n * m2) % q
-    group = group_from_cayley(table, label=f"wh:{length}:{a}:{b}")
-    return WHGroup(L=length, a=a, b=b, q=q, group=group)
+    wh = WHGroup(length, a, b, length // math.gcd(length, a * b), a * b // math.gcd(length, a * b))
+    if wh.order > MAX_ORDER:
+        raise NotAGroup(f"order {wh.order} exceeds the supported maximum {MAX_ORDER}")
+    return wh
+
+
+def _wh_operators(wh: WHGroup) -> tuple[np.ndarray, np.ndarray]:
+    """(phase, shift) with pi(x) f = phase[x] * f[shift[x]] for every element x, as (order, L) arrays."""
+    m, n, z = wh.coords(np.arange(wh.order))
+    j = np.arange(wh.L)
+    phase = _unit_roots(z, wh.q)[:, None] * _unit_roots(np.outer(wh.b * m, j), wh.L)
+    return phase, (j - wh.a * n[:, None]) % wh.L
 
 
 def wh_rep(wh: WHGroup) -> Rep:
     """Representation pi(m, n, z) = exp(2 pi i z / q) M_(mb) T_(na) on C^L."""
     mats = np.array([
         np.exp(2j * np.pi * z / wh.q) * modulation(wh.L, m * wh.b) @ translation(wh.L, n * wh.a)
-        for m, n, z in map(wh.coords, range(wh.group.order))
+        for m, n, z in map(wh.coords, range(wh.order))
     ])
     return Rep(group=wh.group, dim=wh.L, matrices=mats)
 
@@ -266,10 +288,7 @@ def wh_bridge_check(wh: WHGroup, f, g, tol: float = DEFAULT_TOL) -> CheckResult:
     """
     length = wh.L
     f, g = (GaborSystem(length, wh.a, wh.b, v).window for v in (f, g))  # check the lengths
-    m, n, z = wh.coords(np.arange(wh.group.order))
-    j = np.arange(length)
-    phase = _unit_roots(z, wh.q)[:, None] * _unit_roots(np.outer(wh.b * m, j), length)
-    shift = (j - wh.a * n[:, None]) % length
+    phase, shift = _wh_operators(wh)
     acc = (phase * g[shift]).T @ (phase * f[shift]).conj() / wh.q
     cross = _walnut_dense(length, wh.b, _walnut_blocks(length, wh.a, wh.b, g, f))
     return CheckResult(name="wh_bridge", residual=float(np.linalg.norm(acc - cross)), tol=tol)

@@ -28,6 +28,7 @@ class FiniteGroup:
     cayley: np.ndarray
     identity: int
     inverses: np.ndarray
+    generators: tuple  # indices whose left-bracketed words (...((e s1) s2)...) reach every element
     label: str = ""
 
     def mul(self, x: int, y: int) -> int:
@@ -47,7 +48,7 @@ class FiniteGroup:
         )
 
     def __hash__(self):
-        # Consistent with __eq__, which compares the table and ignores the label.
+        # Consistent with __eq__, which compares the table and ignores label and generators.
         return hash((self.order, np.asarray(self.cayley, dtype=np.int64).tobytes()))
 
 
@@ -103,7 +104,7 @@ def group_from_cayley(table, label: str = "") -> FiniteGroup:
 
     cayley.setflags(write=False)
     inverses.setflags(write=False)
-    return FiniteGroup(order=n, cayley=cayley, identity=identity, inverses=inverses, label=label)
+    return FiniteGroup(n, cayley, identity, inverses, tuple(gens), label)
 
 
 def _cyclic_table(n: int) -> np.ndarray:
@@ -293,13 +294,16 @@ class Rep:
         return self.matrices[x]
 
     def homomorphism_residual(self) -> float:
-        """max_x,y || rep(x) rep(y) - rep(xy) ||_F."""
-        worst = 0.0
-        for x in self.group.elements():
-            prods = self.matrices[x] @ self.matrices
-            worst = max(worst, float(np.max(np.linalg.norm(
-                prods - self.matrices[self.group.cayley[x]], axis=(1, 2)))))
-        return worst
+        """2|G| delta, delta = max_{x, s in S} ||rep(x)rep(s) - rep(xs)||_F over the generators S.
+
+        For unitary matrices this bounds d = max_{x,y} ||rep(x)rep(y) - rep(xy)||_F.  Let d_k be that
+        max over words y = y's of length <= k in S.  From rep(x)rep(y) - rep(xy) = rep(x)[rep(y's) -
+        rep(y')rep(s)] + [rep(x)rep(y') - rep(xy')]rep(s) + [rep(xy')rep(s) - rep(xy)], d_k <= d_(k-1)
+        + 2 delta; d_0 = ||rep(e) - Id||_F = ||rep(e)rep(s) - rep(es)||_F <= delta; every y has k < |G|,
+        so d <= (2|G| - 1) delta.  The trivial group has no generators and is checked on S = {e}."""
+        m, cayley, gens = self.matrices, self.group.cayley, self.group.generators or (self.group.identity,)
+        delta = max(float(np.max(np.linalg.norm(m @ m[s] - m[cayley[:, s]], axis=(1, 2)))) for s in gens)
+        return 2 * self.group.order * delta
 
     def unitarity_residual(self) -> float:
         eye = np.eye(self.dim)

@@ -72,12 +72,13 @@ class FiberProjectionField:
     table: IrrepTable
     projections: tuple = field(repr=False)
 
-    def ranks(self) -> list[int]:
+    @functools.cached_property
+    def ranks(self) -> tuple[int, ...]:
         out = []
         for p in self.projections:
             w = np.linalg.eigvalsh(0.5 * (p + p.conj().T))
             out.append(int(np.sum(w > PROJECTION_RANK_CUT)))
-        return out
+        return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +370,7 @@ def fiber_admissibility_check(
 
 def rank_measure(field: FiberProjectionField) -> float:
     """nu_H = sum_sigma (d_sigma/|G|) rank(P_sigma), ranks by the 1/2 threshold."""
-    n = field.table.group.order
-    return float(
-        sum(s.dim * r for s, r in zip(field.table.irreps, field.ranks())) / n
-    )
+    return sum(s.dim * r for s, r in zip(field.table.irreps, field.ranks)) / field.table.group.order
 
 
 def isotypic_projection(table: IrrepTable, label: str) -> InvariantProjection:

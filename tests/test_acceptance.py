@@ -347,8 +347,9 @@ def test_criterion_7_gabor_suite():
 
 def test_criterion_8_wh_bridge():
     rng = np.random.default_rng(108)
-    wh = wh_group_build(12, 3, 2)  # construction validates the group axioms
-    rep = wh_rep(wh)
+    wh = wh_group_build(12, 3, 2)
+    assert wh.law_residual() <= 1e-13  # the law on the generators, from the operator formula
+    rep = wh_rep(wh)  # validates the full table
     rep.validate(1e-9)
     worst = 0.0
     for _ in range(20):

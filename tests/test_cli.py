@@ -10,6 +10,7 @@ from frametrace.cli import main
 from frametrace.frames import admissible_vector_for_projection, projection_from_spanning
 from frametrace.gabor import GaborSystem, gabor_canonical_dual, reference_window
 from frametrace.groups import GroupVector, builtin_group, delta, left_regular_rep
+from frametrace.plancherel import builtin_irreps, validate_irreps
 from frametrace.reporting import CheckResult, RunReport, report_dumps
 
 
@@ -63,18 +64,26 @@ def _ragged_matrix(obj):
     rho["matrices"][3][1].pop()  # one row of one 2x2 matrix has a single entry
 
 
+def _swap_rho1_off_generators(obj):
+    # Two elements that are neither generators nor the identity: the generator
+    # check sees the swap only through the pairs (x, s) whose product xs is one of them.
+    group = builtin_group("dihedral:4")
+    x, y = [e for e in group.elements() if e != group.identity and e not in group.generators][:2]
+    rho = next(item for item in obj["irreps"] if item["label"] == "rho1")
+    rho["matrices"][x], rho["matrices"][y] = rho["matrices"][y], rho["matrices"][x]
+
+
 @pytest.mark.parametrize(
     "corrupt, code, message",
     [
         (None, 0, None),
+        (_swap_rho1_off_generators, 2, "not a homomorphism"),  # NotHomomorphism
         (_drop_last_irrep, 2, "sum of squared dims"),  # NotComplete
         (_sgn_as_triv, 2, "are equivalent"),  # NotInequivalent
         (_ragged_matrix, 2, "bad complex array"),  # MalformedInput
     ],
 )
 def test_group_analyze_irreps_file(tmp_path, capsys, corrupt, code, message):
-    from frametrace.plancherel import builtin_irreps
-
     irreps, out = tmp_path / "irr.json", tmp_path / "r.json"
     ftio.save_irreps(builtin_irreps(builtin_group("dihedral:4")), irreps)
     if corrupt is not None:
@@ -296,22 +305,41 @@ def test_gabor_dual_not_a_frame(tmp_path):
 def test_gabor_bridge(tmp_path, monkeypatch):
     import frametrace.cli as cli
     import frametrace.gabor as gabor
+    import frametrace.groups as groups
 
     build, builds = gabor.wh_group_build, []
+    validate, tables = groups.group_from_cayley, []
 
     def counted(*args):
         builds.append(args)
         return build(*args)
 
+    def counted_tables(*args, **kwargs):
+        tables.append(args)
+        return validate(*args, **kwargs)
+
     for module in (cli, gabor):
         monkeypatch.setattr(module, "wh_group_build", counted)
+    for module in (gabor, groups):
+        monkeypatch.setattr(module, "group_from_cayley", counted_tables)
     out = tmp_path / "r.json"
-    code = run(["gabor", "bridge", "--L", "12", "--a", "3", "--b", "2", "--out", str(out)])
+    code = run(["gabor", "bridge", "--L", "12", "--a", "3", "--b", "2", "--tol", "1e-10", "--out", str(out)])
     assert code == 0
     assert builds == [(12, 3, 2)]
+    assert tables == []  # the bridge builds no Cayley table
     rep = read_report(out)
     assert rep["metadata"]["wh_order"] == 48
     assert rep["metadata"]["wh_central_order"] == 2
+    axioms = rep["checks"][0]
+    assert axioms["name"] == "wh_group_axioms" and axioms["tol"] == 1e-10
+    assert axioms["residual"] <= 1e-13
+
+
+def test_gabor_bridge_above_the_order_cap_exits_2_before_any_array(capsys):
+    # (48/3)(48/4)(48/gcd(48, 12)) = 768 > 512: refused from (L, a, b) alone.
+    code, peak = _traced_peak_mib(["gabor", "bridge", "--L", "48", "--a", "4", "--b", "3"])
+    assert code == 2 and peak < 1, peak
+    assert "order 768 exceeds the supported maximum 512" in capsys.readouterr().err
 
 
 def test_gabor_malformed_window(tmp_path, capsys):
@@ -378,7 +406,7 @@ def test_group_analyze_file_table_contradicting_label(tmp_path):
         assert run(["group", "analyze", "--file", str(klein), "--out", str(out)]) == 0, label
         rep = read_report(out)
         assert rep["metadata"]["irreps"] == "unavailable"
-        assert [c["name"] for c in rep["checks"]] == ["commutant_dim_regular", "trace_identity_sampled"]
+        assert [c["name"] for c in rep["checks"]] == ["trace_identity_sampled"]
 
 
 def _traced_peak_mib(argv) -> tuple[int, float]:
@@ -428,6 +456,11 @@ def test_order_512_frame_and_group_analyze_stay_quadratic(tmp_path):
         code, peak = _traced_peak_mib(["group", "analyze", "--builtin", spec, "--out", str(out)])
         assert code == 0 and peak < 200, (spec, peak)
         assert read_report(out)["metadata"]["order"] == order
+    # What group analyze --irreps verifies, without the JSON round trip.
+    for spec in ("dihedral:256", "cyclic:512"):
+        group = builtin_group(spec)
+        table = builtin_irreps(group)
+        assert validate_irreps(group, table.irreps).dims() == table.dims()
 
 
 def test_gabor_walnut_jobs_stay_small_at_L2048(tmp_path):
@@ -508,8 +541,6 @@ def test_io_group_roundtrip(tmp_path):
 
 
 def test_io_irreps_roundtrip(tmp_path):
-    from frametrace.plancherel import builtin_irreps
-
     g = builtin_group("dihedral:3")
     table = builtin_irreps(g)
     p = tmp_path / "irr.json"

@@ -8,12 +8,15 @@ T_(tL/b) at L = 512, where the whole list takes 256 MiB), the dense product
 V_gamma^* V_g and the ``wh_rep`` sum.  Windows: random ones, and ones that
 vanish on a residue class mod a, which are never frames.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 
-from frametrace.errors import DimensionMismatch, NotAFrame, NotInvertible
+from frametrace.errors import DimensionMismatch, NotAFrame, NotAGroup, NotInvertible
 from frametrace.gabor import (
     GaborSystem,
+    WHGroup,
     adjoint_lattice_ops,
     frame_bounds_ratio,
     gabor_canonical_dual,
@@ -174,12 +177,31 @@ def test_wh_table_and_bridge_match_dense(lat):
     assert np.array_equal(wh.group.cayley, table)
 
     mats = wh_rep(wh).matrices
+    # The law residual reads the phases of pi(x) pi(s) - pi(xs) on the three
+    # generators; the dense matrices give the same entries.  A wrong cocycle
+    # k + 1 changes the law unless q = 1, where every k gives the same law.
+    x = np.arange(order)
+    gens = [int(np.ravel_multi_index(e, wh.shape, mode="wrap")) for e in np.eye(3, dtype=int)]
+    for law in (wh, dataclasses.replace(wh, k=k + 1)):
+        dense = max(np.abs(mats @ mats[s] - mats[law.product(x, s)]).max() for s in gens)
+        assert abs(law.law_residual() - dense) <= 1e-13
+    assert wh.law_residual() <= 1e-13
+    if q > 1:
+        assert dataclasses.replace(wh, k=k + 1).law_residual() >= 1.0
+
     for seed in seeds(length):
         rng = np.random.default_rng(seed)
         f, g = rand_c(rng, length), rand_c(rng, length)
         acc = sum(np.outer(p @ g, (p @ f).conj()) for p in mats) / q
         oracle = float(np.linalg.norm(acc - dense_cross(length, a, b, g, f)))
         assert abs(wh_bridge_check(wh, f, g).residual - oracle) <= 1e-11
+
+
+def test_wh_group_build_refuses_large_orders_up_front():
+    with pytest.raises(NotAGroup, match="order 3456 exceeds the supported maximum 512"):
+        wh_group_build(96, 4, 4)
+    # The law needs no table, so it is checked at any order.
+    assert WHGroup(96, 4, 4, 6, 1).law_residual() <= 1e-13
 
 
 def test_kernels_reject_a_window_of_the_wrong_length():

@@ -1,4 +1,5 @@
 """Group construction, convolution and regular representation tests."""
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -67,6 +68,18 @@ def associative_by_full_loop(table) -> bool:
     return all(np.array_equal(t[:, z][t], t[:, t[:, z]]) for z in range(t.shape[0]))
 
 
+def right_closure(group) -> np.ndarray:
+    """Elements reached from the identity by right multiplication with the generators."""
+    reached = np.zeros(group.order, dtype=bool)
+    frontier = [group.identity]
+    reached[group.identity] = True
+    while frontier:
+        fresh = np.unique(group.cayley[np.ix_(frontier, list(group.generators))])
+        frontier = [int(y) for y in fresh if not reached[y]]
+        reached[frontier] = True
+    return reached
+
+
 def test_light_associativity_agrees_with_full_loop():
     loop = np.array(NONASSOCIATIVE_LOOP)
     groups = [builtin_group(s).cayley for s in
@@ -85,8 +98,11 @@ def test_light_associativity_agrees_with_full_loop():
             inv = np.argsort(perm)
             relabeled = perm[table[np.ix_(inv, inv)]]
             try:
-                group_from_cayley(relabeled)
+                group = group_from_cayley(relabeled)
                 accepted = True
+                assert right_closure(group).all()
+                assert group.identity not in group.generators
+                assert len(group.generators) <= np.log2(group.order)
             except NotAGroup as exc:
                 assert "associativity" in str(exc)
                 accepted = False
@@ -152,6 +168,17 @@ def test_equal_groups_hash_alike():
     assert same == g and same.label != g.label
     assert hash(same) == hash(g)
     assert len({g, same}) == 1
+    # The generators are derived data: a group naming other ones is the same group.
+    other = dataclasses.replace(g, generators=tuple(range(g.order)))
+    assert other == g and hash(other) == hash(g)
+
+
+def test_generators_of_builtin_groups():
+    for spec, count in (("cyclic:512", 1), ("dihedral:256", 2), ("heisenberg:7", 3),
+                        ("cyclic:2 x dihedral:128", 3), ("cyclic:1", 0)):
+        g = builtin_group(spec)
+        assert len(g.generators) == count, spec
+        assert right_closure(g).all(), spec
 
 
 def test_direct_product_spec():

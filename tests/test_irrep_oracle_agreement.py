@@ -6,11 +6,19 @@ pair.  The element-by-element builders below are the previous implementation,
 kept as oracles: labels, label order and dims must be identical and matrices
 equal within 1e-12.  ``validate_irreps`` is the independent mathematical
 oracle (homomorphism, unitarity, character orthogonality, completeness).
+
+``Rep.homomorphism_residual`` checks rep(x) rep(s) = rep(xs) on the group's
+generators s only and returns 2|G| times that residual.  The loop over all
+pairs (x, y) that it replaced stays below as the oracle: the returned bound
+must cover it, and ``Rep.validate`` must pass and fail where the loop does.
 """
 import numpy as np
 import pytest
 
-from frametrace.groups import builtin_group
+from frametrace.errors import NotInvariant
+from frametrace.gabor import wh_group_build, wh_rep
+from frametrace.groups import Rep, builtin_group, left_regular_rep
+from frametrace.numerics import DEFAULT_TOL
 from frametrace.plancherel import builtin_irreps, validate_irreps
 
 SPECS = [
@@ -148,3 +156,97 @@ def test_builtin_product_group_is_factor_product(spec):
     group = builtin_group(spec)
     assert group.label == spec
     assert np.array_equal(group.cayley, factor_product_table(factors))
+
+
+def all_pairs_residuals(rep):
+    """[x, y] -> ||rep(x) rep(y) - rep(xy)||_F, one row per element: the all-pairs loop."""
+    rows = []
+    for x in rep.group.elements():
+        prods = rep.matrices[x] @ rep.matrices
+        rows.append(np.linalg.norm(prods - rep.matrices[rep.group.cayley[x]], axis=(1, 2)))
+    return np.array(rows)
+
+
+def oracle_validate(rep, tol=DEFAULT_TOL):
+    """``Rep.validate`` with the all-pairs loop: the first failing message, or None."""
+    if rep.identity_residual() > tol:
+        return "rep does not map the identity to Id"
+    if rep.unitarity_residual() > tol:
+        return "rep matrices are not unitary within tolerance"
+    if all_pairs_residuals(rep).max() > tol:
+        return "rep is not a homomorphism within tolerance"
+    return None
+
+
+def validate_message(rep, tol=DEFAULT_TOL):
+    try:
+        rep.validate(tol)
+    except NotInvariant as exc:
+        return str(exc)
+    return None
+
+
+def assert_bound_covers_all_pairs(rep):
+    pairs = all_pairs_residuals(rep)
+    generator_residual = pairs[:, list(rep.group.generators)].max()
+    bound = rep.homomorphism_residual()
+    # The gathered generator residual is the loop's on the pairs (x, s), up to rounding.
+    assert bound / (2 * rep.group.order) == pytest.approx(generator_residual, rel=1e-12, abs=1e-300)
+    assert pairs.max() <= bound
+
+
+ACCEPTANCE_SPECS = ("cyclic:12", "dihedral:4", "heisenberg:3")
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_generator_residual_bounds_all_pairs_on_builtin_irreps(spec):
+    group = builtin_group(spec)
+    irreps = builtin_irreps(group).irreps
+    if group.order > 64:  # the all-pairs loop over every irrep would take seconds
+        irreps = [irreps[0], irreps[len(irreps) // 2], irreps[-1]]
+    for s in irreps:
+        assert_bound_covers_all_pairs(s.rep)
+
+
+def test_generator_residual_bounds_all_pairs_on_acceptance_groups():
+    for spec in ACCEPTANCE_SPECS:
+        rep = left_regular_rep(builtin_group(spec))
+        assert rep.homomorphism_residual() == 0.0
+        assert_bound_covers_all_pairs(rep)
+    # The Weyl-Heisenberg group of order 48 on C^12: its left regular rep would
+    # make the all-pairs loop take a second, so it is checked on wh_rep.
+    assert_bound_covers_all_pairs(wh_rep(wh_group_build(12, 3, 2)))
+
+
+def test_trivial_group_is_checked_on_its_identity():
+    # No generators: the identity stands in, so rep(e) = -1 (unitary) still fails.
+    rep = Rep(group=builtin_group("cyclic:1"), dim=1, matrices=[[[-1.0]]])
+    assert rep.group.generators == ()
+    assert all_pairs_residuals(rep).max() == 2.0
+    assert rep.homomorphism_residual() == 4.0
+
+
+def perturbation_cases():
+    for spec in ("dihedral:4", "heisenberg:3", "cyclic:3 x dihedral:8", "cyclic:2 x heisenberg:3"):
+        irreps = builtin_irreps(builtin_group(spec)).irreps
+        yield irreps[1].rep  # one-dimensional and not trivial
+        yield max(irreps, key=lambda s: s.dim).rep
+    for spec in ACCEPTANCE_SPECS:
+        yield left_regular_rep(builtin_group(spec))
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-6, 1e-3])
+def test_validate_verdicts_match_all_pairs_loop(eps):
+    for case, rep in enumerate(perturbation_cases()):
+        group = rep.group
+        others = [x for x in group.elements() if x != group.identity and x not in group.generators]
+        for seed in range(3):
+            x = np.random.default_rng([case, seed]).choice(others)
+            # rep(x) diag(e^(i eps), 1, ..., 1): still unitary, off by about eps.
+            mats = rep.matrices.copy()
+            mats[x, :, 0] *= np.exp(1j * eps)
+            bent = Rep(group=group, dim=rep.dim, matrices=mats)
+            expected = oracle_validate(bent)
+            assert validate_message(bent) == expected, (case, seed)
+            assert expected == (None if eps == 0.0 else "rep is not a homomorphism within tolerance")
+            assert all_pairs_residuals(bent).max() <= bent.homomorphism_residual()

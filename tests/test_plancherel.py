@@ -264,7 +264,7 @@ def test_fiber_projections_single_copy_dihedral4():
     p = projection_from_fibers(table, blocks)
     p.validate(1e-10)
     field = fiber_projections(table, p)
-    ranks = dict(zip([s.label for s in table.irreps], field.ranks()))
+    ranks = dict(zip([s.label for s in table.irreps], field.ranks))
     assert ranks[two.label] == 1
     assert all(r == 0 for lbl, r in ranks.items() if lbl != two.label)
 

@@ -102,7 +102,7 @@ def test_regrouped_trace_identity_reads_a_non_latin_table():
     # is not |G| everywhere and tr(V_f^* V_g) != <f, g>.  Built directly, since
     # group_from_cayley refuses it.
     cayley = np.array([[0, 1, 2], [1, 0, 0], [2, 0, 1]])
-    fake = FiniteGroup(order=3, cayley=cayley, identity=0, inverses=np.array([0, 1, 2]))
+    fake = FiniteGroup(order=3, cayley=cayley, identity=0, inverses=np.array([0, 1, 2]), generators=(1,))
     assert np.bincount(cayley[fake.inverses].ravel(), minlength=3).tolist() == [4, 3, 2]
     rng = np.random.default_rng(3)
     f, g = samples(rng, 4, 3), samples(rng, 4, 3)
