@@ -40,7 +40,6 @@ from .frames import (
     is_frame_vector,
     natural_trace,
     projection_from_spanning,
-    random_invariant_projection_spectral,
     regular_coefficient_matrix,
     tighten,
     trace_of_projection,

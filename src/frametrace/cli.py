@@ -7,17 +7,20 @@ identical inputs and seed give byte-identical report files.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
 import numpy as np
 
 from . import io as ftio
-from .commutant import is_tracial_on_range
+from .commutant import tracial_check
 from .errors import FrametraceError, NotAFrame, NotInRange, NotInvertible, UnsupportedGroup
 from .frames import (
     CoefficientOperator,
     InvariantProjection,
+    admissibility_defect,
+    admissible_check,
     canonical_dual,
     is_admissible_on_range,
     projection_from_spanning,
@@ -44,7 +47,7 @@ from .plancherel import (
     parseval_residual,
     rank_measure,
 )
-from .reporting import CheckResult, RunReport, digest_bytes, digest_text, report_dumps
+from .reporting import CheckResult, RunReport, digest_text, report_dumps
 
 
 class _CliInputError(Exception):
@@ -67,18 +70,25 @@ def _resolve_tol(args) -> float:
     return tol
 
 
-def _digest_file(report: RunReport, key: str, path) -> None:
-    with open(path, "rb") as fh:
-        report.inputs[key] = digest_bytes(fh.read())
+def _reader(report: RunReport):
+    """``read(key, path)``: the Document of a file opened once per job, its digest as inputs[key]."""
+    docs = {}
+
+    def read(key: str, path) -> ftio.Document:
+        if path not in docs:
+            docs[path] = ftio.read_document(path)
+        report.inputs[key] = docs[path].digest
+        return docs[path]
+
+    return read
 
 
-def _load_group(args, report: RunReport):
+def _load_group(args, report: RunReport, read):
     if getattr(args, "builtin", None):
         report.inputs["group"] = digest_text(args.builtin)
         return builtin_group(args.builtin)
     if getattr(args, "file", None):
-        _digest_file(report, "group", args.file)
-        return ftio.load_group(args.file)
+        return ftio.load_group(read("group", args.file))
     raise _CliInputError("one of --builtin or --file is required")
 
 
@@ -112,7 +122,8 @@ def _trace_identity_residuals(group, f: np.ndarray, g: np.ndarray) -> np.ndarray
 def cmd_group(args) -> int:
     tol = _resolve_tol(args)
     report = RunReport(seed=args.seed)
-    group = _load_group(args, report)
+    read = _reader(report)
+    group = _load_group(args, report, read)
     rng = np.random.default_rng(args.seed)
     report.metadata["group"] = group.label or "<file>"
     report.metadata["order"] = group.order
@@ -128,8 +139,7 @@ def cmd_group(args) -> int:
 
     table = None
     if args.irreps:
-        _digest_file(report, "irreps", args.irreps)
-        table = ftio.load_irreps(args.irreps, group)
+        table = ftio.load_irreps(read("irreps", args.irreps), group)
     else:
         try:
             table = builtin_irreps(group)
@@ -156,33 +166,32 @@ def cmd_group(args) -> int:
 # frametrace frame
 
 
-def _frame_context(args, report: RunReport):
+def _frame_context(args, report: RunReport, read):
     """Resolve the group, the window vector and the analysis subspace."""
     if args.builtin:
         obj_group = builtin_group(args.builtin)
         report.inputs["group"] = digest_text(args.builtin)
     elif args.group_file:
-        _digest_file(report, "group", args.group_file)
-        obj_group = ftio.load_group(args.group_file)
+        obj_group = ftio.load_group(read("group", args.group_file))
     else:
-        label = ftio.load_label(args.window)
+        label = ftio.load_label(read("window", args.window))
         obj_group = builtin_group(label)
         report.inputs["group"] = digest_text(label)
-    _digest_file(report, "window", args.window)
-    window = ftio.load_vector(args.window, obj_group)
+    window = ftio.load_vector(read("window", args.window), obj_group)
     if args.subspace:
-        _digest_file(report, "subspace", args.subspace)
-        vectors = ftio.load_vectors(args.subspace, obj_group)
+        vectors = ftio.load_vectors(read("subspace", args.subspace), obj_group)
         proj = projection_from_spanning(obj_group, [v.data for v in vectors])
     else:
-        proj = InvariantProjection(obj_group, np.eye(obj_group.order, dtype=complex))
+        eye = np.eye(obj_group.order, dtype=complex)
+        proj = InvariantProjection(obj_group, eye, eye)
     return obj_group, window, proj
 
 
 def cmd_frame(args) -> int:
     tol = _resolve_tol(args)
     report = RunReport(seed=args.seed)
-    group, window, proj = _frame_context(args, report)
+    read = _reader(report)
+    group, window, proj = _frame_context(args, report, read)
     report.metadata["group"] = group.label
     report.metadata["subcommand"] = args.action
 
@@ -204,13 +213,11 @@ def cmd_frame(args) -> int:
         if args.out_vector:
             ftio.save_vector(GroupVector(group, out), args.out_vector)
     elif args.action == "check":
-        eta_path, psi_path = args.pair
-        _digest_file(report, "eta", eta_path)
-        _digest_file(report, "psi", psi_path)
-        eta = ftio.load_vector(eta_path, group)
-        psi = ftio.load_vector(psi_path, group)
-        report.add(is_admissible_on_range(proj, eta.data, psi.data, tol))
-        report.add(is_tracial_on_range(proj, eta.data, psi.data, tol))
+        eta_doc, psi_doc = read("eta", args.pair[0]), read("psi", args.pair[1])
+        eta, psi = ftio.load_vector(eta_doc, group), ftio.load_vector(psi_doc, group)
+        d = admissibility_defect(proj, eta.data, psi.data)  # one defect for both residuals
+        report.add(admissible_check(group, d, tol))
+        report.add(tracial_check(group, d, tol))
         try:
             table = builtin_irreps(group)
             report.add(fiber_admissibility_check(table, proj, eta, psi, tol=tol))
@@ -249,10 +256,10 @@ def cmd_gabor(args) -> int:
     report.metadata["lattice"] = {"L": length, "a": a, "b": b}
     report.metadata["subcommand"] = args.action
     rng = np.random.default_rng(args.seed)
+    read = _reader(report)
 
     def load_sys(path, key):
-        _digest_file(report, key, path)
-        sys_ = ftio.load_window(path)
+        sys_ = ftio.load_window(read(key, path))
         if (sys_.L, sys_.a, sys_.b) != (length, a, b):
             raise ftio.MalformedInput(f"{path}: lattice parameters disagree with flags")
         return sys_
@@ -319,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--file", default=None)
     g.add_argument("--irreps", default=None)
     common(g)
-    g.set_defaults(func=cmd_group)
 
     f = sub.add_parser("frame", help="dual windows, admissibility and decomposition")
     f.add_argument("action", choices=["dual", "check", "tighten", "decompose"])
@@ -330,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--group-file", default=None)
     f.add_argument("--out-vector", default=None)
     common(f)
-    f.set_defaults(func=cmd_frame)
 
     gb = sub.add_parser("gabor", help="finite Weyl-Heisenberg systems")
     gb.add_argument("action", choices=["dual", "wexler-raz", "reference", "bridge"])
@@ -341,13 +346,15 @@ def build_parser() -> argparse.ArgumentParser:
     gb.add_argument("--candidate", default=None)
     gb.add_argument("--out-window", default=None)
     common(gb)
-    gb.set_defaults(func=cmd_gabor)
     return parser
 
 
+#: The parser of every ``main`` call in this process, built on the first one; it depends on no input.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command == "frame" and args.action == "check" and not args.pair:
         print("frame check requires --pair ETA PSI", file=sys.stderr)
         return 2
@@ -357,8 +364,10 @@ def main(argv=None) -> int:
     if args.command == "gabor" and args.action == "wexler-raz" and not args.candidate:
         print("gabor wexler-raz requires --candidate", file=sys.stderr)
         return 2
+    # Looked up per call, so a replaced cmd_* function is the one that runs.
+    commands = {"group": cmd_group, "frame": cmd_frame, "gabor": cmd_gabor}
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except (_CliInputError, FrametraceError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -120,16 +120,20 @@ def is_tracial_pair(
     return CheckResult(name="tracial_pair", residual=float(residual), tol=tol)
 
 
-def is_tracial_on_range(p: InvariantProjection, eta, psi, tol: float) -> CheckResult:
-    """Check <T eta, psi> = tau(T) over the spanning set {p R_x p / sqrt(|G|)} of p VN_r(G) p.
+def tracial_check(group: FiniteGroup, d: np.ndarray, tol: float) -> CheckResult:
+    """The tracial_pair check of the defect d = c - h of :func:`admissibility_defect`.
 
-    With c, h from :func:`admissibility_defect`, <p R_x p eta, psi> = conj c(x) and
-    tau(p R_x p) = conj h(x), so the residual is max_x |c(x) - h(x)| / sqrt(|G|).  The scale
+    Over the spanning set {p R_x p / sqrt(|G|)} of p VN_r(G) p, <p R_x p eta, psi> = conj c(x)
+    and tau(p R_x p) = conj h(x), so the residual is max_x |d(x)| / sqrt(|G|).  The scale
     is that of :func:`regular_commutant_basis`; the set is not re-orthonormalised.
     """
-    d = admissibility_defect(p, eta, psi)
-    residual = float(np.max(np.abs(d)) / np.sqrt(p.group.order))
+    residual = float(np.max(np.abs(d)) / np.sqrt(group.order))
     return CheckResult(name="tracial_pair", residual=residual, tol=tol)
+
+
+def is_tracial_on_range(p: InvariantProjection, eta, psi, tol: float) -> CheckResult:
+    """Check <T eta, psi> = tau(T) for T in p VN_r(G) p through :func:`tracial_check` of the defect."""
+    return tracial_check(p.group, admissibility_defect(p, eta, psi), tol)
 
 
 def generalized_biorthogonality(

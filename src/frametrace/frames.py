@@ -107,6 +107,8 @@ class InvariantProjection:
 
     group: FiniteGroup
     matrix: np.ndarray = field(repr=False)
+    #: Orthonormal columns spanning range(matrix), when the builder already has them.
+    basis: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def validate(self, tol: float = DEFAULT_TOL) -> None:
         p = self.matrix
@@ -124,6 +126,9 @@ class InvariantProjection:
         return self.range_basis().shape[1]
 
     def range_basis(self) -> np.ndarray:
+        """The carried basis; for a bare matrix, its eigenvectors above ``PROJECTION_RANK_CUT``."""
+        if self.basis is not None:
+            return self.basis
         dec = eig_hermitian(self.matrix)
         return dec.eigenvectors[:, dec.eigenvalues > PROJECTION_RANK_CUT]
 
@@ -134,10 +139,8 @@ def projection_from_spanning(group: FiniteGroup, vectors) -> InvariantProjection
     Column x of each orbit block is lambda(x) v, the conjugate transpose of V_v.
     """
     cols = [regular_coefficient_matrix(group, v).conj().T for v in vectors]
-    if not cols:
-        return InvariantProjection(group, np.zeros((group.order, group.order), dtype=complex))
-    q = orthonormal_columns(np.hstack(cols))
-    return InvariantProjection(group, q @ q.conj().T)
+    q = orthonormal_columns(np.hstack(cols)) if cols else np.zeros((group.order, 0), dtype=complex)
+    return InvariantProjection(group, q @ q.conj().T, q)
 
 
 def admissibility_defect(p: InvariantProjection, eta, psi) -> np.ndarray:
@@ -154,14 +157,18 @@ def admissibility_defect(p: InvariantProjection, eta, psi) -> np.ndarray:
     return c - p.matrix[:, group.identity]
 
 
+def admissible_check(group: FiniteGroup, d: np.ndarray, tol: float) -> CheckResult:
+    """The admissible_pair check of the defect d: residual ||R_d||_F = sqrt(|G|) ||d||_2."""
+    residual = float(np.sqrt(group.order) * np.linalg.norm(d))
+    return CheckResult(name="admissible_pair", residual=residual, tol=tol)
+
+
 def is_admissible_on_range(p: InvariantProjection, eta, psi, tol: float) -> CheckResult:
-    """Check V_psi^* V_eta = p on l2(G); residual ||R_d||_F = sqrt(|G|) ||d||_2.
+    """Check V_psi^* V_eta = p on l2(G) through :func:`admissible_check` of the defect.
 
     Equals :func:`is_admissible_pair` on the compression to range(p), as range_basis is an isometry.
     """
-    d = admissibility_defect(p, eta, psi)
-    residual = float(np.sqrt(p.group.order) * np.linalg.norm(d))
-    return CheckResult(name="admissible_pair", residual=residual, tol=tol)
+    return admissible_check(p.group, admissibility_defect(p, eta, psi), tol)
 
 
 def admissible_vector_for_projection(
@@ -182,29 +189,6 @@ def admissible_vector_for_projection(
 def trace_of_projection(p: InvariantProjection) -> float:
     """Natural trace of an invariant projection; equals ||v||^2 for its admissible vector."""
     return float(natural_trace(p.matrix, p.group).real)
-
-
-def random_invariant_projection_spectral(
-    group: FiniteGroup, rng: np.random.Generator
-) -> InvariantProjection:
-    """Random invariant projection without irrep data.
-
-    Takes a random Hermitian element of VN_r(G) (a symmetrized right
-    convolution) and cuts its spectrum at a random genuine gap, so degenerate
-    clusters stay together and the spectral projection remains invariant.
-    """
-    while True:
-        data = rng.standard_normal(group.order) + 1j * rng.standard_normal(group.order)
-        u = convolution_operator(GroupVector(group, data))
-        dec = eig_hermitian(u + u.conj().T)
-        w = dec.eigenvalues
-        spread = max(float(w[-1] - w[0]), 1.0)
-        cuts = np.nonzero(np.diff(w) > 1e-6 * spread)[0] + 1
-        if cuts.size == 0:
-            continue
-        c = int(rng.choice(cuts))
-        q = dec.eigenvectors[:, :c]
-        return InvariantProjection(group, q @ q.conj().T)
 
 
 def dual_null_space(rep: Rep, eta) -> np.ndarray:

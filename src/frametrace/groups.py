@@ -88,19 +88,22 @@ def group_from_cayley(table, label: str = "") -> FiniteGroup:
 
     # Associativity by Light's test: the z with (xy)z = x(yz) for all x, y contain
     # e and are closed under products, so one O(n^2) slice per z in a greedy set S
-    # suffices once the left-bracketed words (...((e s1) s2)...) reach every element.
+    # suffices once the left-bracketed words (...((e s1) s2)...) reach every element.  As each s
+    # passed, those are the product closure of {e} u S: R <- R R, about log2 |G| + 1 rounds.
     reached, gens = idx == identity, []
     while not reached.all():
         z = int(np.argmin(reached))
         if not np.array_equal(cayley[:, z][cayley], cayley[:, cayley[:, z]]):  # (xy)z vs x(yz)
             raise NotAGroup("associativity fails")
         gens.append(z)
-        frontier = idx[reached]
-        while frontier.size:
-            fresh = np.zeros(n, dtype=bool)
-            fresh[cayley[np.ix_(frontier, gens)]] = True
-            frontier = idx[fresh & ~reached]
-            reached |= fresh
+        reached[z] = True
+        while not reached.all():
+            r = idx[reached]
+            grown = np.zeros(n, dtype=bool)
+            grown[cayley[np.ix_(r, r)]] = True  # R R contains R, as e is in R
+            if np.count_nonzero(grown) == r.size:
+                break
+            reached = grown
 
     cayley.setflags(write=False)
     inverses.setflags(write=False)
@@ -184,17 +187,6 @@ def builtin_group(spec: str) -> FiniteGroup:
     return group_from_cayley(_spec_table(factors), label=label)
 
 
-def element_orders(group: FiniteGroup) -> list[int]:
-    orders = []
-    for x in group.elements():
-        k, y = 1, x
-        while y != group.identity:
-            y = group.mul(y, x)
-            k += 1
-        orders.append(k)
-    return orders
-
-
 def conjugacy_classes(group: FiniteGroup) -> list[list[int]]:
     seen = np.zeros(group.order, dtype=bool)
     classes = []
@@ -206,18 +198,6 @@ def conjugacy_classes(group: FiniteGroup) -> list[list[int]]:
             seen[y] = True
         classes.append(sorted(orbit))
     return classes
-
-
-def center(group: FiniteGroup) -> list[int]:
-    return [
-        x
-        for x in group.elements()
-        if all(group.mul(x, g) == group.mul(g, x) for g in group.elements())
-    ]
-
-
-def is_abelian(group: FiniteGroup) -> bool:
-    return bool(np.array_equal(group.cayley, group.cayley.T))
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,13 @@
 
 All complex numbers serialize as two-element [re, im] arrays of doubles; an
 array of any shape is nested lists of such pairs, and each loader checks the
-exact shape its schema names.
+exact shape its schema names.  Each loader takes a path or a :class:`Document`.
 """
 from __future__ import annotations
 
 import json
+import os
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -14,18 +16,40 @@ from .errors import FrametraceError
 from .gabor import GaborSystem
 from .groups import FiniteGroup, GroupVector, Rep, group_from_cayley
 from .plancherel import Irrep, IrrepTable, validate_irreps
+from .reporting import digest_bytes
 
 
 class MalformedInput(FrametraceError):
     """An input file does not match its schema."""
 
 
-def _load_json(path) -> dict:
+@dataclass(frozen=True)
+class Document:
+    """An input file read once, path-like by its path: the sha256 of its bytes and their JSON."""
+
+    path: str
+    digest: str
+    obj: object = field(repr=False)
+
+    def __fspath__(self) -> str:
+        return self.path
+
+
+def read_document(path) -> Document:
+    """Open ``path`` once; the digest and the JSON parse come from the same bytes."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        obj = json.loads(data.decode("utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise MalformedInput(f"{path}: {exc}") from exc
+    return Document(os.fspath(path), digest_bytes(data), obj)
+
+
+def _load_json(source) -> tuple:
+    """The JSON of a path or :class:`Document`, and the path that error messages name."""
+    doc = source if isinstance(source, Document) else read_document(source)
+    return doc.obj, doc.path
 
 
 def _require(obj: dict, key: str, path):
@@ -38,10 +62,9 @@ def _require(obj: dict, key: str, path):
 
 def _require_int(obj: dict, key: str, path) -> int:
     value = _require(obj, key, path)
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise MalformedInput(f"{path}: field {key!r} is not an integer: {value!r}") from exc
+    if not isinstance(value, int) or isinstance(value, bool):  # a JSON integer, nothing coerced
+        raise MalformedInput(f"{path}: field {key!r} is not an integer: {value!r}")
+    return value
 
 
 def _require_list(obj: dict, key: str, path) -> list:
@@ -86,8 +109,8 @@ def save_group(group: FiniteGroup, path) -> None:
         fh.write("\n")
 
 
-def load_group(path) -> FiniteGroup:
-    obj = _load_json(path)
+def load_group(source) -> FiniteGroup:
+    obj, path = _load_json(source)
     label = _require(obj, "label", path)
     order = _require_int(obj, "order", path)
     cayley = _require(obj, "cayley", path)
@@ -109,8 +132,8 @@ def save_vector(vec: GroupVector, path) -> None:
         fh.write("\n")
 
 
-def load_vector(path, group: FiniteGroup) -> GroupVector:
-    obj = _load_json(path)
+def load_vector(source, group: FiniteGroup) -> GroupVector:
+    obj, path = _load_json(source)
     label = _require(obj, "group", path)
     raw = _require(obj, "data", path)
     if label != group.label:
@@ -120,14 +143,15 @@ def load_vector(path, group: FiniteGroup) -> GroupVector:
     return GroupVector(group, _vector_from_json(raw, group.order, "vector", path))
 
 
-def load_label(path) -> str:
+def load_label(source) -> str:
     """The group label a vector file names: {"group": label, ...}."""
-    return str(_require(_load_json(path), "group", path))
+    obj, path = _load_json(source)
+    return str(_require(obj, "group", path))
 
 
-def load_vectors(path, group: FiniteGroup) -> list[GroupVector]:
+def load_vectors(source, group: FiniteGroup) -> list[GroupVector]:
     """Load a list of vectors: {"group": label, "vectors": [[[re, im], ...], ...]}."""
-    obj = _load_json(path)
+    obj, path = _load_json(source)
     label = _require(obj, "group", path)
     if label != group.label:
         raise MalformedInput(
@@ -156,8 +180,8 @@ def save_irreps(table: IrrepTable, path) -> None:
         fh.write("\n")
 
 
-def load_irreps(path, group: FiniteGroup) -> IrrepTable:
-    obj = _load_json(path)
+def load_irreps(source, group: FiniteGroup) -> IrrepTable:
+    obj, path = _load_json(source)
     label = _require(obj, "group", path)
     if label != group.label:
         raise MalformedInput(
@@ -189,8 +213,8 @@ def save_window(sys: GaborSystem, path) -> None:
         fh.write("\n")
 
 
-def load_window(path) -> GaborSystem:
-    obj = _load_json(path)
+def load_window(source) -> GaborSystem:
+    obj, path = _load_json(source)
     length = _require_int(obj, "L", path)
     a = _require_int(obj, "a", path)
     b = _require_int(obj, "b", path)

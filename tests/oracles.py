@@ -1,0 +1,113 @@
+"""Test-only oracles: earlier algorithms kept to check the package's current ones.
+
+Import from a test module as ``from oracles import ...`` (pytest puts ``tests/``
+on ``sys.path``).
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from frametrace.errors import NotAGroup
+from frametrace.frames import InvariantProjection
+from frametrace.groups import MAX_ORDER, FiniteGroup, GroupVector, convolution_operator
+from frametrace.numerics import eig_hermitian
+
+#: Smallest spectral gap, relative to the spread of the spectrum, at which
+#: :func:`random_invariant_projection_spectral` may cut.
+SPECTRAL_GAP = 1e-6
+
+
+def random_invariant_projection_spectral(
+    group: FiniteGroup, rng: np.random.Generator
+) -> InvariantProjection:
+    """Random invariant projection without irrep data, given as a bare matrix.
+
+    Takes a random Hermitian element of VN_r(G) (a symmetrized right
+    convolution) and cuts its spectrum at a random genuine gap, so degenerate
+    clusters stay together and the spectral projection remains invariant.
+    """
+    while True:
+        data = rng.standard_normal(group.order) + 1j * rng.standard_normal(group.order)
+        u = convolution_operator(GroupVector(group, data))
+        dec = eig_hermitian(u + u.conj().T)
+        w = dec.eigenvalues
+        spread = max(float(w[-1] - w[0]), 1.0)
+        cuts = np.nonzero(np.diff(w) > SPECTRAL_GAP * spread)[0] + 1
+        if cuts.size == 0:
+            continue
+        c = int(rng.choice(cuts))
+        q = dec.eigenvectors[:, :c]
+        return InvariantProjection(group, q @ q.conj().T)
+
+
+def group_from_cayley_by_word_length(table, label: str = "") -> FiniteGroup:
+    """``group_from_cayley`` with Light's closure grown one word length per round.
+
+    Each round right-multiplies the newest elements by every generator so far,
+    so a cyclic group of order n takes n rounds.  The checks and the greedy
+    generator set are those of ``groups.group_from_cayley``.
+    """
+    cayley = np.asarray(table, dtype=np.int64)
+    if cayley.ndim != 2 or cayley.shape[0] != cayley.shape[1]:
+        raise NotAGroup("table is not square")
+    n = cayley.shape[0]
+    if n == 0:
+        raise NotAGroup("empty table")
+    if n > MAX_ORDER:
+        raise NotAGroup(f"order {n} exceeds the supported maximum {MAX_ORDER}")
+    if cayley.min() < 0 or cayley.max() >= n:
+        raise NotAGroup("entries are not element indices")
+
+    idx = np.arange(n)
+    if not (np.all(np.sort(cayley, axis=1) == idx) and np.all(np.sort(cayley, axis=0) == idx[:, None])):
+        raise NotAGroup("Latin square property fails")
+
+    identity = -1
+    for e in range(n):
+        if np.array_equal(cayley[e], idx) and np.array_equal(cayley[:, e], idx):
+            identity = e
+            break
+    if identity < 0:
+        raise NotAGroup("no two-sided identity")
+
+    inverses = np.argmax(cayley == identity, axis=1)
+    if not (np.all(cayley[idx, inverses] == identity) and np.all(cayley[inverses, idx] == identity)):
+        raise NotAGroup("inverses missing")
+
+    reached, gens = idx == identity, []
+    while not reached.all():
+        z = int(np.argmin(reached))
+        if not np.array_equal(cayley[:, z][cayley], cayley[:, cayley[:, z]]):  # (xy)z vs x(yz)
+            raise NotAGroup("associativity fails")
+        gens.append(z)
+        frontier = idx[reached]
+        while frontier.size:
+            fresh = np.zeros(n, dtype=bool)
+            fresh[cayley[np.ix_(frontier, gens)]] = True
+            frontier = idx[fresh & ~reached]
+            reached |= fresh
+
+    return FiniteGroup(n, cayley, identity, inverses, tuple(gens), label)
+
+
+def element_orders(group: FiniteGroup) -> list[int]:
+    orders = []
+    for x in group.elements():
+        k, y = 1, x
+        while y != group.identity:
+            y = group.mul(y, x)
+            k += 1
+        orders.append(k)
+    return orders
+
+
+def center(group: FiniteGroup) -> list[int]:
+    return [
+        x
+        for x in group.elements()
+        if all(group.mul(x, g) == group.mul(g, x) for g in group.elements())
+    ]
+
+
+def is_abelian(group: FiniteGroup) -> bool:
+    return bool(np.array_equal(group.cayley, group.cayley.T))

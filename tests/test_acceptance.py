@@ -23,7 +23,6 @@ from frametrace.frames import (
     is_admissible_pair,
     is_frame_vector,
     natural_trace,
-    random_invariant_projection_spectral,
     tighten,
     trace_of_projection,
 )
@@ -60,6 +59,8 @@ from frametrace.plancherel import (
     rank_measure,
 )
 from frametrace import io as ftio
+
+from oracles import random_invariant_projection_spectral
 
 BUILTIN_SPECS = ["cyclic:12", "dihedral:4", "heisenberg:3"]
 

@@ -1,17 +1,28 @@
 """CLI integration tests: exit codes, report schema, determinism."""
+import builtins
+import hashlib
 import json
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from frametrace import io as ftio
 from frametrace.cli import main
-from frametrace.frames import admissible_vector_for_projection, projection_from_spanning
+from frametrace.frames import (
+    CoefficientOperator,
+    InvariantProjection,
+    admissible_vector_for_projection,
+    canonical_dual,
+    projection_from_spanning,
+    regular_coefficient_matrix,
+    tighten,
+)
 from frametrace.gabor import GaborSystem, gabor_canonical_dual, reference_window
 from frametrace.groups import GroupVector, builtin_group, delta, left_regular_rep
 from frametrace.plancherel import builtin_irreps, validate_irreps
-from frametrace.reporting import CheckResult, RunReport, report_dumps
+from frametrace.reporting import CheckResult, RunReport, digest_text, report_dumps
 
 
 def run(args, capsys=None):
@@ -103,6 +114,11 @@ def test_group_analyze_irreps_file(tmp_path, capsys, corrupt, code, message):
 
 
 _IRREPS_ARGV = ["group", "analyze", "--builtin", "cyclic:2", "--irreps"]
+# Files that match their schema except in the one field each case below changes.
+_WINDOW = {"L": 16, "a": 4, "b": 2, "window": [[np.sqrt(2 / 16), 0.0]] * 4 + [[0.0, 0.0]] * 12}
+_WR_ARGV = ["gabor", "wexler-raz", "--L", "16", "--a", "4", "--b", "2", "--candidate", "v.json", "--window"]
+_Z1 = {"label": "x", "order": 1, "cayley": [[0]]}
+_IRREP = {"label": "a", "dim": 1, "matrices": [[[[1.0, 0.0]]], [[[1.0, 0.0]]]]}
 
 
 @pytest.mark.parametrize(
@@ -128,6 +144,18 @@ _IRREPS_ARGV = ["group", "analyze", "--builtin", "cyclic:2", "--irreps"]
             "field 'dim' is not an integer",
         ),
         ({"group": "cyclic:2", "irreps": 5}, _IRREPS_ARGV, "field 'irreps' is not a list"),
+        # Integer fields take JSON integers only: no float, string or bool is coerced.
+        ({**_WINDOW, "L": 16.7}, _WR_ARGV, "field 'L' is not an integer: 16.7"),
+        ({**_WINDOW, "L": "16"}, _WR_ARGV, "field 'L' is not an integer: '16'"),
+        ({**_WINDOW, "a": 4.0}, _WR_ARGV, "field 'a' is not an integer: 4.0"),
+        ({**_WINDOW, "b": True}, _WR_ARGV, "field 'b' is not an integer: True"),
+        ({**_Z1, "order": 1.9}, ["group", "analyze", "--file"], "field 'order' is not an integer: 1.9"),
+        ({**_Z1, "order": "1"}, ["group", "analyze", "--file"], "field 'order' is not an integer: '1'"),
+        (
+            {"group": "cyclic:2", "irreps": [{**_IRREP, "dim": 1.0}]},
+            _IRREPS_ARGV,
+            "field 'dim' is not an integer: 1.0",
+        ),
         (
             {"group": "cyclic:2", "vectors": 5},
             ["frame", "dual", "--builtin", "cyclic:2", "--window", "v.json", "--subspace"],
@@ -143,6 +171,16 @@ def test_wrong_json_type_exits_2(tmp_path, capsys, monkeypatch, payload, argv, m
     assert run([*argv, str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err, err
+
+
+def test_parser_is_built_once_and_dispatch_is_looked_up_per_call(monkeypatch):
+    import frametrace.cli as cli
+
+    assert run(["group", "analyze", "--builtin", "cyclic:2"]) == 0
+    parser = cli._parser()
+    monkeypatch.setattr(cli, "cmd_group", lambda args: 7)
+    assert run(["group", "analyze", "--builtin", "cyclic:2"]) == 7
+    assert cli._parser() is parser
 
 
 def test_group_analyze_missing_source():
@@ -556,3 +594,63 @@ def test_io_window_roundtrip(tmp_path):
     back = ftio.load_window(p)
     assert (back.L, back.a, back.b) == (12, 3, 2)
     assert np.allclose(back.window, sys_.window)
+
+
+@pytest.mark.parametrize("spec", ["dihedral:8", "heisenberg:3"])
+@pytest.mark.parametrize("action, solve", [("dual", canonical_dual), ("tighten", tighten)])
+def test_subspace_outputs_agree_with_an_eigh_basis_oracle(tmp_path, spec, action, solve):
+    # The CLI inverts the frame operator in the coordinates of the SVD basis that
+    # projection_from_spanning carries; the eigenvectors of p give the same vector.
+    g = builtin_group(spec)
+    rng = np.random.default_rng(31)
+    s, powers = g.generators[-1], [g.identity]
+    while g.mul(powers[-1], s) != g.identity:
+        powers.append(g.mul(powers[-1], s))
+    f = rng.standard_normal(g.order) + 1j * rng.standard_normal(g.order)
+    span = sum(f[g.cayley[:, t]] for t in powers)  # right-invariant under <s>: a proper subspace
+    window = rng.standard_normal(g.order) + 1j * rng.standard_normal(g.order)
+    eta, sub, out = tmp_path / "eta.json", tmp_path / "sub.json", tmp_path / "out.json"
+    ftio.save_vector(GroupVector(g, window), eta)
+    sub.write_text(json.dumps({"group": spec, "vectors": [ftio.complex_to_json(span)]}))
+    argv = ["frame", action, "--window", str(eta), "--subspace", str(sub), "--out-vector", str(out),
+            "--out", str(tmp_path / "r.json")]
+    assert run(argv) == 0
+    got = ftio.load_vector(out, g).data
+    q = InvariantProjection(g, projection_from_spanning(g, [span]).matrix).range_basis()  # eigh path
+    assert 0 < q.shape[1] < g.order
+    v = CoefficientOperator(vector=q.conj().T @ window, matrix=regular_coefficient_matrix(g, window) @ q)
+    expect = q @ solve(v)
+    assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
+
+
+@pytest.mark.parametrize("group_flag", [[], ["--builtin", "dihedral:3"], ["--group-file", "g.json"]])
+def test_frame_check_opens_each_input_once(tmp_path, monkeypatch, group_flag):
+    monkeypatch.chdir(tmp_path)
+    g = builtin_group("dihedral:3")
+    rng = np.random.default_rng(3)
+    ftio.save_group(g, "g.json")
+    ftio.save_vector(GroupVector(g, rng.standard_normal(6) + 1j * rng.standard_normal(6)), "eta.json")
+    assert run(["frame", "dual", "--window", "eta.json", "--out-vector", "psi.json", "--out", "d.json"]) == 0
+    opened = Counter()
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened[str(file)] += 1
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    argv = ["frame", "check", *group_flag, "--window", "eta.json", "--pair", "eta.json", "psi.json",
+            "--out", "r.json"]
+    assert run(argv) == 0
+    monkeypatch.undo()
+    inputs = ["eta.json", "psi.json"] + (["g.json"] if "--group-file" in group_flag else [])
+    assert {path: opened[path] for path in inputs} == {path: 1 for path in inputs}
+    assert set(opened) == {*inputs, "r.json"}
+
+    def sha(path):
+        return hashlib.sha256((tmp_path / path).read_bytes()).hexdigest()
+
+    group_digest = sha("g.json") if "--group-file" in group_flag else digest_text("dihedral:3")
+    assert read_report(tmp_path / "r.json")["inputs"] == {
+        "eta": sha("eta.json"), "group": group_digest, "psi": sha("psi.json"), "window": sha("eta.json"),
+    }

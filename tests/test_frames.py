@@ -4,6 +4,7 @@ import pytest
 
 from frametrace.errors import DimensionMismatch, NotInvertible
 from frametrace.frames import (
+    InvariantProjection,
     admissible_vector_for_projection,
     canonical_dual,
     coefficient_operator,
@@ -13,7 +14,6 @@ from frametrace.frames import (
     is_frame_vector,
     natural_trace,
     projection_from_spanning,
-    random_invariant_projection_spectral,
     tighten,
     trace_of_projection,
 )
@@ -27,6 +27,8 @@ from frametrace.groups import (
     left_regular_rep,
 )
 from frametrace.plancherel import builtin_irreps, isotypic_projection
+
+from oracles import random_invariant_projection_spectral
 
 
 def rand_vec(group, rng):
@@ -288,3 +290,26 @@ def test_random_invariant_projection_spectral_is_invariant():
         p = random_invariant_projection_spectral(g, rng)
         p.validate(1e-9)
         assert 0 < p.rank() < g.order or p.rank() in (0, g.order)
+
+
+@pytest.mark.parametrize("spec", ["dihedral:4", "heisenberg:3", "cyclic:2 x dihedral:3"])
+def test_carried_range_basis_matches_the_eigh_path(spec):
+    # projection_from_spanning keeps the SVD columns it builds p from; a bare
+    # matrix falls back to the eigenvectors above PROJECTION_RANK_CUT.
+    g = builtin_group(spec)
+    rng = np.random.default_rng(21)
+    proper = random_invariant_projection_spectral(g, rng)
+    spans = [
+        [],
+        [rng.standard_normal(g.order) + 1j * rng.standard_normal(g.order)],
+        [proper.matrix[:, j] for j in rng.choice(g.order, size=2, replace=False)],
+    ]
+    for vectors in spans:
+        p = projection_from_spanning(g, vectors)
+        q = p.range_basis()
+        bare = InvariantProjection(g, p.matrix)
+        assert q.shape == (g.order, bare.rank())
+        assert p.rank() == bare.rank()
+        assert np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1])) <= 1e-12
+        assert np.linalg.norm(q @ q.conj().T - p.matrix) <= 1e-12
+    assert [projection_from_spanning(g, v).rank() for v in spans] == [0, g.order, proper.rank()]

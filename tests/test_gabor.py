@@ -21,7 +21,8 @@ from frametrace.gabor import (
     wr_fundamental_relation_check,
 )
 from frametrace.commutant import commutant_of_matrices
-from frametrace.groups import element_orders, is_abelian
+
+from oracles import element_orders, is_abelian
 
 
 def rand_c(rng, n):

@@ -9,18 +9,17 @@ from frametrace.errors import NotAGroup, NotInvariant
 from frametrace.groups import (
     GroupVector,
     builtin_group,
-    center,
     conjugacy_classes,
     convolution_operator,
     convolve,
     delta,
-    element_orders,
     group_from_cayley,
     involution,
-    is_abelian,
     left_regular_rep,
     restrict_rep,
 )
+
+from oracles import center, element_orders, group_from_cayley_by_word_length, is_abelian
 
 
 def rand_vec(group, rng):
@@ -107,8 +106,43 @@ def test_light_associativity_agrees_with_full_loop():
                 assert "associativity" in str(exc)
                 accepted = False
             assert accepted == associative_by_full_loop(relabeled)
+            assert_same_as_word_length_closure(relabeled)
             checked += 1
     assert checked == 80
+
+
+def assert_same_as_word_length_closure(table):
+    """group_from_cayley accepts exactly what the word-length oracle accepts, with equal data."""
+    try:
+        oracle = group_from_cayley_by_word_length(table)
+    except NotAGroup as exc:
+        with pytest.raises(NotAGroup) as new:
+            group_from_cayley(table)
+        assert str(new.value) == str(exc)
+        return
+    group = group_from_cayley(table)
+    assert group.generators == oracle.generators
+    assert group.identity == oracle.identity
+    assert np.array_equal(group.inverses, oracle.inverses)
+
+
+def weyl_heisenberg_table(n):
+    """Z_n^3 with (m, k, z)(m', k', z') = (m + m', k + k', z + z' - k m'), not a builtin family."""
+    m, rest = np.divmod(np.arange(n ** 3), n * n)
+    k, z = np.divmod(rest, n)
+    ms, ks = (m[:, None] + m) % n, (k[:, None] + k) % n
+    return (ms * n + ks) * n + (z[:, None] + z - k[:, None] * m) % n
+
+
+@pytest.mark.parametrize(
+    "table",
+    [pytest.param(builtin_group(spec).cayley, id=spec) for spec in
+     ("cyclic:12", "dihedral:4", "heisenberg:3", "cyclic:512", "dihedral:256", "heisenberg:7",
+      "cyclic:2 x dihedral:128")]
+    + [pytest.param(weyl_heisenberg_table(6), id="weyl-heisenberg:6")],  # a file table of order 216
+)
+def test_closure_by_doubling_matches_word_length_oracle(table):
+    assert_same_as_word_length_closure(table)
 
 
 def test_relabeled_z6_preserves_orders():

@@ -25,12 +25,13 @@ from frametrace.frames import (
     is_admissible_pair,
     is_frame_vector,
     projection_from_spanning,
-    random_invariant_projection_spectral,
     regular_coefficient_matrix,
 )
 from frametrace.gabor import wh_group_build
 from frametrace.groups import builtin_group, left_regular_rep, restrict_rep
 from frametrace.plancherel import builtin_irreps, random_invariant_projection
+
+from oracles import random_invariant_projection_spectral
 
 TOL = 1e-9
 

@@ -16,7 +16,6 @@ from frametrace.frames import (
     coefficient_operator,
     is_admissible_pair,
     natural_trace,
-    random_invariant_projection_spectral,
     trace_of_projection,
 )
 from frametrace.groups import (
@@ -43,6 +42,8 @@ from frametrace.plancherel import (
     validate_irreps,
     PlancherelCoefficients,
 )
+
+from oracles import random_invariant_projection_spectral
 
 
 def rand_vec(group, rng):
