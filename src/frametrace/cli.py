@@ -30,7 +30,6 @@ from .frames import (
 )
 from .gabor import (
     GaborSystem,
-    frame_bounds_ratio,
     gabor_canonical_dual,
     gabor_reconstruction_check,
     reference_window,
@@ -274,9 +273,9 @@ def cmd_gabor(args) -> int:
         sys_ = load_sys(args.window, "window")
         try:
             gamma = gabor_canonical_dual(sys_)
-        except NotAFrame:
+        except NotAFrame as exc:
             report.add(CheckResult(name="dual_not_a_frame", residual=1.0, tol=0.0))
-            report.metadata["frame_bounds_ratio"] = frame_bounds_ratio(sys_)
+            report.metadata["frame_bounds_ratio"] = exc.ratio
             return _finish(report, args)
         report.add(gabor_reconstruction_check(sys_, gamma, tol).renamed("dual_reconstruction"))
         report.add(wexler_raz_check(sys_, gamma, tol=tol))
@@ -294,14 +293,10 @@ def cmd_gabor(args) -> int:
         report.metadata["wh_order"] = wh.order
         report.metadata["wh_central_order"] = wh.q
         report.add(CheckResult(name="wh_group_axioms", residual=wh.law_residual(), tol=tol))
-        if args.window:
-            f = load_sys(args.window, "window").window
-        else:
-            f = rng.standard_normal(length) + 1j * rng.standard_normal(length)
-        if args.candidate:
-            g = load_sys(args.candidate, "candidate").window
-        else:
-            g = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+        def window_or_draw(path, key):  # f is drawn before g
+            return (load_sys(path, key).window if path
+                    else rng.standard_normal(length) + 1j * rng.standard_normal(length))
+        f, g = window_or_draw(args.window, "window"), window_or_draw(args.candidate, "candidate")
         report.add(wh_bridge_check(wh, f, g, tol=tol))
     else:
         raise _CliInputError(f"unknown gabor action {args.action!r}")

@@ -14,7 +14,11 @@ class NotHermitian(FrametraceError):
 
 
 class NotInvertible(FrametraceError):
-    """Eigenvalue floor violated; the operator is not safely invertible."""
+    """Eigenvalue floor violated; ``ratio`` is the deciding min/max eigenvalue ratio (0 if max <= 0)."""
+
+    def __init__(self, message: str = "", ratio: float | None = None):
+        super().__init__(message)
+        self.ratio = ratio
 
 
 class NotAFrame(NotInvertible):

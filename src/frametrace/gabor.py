@@ -113,11 +113,12 @@ def gabor_frame_operator(sys: GaborSystem) -> np.ndarray:
 
 def gabor_canonical_dual(sys: GaborSystem) -> np.ndarray:
     """Canonical dual window S^-1 g, block by block; raises :class:`NotAFrame`
-    when the spectrum of S (all blocks together) falls to the floor."""
+    when the spectrum of S (all blocks together) falls to the floor, carrying
+    that spectrum's :func:`frame_bounds_ratio` as ``ratio``."""
     try:
         s_inv = inv_psd(_frame_blocks(sys))
     except NotInvertible as exc:
-        raise NotAFrame(str(exc)) from exc
+        raise NotAFrame(str(exc), ratio=exc.ratio) from exc
     # window.reshape(b, L/b)[s, r] is entry idx[r, s] of the window.
     return np.einsum("rij,jr->ir", s_inv, sys.window.reshape(sys.b, -1)).ravel()
 
@@ -245,10 +246,15 @@ class WHGroup:
         table = self.product(*np.ogrid[: self.order, : self.order])
         return group_from_cayley(table, label=f"wh:{self.L}:{self.a}:{self.b}")
 
+    @functools.cached_property
+    def operators(self) -> tuple[np.ndarray, np.ndarray]:
+        """(phase, shift) of every element, built once per group: see :func:`_wh_operators`."""
+        return _wh_operators(self)
+
     def law_residual(self) -> float:
         """max_{x,j,s} |phase_x(j) phase_s(j - n_x a) - phase_(xs)(j)|, s = (1,0,0), (0,1,0), (0,0,1):
         0 iff pi(x) pi(s) = pi(xs); words in these s reach every x, so {pi(x)} is then a group."""
-        phase, shift = _wh_operators(self)
+        phase, shift = self.operators
         x, gens = np.arange(self.order), np.ravel_multi_index(np.eye(3, dtype=int), self.shape, mode="wrap")
         return max(float(np.abs(phase * phase[s][shift] - phase[self.product(x, s)]).max()) for s in gens)
 
@@ -288,7 +294,7 @@ def wh_bridge_check(wh: WHGroup, f, g, tol: float = DEFAULT_TOL) -> CheckResult:
     """
     length = wh.L
     f, g = (GaborSystem(length, wh.a, wh.b, v).window for v in (f, g))  # check the lengths
-    phase, shift = _wh_operators(wh)
+    phase, shift = wh.operators
     acc = (phase * g[shift]).T @ (phase * f[shift]).conj() / wh.q
     cross = _walnut_dense(length, wh.b, _walnut_blocks(length, wh.a, wh.b, g, f))
     return CheckResult(name="wh_bridge", residual=float(np.linalg.norm(acc - cross)), tol=tol)

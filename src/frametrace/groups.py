@@ -187,19 +187,6 @@ def builtin_group(spec: str) -> FiniteGroup:
     return group_from_cayley(_spec_table(factors), label=label)
 
 
-def conjugacy_classes(group: FiniteGroup) -> list[list[int]]:
-    seen = np.zeros(group.order, dtype=bool)
-    classes = []
-    for x in group.elements():
-        if seen[x]:
-            continue
-        orbit = {group.mul(group.mul(g, x), group.inv(g)) for g in group.elements()}
-        for y in orbit:
-            seen[y] = True
-        classes.append(sorted(orbit))
-    return classes
-
-
 @dataclass(frozen=True)
 class GroupVector:
     """A complex function on a finite group, an element of l2(G)."""

@@ -74,21 +74,57 @@ def _require_list(obj: dict, key: str, path) -> list:
     return value
 
 
+def _number_array(value, kinds: str, what: str, path) -> np.ndarray:
+    """A JSON array as numpy infers it, refused unless its dtype kind is in ``kinds`` ("iu":
+    integers, "iuf": numbers): no string, bool or null is coerced; a bool among numbers reads 0/1."""
+    try:
+        arr = np.asarray(value)
+    except (TypeError, ValueError) as exc:
+        raise MalformedInput(f"{path}: bad {what}: {exc}") from exc
+    if arr.dtype.kind not in kinds:
+        raise MalformedInput(f"{path}: {what} holds {arr.dtype.name} entries")
+    return arr
+
+
+def _pairs(values) -> np.ndarray:
+    """The [re, im] pairs of a complex array of shape s, as a float array of shape s + (2,)."""
+    z = np.asarray(values, dtype=complex)
+    return np.stack([z.real, z.imag], -1)
+
+
 def complex_to_json(values) -> list:
     """Nested lists of [re, im] pairs, one per entry of a complex array of any shape."""
-    z = np.asarray(values, dtype=complex)
-    return np.stack([z.real, z.imag], -1).tolist()
+    return _pairs(values).tolist()
 
 
 def complex_from_json(pairs, path="<data>") -> np.ndarray:
     """Inverse of :func:`complex_to_json`: an array of shape s from one of shape s + (2,)."""
-    try:
-        arr = np.asarray(pairs, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise MalformedInput(f"{path}: bad complex array: {exc}") from exc
+    arr = _number_array(pairs, "iuf", "complex array", path)
     if arr.ndim == 0 or arr.shape[-1] != 2:
         raise MalformedInput(f"{path}: complex values must be [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
+
+
+def _layout(shape: tuple, depth: int) -> str:
+    """``indent=2`` JSON of a nested list of this shape at nesting ``depth``, a ``{}`` per leaf."""
+    if not shape[0]:
+        return "[]"
+    leaf = "{}" if len(shape) == 1 else _layout(shape[1:], depth + 1)
+    pad = "\n" + "  " * (depth + 1)
+    return "[" + pad + ("," + pad).join([leaf] * shape[0]) + "\n" + "  " * depth + "]"
+
+
+def _write_json(payload: dict, path) -> None:
+    """The bytes of ``json.dump(payload, fh, indent=2)`` and a newline, for JSON scalar and numpy
+    array values: one C-encoder ``json.dumps`` spells an array's leaves, :func:`_layout` places them."""
+    def text(value) -> str:
+        if not isinstance(value, np.ndarray):
+            return json.dumps(value)
+        return _layout(value.shape, 1).format(*json.dumps(value.ravel().tolist())[1:-1].split(", "))
+
+    body = ",\n  ".join(f"{json.dumps(key)}: {text(value)}" for key, value in payload.items())
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("{\n  " + body + "\n}\n")
 
 
 def _vector_from_json(pairs, length: int, what: str, path) -> np.ndarray:
@@ -99,37 +135,22 @@ def _vector_from_json(pairs, length: int, what: str, path) -> np.ndarray:
 
 
 def save_group(group: FiniteGroup, path) -> None:
-    payload = {
-        "label": group.label,
-        "order": group.order,
-        "cayley": group.cayley.tolist(),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _write_json({"label": group.label, "order": group.order, "cayley": group.cayley}, path)
 
 
 def load_group(source) -> FiniteGroup:
     obj, path = _load_json(source)
     label = _require(obj, "label", path)
     order = _require_int(obj, "order", path)
-    cayley = _require(obj, "cayley", path)
-    try:
-        group = group_from_cayley(cayley, label=str(label))
-    except FrametraceError:
-        raise
-    except Exception as exc:
-        raise MalformedInput(f"{path}: {exc}") from exc
+    cayley = _number_array(_require(obj, "cayley", path), "iu", "Cayley table", path)
+    group = group_from_cayley(cayley, label=str(label))  # an integer array: only NotAGroup is left
     if group.order != order:
         raise MalformedInput(f"{path}: declared order {order} != table size {group.order}")
     return group
 
 
 def save_vector(vec: GroupVector, path) -> None:
-    payload = {"group": vec.group.label, "data": complex_to_json(vec.data)}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _write_json({"group": vec.group.label, "data": _pairs(vec.data)}, path)
 
 
 def load_vector(source, group: FiniteGroup) -> GroupVector:
@@ -202,15 +223,7 @@ def load_irreps(source, group: FiniteGroup) -> IrrepTable:
 
 
 def save_window(sys: GaborSystem, path) -> None:
-    payload = {
-        "L": sys.L,
-        "a": sys.a,
-        "b": sys.b,
-        "window": complex_to_json(sys.window),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _write_json({"L": sys.L, "a": sys.a, "b": sys.b, "window": _pairs(sys.window)}, path)
 
 
 def load_window(source) -> GaborSystem:

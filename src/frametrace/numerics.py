@@ -44,9 +44,9 @@ def as_vector(v) -> np.ndarray:
 
 
 def _unit_roots(k, n: int) -> np.ndarray:
-    """exp(2 pi i k / n) for an integer array k, with k reduced mod n first so
-    that large exponents lose no accuracy."""
-    return np.exp(2j * np.pi * (np.asarray(k) % n) / n)
+    """exp(2 pi i k / n) for an integer array k: the n roots exp(2 pi i j / n) looked up at
+    j = k mod n, so n calls to exp, not one per entry, and large k lose no accuracy."""
+    return np.exp(2j * np.pi * np.arange(n) / n)[np.asarray(k) % n]
 
 
 def frob_norm(a) -> float:
@@ -84,14 +84,15 @@ def eig_hermitian(a) -> HermEig:
 
 
 def _psd_spectrum(a) -> HermEig:
-    """Hermitian eigendecomposition; raises :class:`NotInvertible` when the
-    smallest eigenvalue is at or below ``EIG_FLOOR`` times the largest."""
+    """Hermitian eigendecomposition; raises :class:`NotInvertible`, carrying the ratio min/max,
+    when the smallest eigenvalue is at or below ``EIG_FLOOR`` times the largest."""
     dec = eig_hermitian(a)
     w = dec.eigenvalues
     low, top = (float(w.min()), float(w.max())) if w.size else (0.0, 0.0)
     if top <= 0.0 or low <= EIG_FLOOR * top:
         raise NotInvertible(
-            f"eigenvalue floor violated: min={low:.3e}, max={top:.3e}, floor={EIG_FLOOR:.1e}"
+            f"eigenvalue floor violated: min={low:.3e}, max={top:.3e}, floor={EIG_FLOOR:.1e}",
+            ratio=low / top if top > 0.0 else 0.0,
         )
     return dec
 

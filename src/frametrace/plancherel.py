@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .commutant import commutant_of_matrices
 from .errors import (
     DimensionMismatch,
     NotAGroup,
@@ -211,11 +210,6 @@ def validate_irreps(group: FiniteGroup, supplied, tol: float = DEFAULT_TOL) -> I
             f"sum of squared dims {sum(s.dim ** 2 for s in irreps)} != |G| = {group.order}"
         )
     return IrrepTable(group=group, irreps=tuple(irreps))
-
-
-def irreducibility_by_commutant(rep: Rep) -> int:
-    """Commutant dimension of a rep; 1 means irreducible.  Cross-check oracle."""
-    return len(commutant_of_matrices(rep.matrices))
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,14 @@ on ``sys.path``).
 """
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
+from frametrace.commutant import commutant_of_matrices
 from frametrace.errors import NotAGroup
 from frametrace.frames import InvariantProjection
-from frametrace.groups import MAX_ORDER, FiniteGroup, GroupVector, convolution_operator
+from frametrace.groups import MAX_ORDER, FiniteGroup, GroupVector, Rep, convolution_operator
 from frametrace.numerics import eig_hermitian
 
 #: Smallest spectral gap, relative to the spread of the spectrum, at which
@@ -111,3 +114,33 @@ def center(group: FiniteGroup) -> list[int]:
 
 def is_abelian(group: FiniteGroup) -> bool:
     return bool(np.array_equal(group.cayley, group.cayley.T))
+
+
+def conjugacy_classes(group: FiniteGroup) -> list[list[int]]:
+    seen = np.zeros(group.order, dtype=bool)
+    classes = []
+    for x in group.elements():
+        if seen[x]:
+            continue
+        orbit = {group.mul(group.mul(g, x), group.inv(g)) for g in group.elements()}
+        for y in orbit:
+            seen[y] = True
+        classes.append(sorted(orbit))
+    return classes
+
+
+def irreducibility_by_commutant(rep: Rep) -> int:
+    """Commutant dimension of a rep; 1 means irreducible.  Cross-check oracle."""
+    return len(commutant_of_matrices(rep.matrices))
+
+
+def save_json_indent2(payload: dict, path) -> None:
+    """The former writer of vector, window and group files: the pure-Python indenting encoder."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
+def unit_roots_by_exp(k, n: int) -> np.ndarray:
+    """The former ``numerics._unit_roots``: one complex exp per entry of k."""
+    return np.exp(2j * np.pi * (np.asarray(k) % n) / n)

@@ -373,6 +373,52 @@ def test_gabor_bridge(tmp_path, monkeypatch):
     assert axioms["residual"] <= 1e-13
 
 
+def _count_calls(monkeypatch, modules, name):
+    """Replace ``name`` in each module by one counting wrapper; the list of its calls."""
+    func, calls = getattr(modules[0], name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return func(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("lattice, bad", [((4, 2, 4), None), ((32, 4, 4), 0)])
+def test_failed_gabor_dual_builds_one_spectrum(tmp_path, monkeypatch, lattice, bad):
+    """The ratio comes from the spectrum inv_psd already computed: one block build, one eigh."""
+    import frametrace.gabor as gabor
+    import frametrace.numerics as numerics
+
+    window = np.random.default_rng(9).standard_normal(lattice[0])
+    if bad is not None:
+        window[bad :: lattice[1]] = 0.0  # zero on a residue class mod a: no frame
+    sys_ = GaborSystem(*lattice, window=window)
+    w, out = tmp_path / "w.json", tmp_path / "r.json"
+    ftio.save_window(sys_, w)
+    blocks = _count_calls(monkeypatch, [gabor], "_frame_blocks")
+    spectra = _count_calls(monkeypatch, [numerics, gabor], "eig_hermitian")
+    flags = [str(x) for pair in zip(("--L", "--a", "--b"), lattice) for x in pair]
+    assert run(["gabor", "dual", *flags, "--window", str(w), "--out", str(out)]) == 1
+    assert len(blocks) == 1 and len(spectra) == 1
+    monkeypatch.undo()
+    rep = read_report(out)
+    assert rep["checks"][0]["name"] == "dual_not_a_frame"
+    assert rep["metadata"]["frame_bounds_ratio"] == gabor.frame_bounds_ratio(sys_)
+
+
+def test_gabor_bridge_builds_its_operator_arrays_once(tmp_path, monkeypatch):
+    import frametrace.gabor as gabor
+
+    calls = _count_calls(monkeypatch, [gabor], "_wh_operators")
+    out = tmp_path / "r.json"
+    assert run(["gabor", "bridge", "--L", "12", "--a", "3", "--b", "2", "--out", str(out)]) == 0
+    assert len(calls) == 1
+    assert [c["name"] for c in read_report(out)["checks"]] == ["wh_group_axioms", "wh_bridge"]
+
+
 def test_gabor_bridge_above_the_order_cap_exits_2_before_any_array(capsys):
     # (48/3)(48/4)(48/gcd(48, 12)) = 768 > 512: refused from (L, a, b) alone.
     code, peak = _traced_peak_mib(["gabor", "bridge", "--L", "48", "--a", "4", "--b", "3"])

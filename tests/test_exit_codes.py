@@ -132,3 +132,52 @@ def test_corrupted_inputs_exit_0_1_or_2(kind, tmp_path):
             assert code == 2 and err.getvalue().startswith("error: "), err.getvalue()
 
     check()
+
+
+_PAIRS = [[1.0, 0.0], [0.5, -0.5], [0.25, 0.0], [-1.0, 2.0]]
+
+
+@pytest.mark.parametrize(
+    "kind, payload",
+    [
+        # numpy would truncate these floats into the valid table [[0, 1], [1, 0]]
+        ("group", {"label": "x", "order": 2, "cayley": [[0, 1.9], [1.2, 0.0]]}),
+        ("group", {"label": "x", "order": 2, "cayley": [[0, "1"], ["1", 0]]}),
+        ("group", {"label": "x", "order": 2, "cayley": [[False, True], [True, False]]}),
+        ("group", {"label": "x", "order": 2, "cayley": [[0, None], [1, 0]]}),
+        ("vector", {"group": "cyclic:4", "data": [["1", "0"], *_PAIRS[1:]]}),
+        ("vector", {"group": "cyclic:4", "data": [[True, False]] * 4}),
+        ("vector", {"group": "cyclic:4", "data": [[1.0, None], *_PAIRS[1:]]}),
+        ("vectors", {"group": "cyclic:4", "vectors": [[["1", "0"], *_PAIRS[1:]]]}),
+        ("window", {"L": 4, "a": 2, "b": 2, "window": [["1", "0"], *_PAIRS[1:]]}),
+        ("window", {"L": 4, "a": 2, "b": 2, "window": [[True, False]] * 4}),
+        ("irreps", {"group": "cyclic:4", "irreps": [
+            {"label": "a", "dim": 1, "matrices": [[[["1", "0"]]]] * 4}
+        ]}),
+    ],
+)
+def test_number_arrays_are_not_coerced(kind, payload, tmp_path, capsys):
+    ok = tmp_path / "ok.json"
+    ok.write_text(json.dumps({"group": "cyclic:4", "data": _PAIRS}))
+    argv = {
+        "group": ["group", "analyze", "--file"],
+        "vector": ["frame", "dual", "--builtin", "cyclic:4", "--window"],
+        "vectors": ["frame", "dual", "--builtin", "cyclic:4", "--window", str(ok), "--subspace"],
+        "window": ["gabor", "dual", "--L", "4", "--a", "2", "--b", "2", "--window"],
+        "irreps": ["group", "analyze", "--builtin", "cyclic:4", "--irreps"],
+    }[kind]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    assert main([*argv, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: "), err
+
+
+def test_a_bool_among_numbers_reads_as_an_integer(tmp_path):
+    """numpy infers an integer array from [0, true]: the documented exception to the rule."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"label": "x", "order": 2, "cayley": [[0, True], [1, 0]]}))
+    assert ftio.load_group(path).cayley.tolist() == [[0, 1], [1, 0]]
+    window = tmp_path / "w.json"
+    window.write_text(json.dumps({"L": 2, "a": 1, "b": 2, "window": [[1.0, False], [0, 0.5]]}))
+    assert ftio.load_window(window).window.tolist() == [1.0, 0.5j]

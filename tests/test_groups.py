@@ -9,7 +9,6 @@ from frametrace.errors import NotAGroup, NotInvariant
 from frametrace.groups import (
     GroupVector,
     builtin_group,
-    conjugacy_classes,
     convolution_operator,
     convolve,
     delta,
@@ -19,7 +18,7 @@ from frametrace.groups import (
     restrict_rep,
 )
 
-from oracles import center, element_orders, group_from_cayley_by_word_length, is_abelian
+from oracles import center, conjugacy_classes, element_orders, group_from_cayley_by_word_length, is_abelian
 
 
 def rand_vec(group, rng):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from frametrace.errors import DimensionMismatch, NotHermitian, NotInvertible
 from frametrace.numerics import (
+    _unit_roots,
     as_vector,
     eig_hermitian,
     frob_norm,
@@ -14,6 +15,8 @@ from frametrace.numerics import (
     orthonormal_columns,
     within_tol,
 )
+
+from oracles import unit_roots_by_exp
 
 
 def rand_c(rng, *shape):
@@ -156,3 +159,12 @@ def test_inv_sqrt_property(n, seed):
     a = 0.5 * (a + a.conj().T)
     r = inv_sqrt_psd(a)
     assert np.linalg.norm(r @ r @ a - np.eye(n)) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [*range(1, 65), 512, 2048])
+def test_unit_roots_by_lookup_are_bitwise_the_exp_of_each_entry(n):
+    k = np.arange(-3 * n, 5 * n)
+    assert _unit_roots(k, n).tobytes() == unit_roots_by_exp(k, n).tobytes()
+    outer = np.outer(np.arange(-7, 9) * 5, np.arange(n + 3))
+    assert _unit_roots(outer, n).tobytes() == unit_roots_by_exp(outer, n).tobytes()
+    assert _unit_roots(-1, n) == unit_roots_by_exp(-1, n)

@@ -32,7 +32,6 @@ from frametrace.plancherel import (
     fiber_admissibility_check,
     fiber_projections,
     inverse_plancherel,
-    irreducibility_by_commutant,
     isotypic_projection,
     parseval_residual,
     plancherel_transform,
@@ -43,7 +42,7 @@ from frametrace.plancherel import (
     PlancherelCoefficients,
 )
 
-from oracles import random_invariant_projection_spectral
+from oracles import irreducibility_by_commutant, random_invariant_projection_spectral
 
 
 def rand_vec(group, rng):
