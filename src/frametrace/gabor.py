@@ -8,7 +8,8 @@ lattice operator exactly and span the commutant of the system.
 
 Every lattice operator is a cyclic shift times a phase, so the kernels work
 on index arithmetic: V_gamma^* V_g vanishes off the residue classes mod L/b
-(Walnut), leaving L/b blocks of size b.  The dense operator functions
+(Walnut), leaving L/b blocks of size b read from the b x a correlation array
+whose DFT holds the Wexler-Raz sums (Janssen).  The dense operator functions
 (``translation`` ... ``wh_rep``) are API and test oracles.
 """
 from __future__ import annotations
@@ -64,51 +65,56 @@ class GaborSystem:
         object.__setattr__(self, "window", w)
 
 
-def _coefficient_map(length: int, tstep: int, fstep: int, window: np.ndarray) -> np.ndarray:
-    """Analysis matrix; row (m, n) is the conjugate of M_(m fstep) T_(n tstep) w."""
-    j = np.arange(length)
-    shifted = window[(j - tstep * np.arange(length // tstep)[:, None]) % length]
-    phase = _unit_roots(np.outer(fstep * np.arange(length // fstep), j), length)
+def gabor_coefficient_map(sys: GaborSystem) -> np.ndarray:
+    """(L/a)(L/b) x L analysis matrix; row (m, n) is the conjugate of M_(mb) T_(na) g."""
+    length, j = sys.L, np.arange(sys.L)
+    shifted = sys.window[(j - sys.a * np.arange(length // sys.a)[:, None]) % length]
+    phase = _unit_roots(np.outer(sys.b * np.arange(length // sys.b), j), length)
     return (phase[:, None, :] * shifted[None, :, :]).conj().reshape(-1, length)
 
 
-def gabor_coefficient_map(sys: GaborSystem) -> np.ndarray:
-    """(L/a)(L/b) x L analysis matrix of the system."""
-    return _coefficient_map(sys.L, sys.a, sys.b, sys.window)
-
-
-def _residue_classes(length: int, b: int) -> np.ndarray:
-    """idx[r, s] = r + s L/b: row r lists the residue class of r mod L/b."""
-    return np.arange(length // b)[:, None] + (length // b) * np.arange(b)
+def _correlation(length: int, a: int, b: int, gamma: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """P[t, c] = sum_(j = c mod a) conj g(j) gamma(j - t L/b): b shifted products of length L,
+    summed over the classes mod a.  Every pairing of gamma with g on the lattice reads this b x a array."""
+    j = np.arange(length)
+    products = g.conj() * gamma[(j - (length // b) * np.arange(b)[:, None]) % length]
+    return products.reshape(b, length // a, a).sum(axis=1)
 
 
 def _walnut_blocks(length: int, a: int, b: int, gamma: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """The L/b diagonal blocks of V_gamma^* V_g, one b x b block per residue class.
+    """The L/b diagonal blocks of V_gamma^* V_g, one b x b block per residue class mod L/b.
 
-    Block r is (L/b) sum_n gamma[idx_r - n a] conj g[idx_r - n a]^T; every
-    entry of V_gamma^* V_g off the classes is exactly 0, because the sum over
-    the modulations vanishes unless j = k mod L/b.
+    Entry [i, j] of block r is (L/b) sum_n gamma(k_i - n a) conj g(k_j - n a), k_i = r + i L/b,
+    i.e. (L/b) P[(j - i) mod b, k_j mod a] (:func:`_correlation`): block r is a bitwise copy of
+    block r mod a, so ``blocks[:a]`` are the min(a, L/b) distinct ones.  V_gamma^* V_g is 0 off
+    the classes, because the sum over the modulations vanishes unless j = k mod L/b.
     """
-    shifted = (_residue_classes(length, b)[:, :, None] - a * np.arange(length // a)) % length
-    return (length / b) * (gamma[shifted] @ g[shifted].conj().swapaxes(1, 2))
+    p, s = length // b, np.arange(b)
+    corr = p * _correlation(length, a, b, gamma, g)
+    return corr[(s - s[:, None]) % b, (np.arange(p)[:, None, None] + p * s) % a]
+
+
+def _apply_blocks(blocks: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The operator of L/b Walnut blocks applied to v; entry r + s L/b of v is v.reshape(b, L/b)[s, r]."""
+    return np.einsum("rij,jr->ir", blocks, v.reshape(blocks.shape[1], -1)).ravel()
 
 
 def _walnut_dense(length: int, b: int, blocks: np.ndarray) -> np.ndarray:
     """Scatter Walnut blocks into the dense L x L operator."""
-    idx = _residue_classes(length, b)
+    idx = np.arange(length // b)[:, None] + (length // b) * np.arange(b)  # row r: the class of r mod L/b
     out = np.zeros((length, length), dtype=complex)
     out[idx[:, :, None], idx[:, None, :]] = blocks
     return out
 
 
 def _frame_blocks(sys: GaborSystem) -> np.ndarray:
-    """Walnut blocks of the frame operator S = V_g^* V_g, symmetrised."""
-    s = _walnut_blocks(sys.L, sys.a, sys.b, sys.window, sys.window)
+    """The min(a, L/b) distinct Walnut blocks of S = V_g^* V_g (block r is block r mod a), symmetrised."""
+    s = _walnut_blocks(sys.L, sys.a, sys.b, sys.window, sys.window)[: sys.a]
     return 0.5 * (s + s.conj().swapaxes(1, 2))
 
 
 def gabor_frame_operator(sys: GaborSystem) -> np.ndarray:
-    return _walnut_dense(sys.L, sys.b, _frame_blocks(sys))
+    return _walnut_dense(sys.L, sys.b, _frame_blocks(sys)[np.arange(sys.L // sys.b) % sys.a])
 
 
 def gabor_canonical_dual(sys: GaborSystem) -> np.ndarray:
@@ -119,8 +125,7 @@ def gabor_canonical_dual(sys: GaborSystem) -> np.ndarray:
         s_inv = inv_psd(_frame_blocks(sys))
     except NotInvertible as exc:
         raise NotAFrame(str(exc), ratio=exc.ratio) from exc
-    # window.reshape(b, L/b)[s, r] is entry idx[r, s] of the window.
-    return np.einsum("rij,jr->ir", s_inv, sys.window.reshape(sys.b, -1)).ravel()
+    return _apply_blocks(s_inv[np.arange(sys.L // sys.b) % sys.a], sys.window)
 
 
 def frame_bounds_ratio(sys: GaborSystem) -> float:
@@ -178,14 +183,12 @@ def wexler_raz_check(sys: GaborSystem, gamma, tol: float = DEFAULT_TOL) -> Check
 
     Passing is equivalent to gamma being a dual window of the system's g.
     With A = M_(s L/a) T_(t L/b), <A gamma, g> = sum_j conj g(j) gamma(j - t L/b)
-    exp(2 pi i s j / a): one shifted product per t, summed over j mod a, then
-    a length-a DFT over s.
+    exp(2 pi i s j / a): the length-a DFT over s of :func:`_correlation`, the
+    array the Walnut blocks of V_gamma^* V_g read.
     """
     length, a, b = sys.L, sys.a, sys.b
-    j = np.arange(length)
     gamma = GaborSystem(length, a, b, gamma).window  # checks the length
-    products = sys.window.conj() * gamma[(j - (length // b) * np.arange(b)[:, None]) % length]
-    values = a * np.fft.ifft(products.reshape(b, length // a, a).sum(axis=1), axis=1)
+    values = a * np.fft.ifft(_correlation(length, a, b, gamma, sys.window), axis=1)
     values[0, 0] -= a * b / length  # the identity (s = t = 0)
     return CheckResult(name="wexler_raz", residual=float(np.abs(values).max()), tol=tol)
 
@@ -196,19 +199,13 @@ def wr_fundamental_relation_check(
     """Lattice-swap identity relating analysis/synthesis across the two lattices:
 
     T*_f T_g h = (L/ab) T*_h' T_g' f, where the primed maps use the adjoint
-    lattice steps (time L/b, frequency L/a).
+    lattice steps (time L/b, frequency L/a).  Each side is a Walnut form applied to
+    a vector: the (f, g) blocks on (a, b) to h, the (h, g) blocks on (L/b, L/a) to f.
     """
-    _check_lattice(length, a, b)
-    f = as_vector(f)
-    g = as_vector(g)
-    h = as_vector(h)
-    cf = _coefficient_map(length, a, b, f)
-    cg = _coefficient_map(length, a, b, g)
-    lhs = cf.conj().T @ (cg @ h)
-    dh = _coefficient_map(length, length // b, length // a, h)
-    dg = _coefficient_map(length, length // b, length // a, g)
-    rhs = (length / (a * b)) * (dh.conj().T @ (dg @ f))
-    residual = float(np.linalg.norm(lhs - rhs))
+    f, g, h = (GaborSystem(length, a, b, v).window for v in (f, g, h))  # check the lengths
+    lhs = _apply_blocks(_walnut_blocks(length, a, b, f, g), h)
+    rhs = _apply_blocks(_walnut_blocks(length, length // b, length // a, h, g), f)
+    residual = float(np.linalg.norm(lhs - (length / (a * b)) * rhs))
     return CheckResult(name="wr_fundamental_relation", residual=residual, tol=tol)
 
 

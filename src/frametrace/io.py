@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FrametraceError
+from .errors import FrametraceError, NotAGroup
 from .gabor import GaborSystem
 from .groups import FiniteGroup, GroupVector, Rep, group_from_cayley
 from .plancherel import Irrep, IrrepTable, validate_irreps
@@ -143,7 +143,10 @@ def load_group(source) -> FiniteGroup:
     label = _require(obj, "label", path)
     order = _require_int(obj, "order", path)
     cayley = _number_array(_require(obj, "cayley", path), "iu", "Cayley table", path)
-    group = group_from_cayley(cayley, label=str(label))  # an integer array: only NotAGroup is left
+    try:
+        group = group_from_cayley(cayley, label=str(label))
+    except NotAGroup as exc:  # an integer array: only the group axioms are left to fail
+        raise MalformedInput(f"{path}: {exc}") from exc
     if group.order != order:
         raise MalformedInput(f"{path}: declared order {order} != table size {group.order}")
     return group

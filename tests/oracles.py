@@ -12,6 +12,7 @@ import numpy as np
 from frametrace.commutant import commutant_of_matrices
 from frametrace.errors import NotAGroup
 from frametrace.frames import InvariantProjection
+from frametrace.gabor import GaborSystem, gabor_coefficient_map
 from frametrace.groups import MAX_ORDER, FiniteGroup, GroupVector, Rep, convolution_operator
 from frametrace.numerics import eig_hermitian
 
@@ -144,3 +145,22 @@ def save_json_indent2(payload: dict, path) -> None:
 def unit_roots_by_exp(k, n: int) -> np.ndarray:
     """The former ``numerics._unit_roots``: one complex exp per entry of k."""
     return np.exp(2j * np.pi * (np.asarray(k) % n) / n)
+
+
+def walnut_blocks_by_gather(length: int, a: int, b: int, gamma, g) -> np.ndarray:
+    """The former ``gabor._walnut_blocks``: two (L/b) x b x (L/a) gathers and L/b batched
+    matmuls, block r = (L/b) sum_n gamma[idx_r - n a] conj g[idx_r - n a]^T, O(L^2 b / a)."""
+    idx = np.arange(length // b)[:, None] + (length // b) * np.arange(b)
+    shifted = (idx[:, :, None] - a * np.arange(length // a)) % length
+    return (length / b) * (gamma[shifted] @ g[shifted].conj().swapaxes(1, 2))
+
+
+def wr_fundamental_relation_dense(length: int, a: int, b: int, f, g, h) -> float:
+    """The former ``gabor.wr_fundamental_relation_check`` residual, from the dense analysis
+    matrices of both lattices: ||V_f^* V_g h - (L/ab) V'_h^* V'_g f||."""
+    def analysis(tstep, fstep, v):
+        return gabor_coefficient_map(GaborSystem(length, tstep, fstep, v))
+
+    lhs = analysis(a, b, f).conj().T @ (analysis(a, b, g) @ h)
+    rhs = analysis(length // b, length // a, h).conj().T @ (analysis(length // b, length // a, g) @ f)
+    return float(np.linalg.norm(lhs - (length / (a * b)) * rhs))

@@ -19,7 +19,12 @@ from frametrace.frames import (
     regular_coefficient_matrix,
     tighten,
 )
-from frametrace.gabor import GaborSystem, gabor_canonical_dual, reference_window
+from frametrace.gabor import (
+    GaborSystem,
+    gabor_canonical_dual,
+    reference_window,
+    wr_fundamental_relation_check,
+)
 from frametrace.groups import GroupVector, builtin_group, delta, left_regular_rep
 from frametrace.plancherel import builtin_irreps, validate_irreps
 from frametrace.reporting import CheckResult, RunReport, digest_text, report_dumps
@@ -151,6 +156,12 @@ _IRREP = {"label": "a", "dim": 1, "matrices": [[[[1.0, 0.0]]], [[[1.0, 0.0]]]]}
         ({**_WINDOW, "b": True}, _WR_ARGV, "field 'b' is not an integer: True"),
         ({**_Z1, "order": 1.9}, ["group", "analyze", "--file"], "field 'order' is not an integer: 1.9"),
         ({**_Z1, "order": "1"}, ["group", "analyze", "--file"], "field 'order' is not an integer: '1'"),
+        # A table that is not a group names its file, as every other malformed input does.
+        (
+            {"label": "x", "order": 2, "cayley": [[0, 0], [1, 1]]},
+            ["group", "analyze", "--file"],
+            "input.json: Latin square property fails",
+        ),
         (
             {"group": "cyclic:2", "irreps": [{**_IRREP, "dim": 1.0}]},
             _IRREPS_ARGV,
@@ -409,6 +420,27 @@ def test_failed_gabor_dual_builds_one_spectrum(tmp_path, monkeypatch, lattice, b
     assert rep["metadata"]["frame_bounds_ratio"] == gabor.frame_bounds_ratio(sys_)
 
 
+@pytest.mark.parametrize(
+    "lattice, bad, code",
+    [((512, 8, 8), None, 0), ((512, 8, 8), 3, 1), ((48, 16, 4), None, 1)],  # ab > L: no frame
+)
+def test_gabor_dual_eigendecomposes_only_the_distinct_blocks(tmp_path, monkeypatch, lattice, bad, code):
+    """Walnut block r of S is block r mod a: one stack of min(a, L/b) blocks, not L/b."""
+    import frametrace.gabor as gabor
+    import frametrace.numerics as numerics
+
+    length, a, b = lattice
+    window = np.random.default_rng(10).standard_normal(length)
+    if bad is not None:
+        window[bad::a] = 0.0
+    w = tmp_path / "w.json"
+    ftio.save_window(GaborSystem(*lattice, window=window), w)
+    spectra = _count_calls(monkeypatch, [numerics, gabor], "eig_hermitian")
+    flags = [str(x) for pair in zip(("--L", "--a", "--b"), lattice) for x in pair]
+    assert run(["gabor", "dual", *flags, "--window", str(w), "--out", str(tmp_path / "r.json")]) == code
+    assert [args[0].shape for args in spectra] == [(min(a, length // b), b, b)]
+
+
 def test_gabor_bridge_builds_its_operator_arrays_once(tmp_path, monkeypatch):
     import frametrace.gabor as gabor
 
@@ -549,7 +581,7 @@ def test_order_512_frame_and_group_analyze_stay_quadratic(tmp_path):
 
 def test_gabor_walnut_jobs_stay_small_at_L2048(tmp_path):
     # a b = 1024 adjoint lattice operators of size 2048 x 2048 would take
-    # 64 GiB as dense matrices; the Walnut blocks and gathers need O(L^2 b / a).
+    # 64 GiB as dense matrices; the Walnut blocks read one b x a correlation array, O(b L).
     length, a, b = 2048, 32, 32
     lat = ["--L", str(length), "--a", str(a), "--b", str(b)]
     rng = np.random.default_rng(2048)
@@ -568,6 +600,16 @@ def test_gabor_walnut_jobs_stay_small_at_L2048(tmp_path):
     assert code == 0 and peak < 64, peak
     checks = [c["name"] for c in read_report(tmp_path / "wr.json")["checks"]]
     assert checks == ["wexler_raz", "reconstruction_crosscheck"]
+    # The lattice-swap relation, as Walnut forms on both lattices; each dense
+    # analysis map of the lattice itself would take 128 MiB here.
+    f, h = (rng.standard_normal(length) / np.sqrt(length) for _ in range(2))
+    tracemalloc.start()
+    try:
+        relation = wr_fundamental_relation_check(length, a, b, f, g, h)
+        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert relation.passed and peak < 64, (relation.residual, peak)
 
 
 def test_memory_error_exits_2(tmp_path, monkeypatch, capsys):

@@ -5,8 +5,11 @@ L x L operator.  The dense versions stay here as oracles: the analysis matrix
 built from ``lattice_ops``, ``inv_psd``/``eigvalsh`` of the dense frame
 operator, the loop over ``adjoint_lattice_ops`` (applied as M_(sL/a) and
 T_(tL/b) at L = 512, where the whole list takes 256 MiB), the dense product
-V_gamma^* V_g and the ``wh_rep`` sum.  Windows: random ones, and ones that
-vanish on a residue class mod a, which are never frames.
+V_gamma^* V_g and the ``wh_rep`` sum.  The Walnut blocks, read from one b x a
+correlation array, are also checked against the gather-and-matmul blocks they
+replaced, and the Walnut form of the lattice-swap relation against its dense
+form.  Windows: random ones, and ones that vanish on a residue class mod a,
+which are never frames.
 """
 import dataclasses
 
@@ -30,14 +33,19 @@ from frametrace.gabor import (
     wh_bridge_check,
     wh_group_build,
     wh_rep,
+    wr_fundamental_relation_check,
 )
+from frametrace.gabor import _apply_blocks, _frame_blocks, _walnut_blocks
 from frametrace.numerics import inv_psd
+from oracles import walnut_blocks_by_gather, wr_fundamental_relation_dense
 
 LATTICES = [
     (4, 2, 2), (6, 1, 1), (12, 3, 2), (24, 4, 3), (30, 5, 3),
     (36, 6, 6), (48, 4, 4), (60, 5, 6), (256, 8, 8), (512, 8, 8),
 ]
 SMALL = [lat for lat in LATTICES if lat[0] <= 60]  # WH groups of order <= 512
+# a does not divide L/b (twice), and a > L/b: then ab > L and no window is a frame.
+BLOCK_LATTICES = LATTICES + [(20, 4, 2), (36, 4, 6), (48, 16, 4)]
 PERTURBATIONS = (0.0, 1e-13, 1e-9, 1e-6, 1e-3)
 
 
@@ -110,7 +118,23 @@ def test_coefficient_map_matches_lattice_operators(lat):
             assert np.abs(got - rows).max() <= 1e-12
 
 
-@pytest.mark.parametrize("lat", LATTICES, ids=ids)
+@pytest.mark.parametrize("lat", BLOCK_LATTICES, ids=ids)
+def test_walnut_blocks_match_the_gather_oracle(lat):
+    length, a, b = lat
+    for seed in seeds(length):
+        rng = np.random.default_rng(seed)
+        _, g = windows(length, a, seed)[0]
+        for gamma in (rand_c(rng, length), g):
+            got = _walnut_blocks(length, a, b, gamma, g)
+            oracle = walnut_blocks_by_gather(length, a, b, gamma, g)
+            assert got.shape == oracle.shape == (length // b, b, b)
+            assert np.abs(got - oracle).max() <= 1e-13 * np.abs(oracle).max()
+            for r in range(length // b):
+                assert got[r].tobytes() == got[r % a].tobytes()
+            assert len(_frame_blocks(GaborSystem(length, a, b, g))) == min(a, length // b)
+
+
+@pytest.mark.parametrize("lat", BLOCK_LATTICES, ids=ids)
 def test_frame_operator_dual_and_bounds_match_dense(lat):
     length, a, b = lat
     for seed in seeds(length):
@@ -134,8 +158,9 @@ def test_frame_operator_dual_and_bounds_match_dense(lat):
             else:
                 gamma = gabor_canonical_dual(sys_)
                 assert np.linalg.norm(gamma - oracle) <= 1e-10 * np.linalg.norm(oracle)
-            # A window that vanishes on a residue class mod a is never a frame.
-            assert (oracle is None) == (kind == "zeroed")
+            # A window that vanishes on a residue class mod a is never a frame,
+            # nor is any window when the (L/a)(L/b) vectors are fewer than L.
+            assert (oracle is None) == (kind == "zeroed" or a * b > length)
 
 
 @pytest.mark.parametrize("lat", LATTICES, ids=ids)
@@ -155,6 +180,24 @@ def test_wexler_raz_and_reconstruction_match_dense(lat):
             dense = dense_cross(length, a, b, cand, g) - np.eye(length)
             recon = gabor_reconstruction_check(sys_, cand, 1e-9).residual
             assert abs(recon - np.linalg.norm(dense)) <= 1e-11
+
+
+@pytest.mark.parametrize("lat", [lat for lat in BLOCK_LATTICES if lat[0] <= 256], ids=ids)
+def test_wr_fundamental_relation_matches_dense_and_needs_its_factor(lat):
+    length, a, b = lat
+    for seed in seeds(length):
+        rng = np.random.default_rng(seed)
+        f, g, h = (rand_c(rng, length) for _ in range(3))
+        got = wr_fundamental_relation_check(length, a, b, f, g, h, tol=1e-9)
+        assert got.passed
+        assert abs(got.residual - wr_fundamental_relation_dense(length, a, b, f, g, h)) <= 1e-11
+        # The two Walnut forms the check compares are far from 0: a wrong factor fails.
+        lhs = _apply_blocks(_walnut_blocks(length, a, b, f, g), h)
+        rhs = _apply_blocks(_walnut_blocks(length, length // b, length // a, h, g), f)
+        factor = length / (a * b)
+        assert np.linalg.norm(lhs - factor * rhs) == got.residual
+        for wrong in (factor * (1 + 1e-6), 2 * factor, factor / 2):
+            assert np.linalg.norm(lhs - wrong * rhs) > 1e-9
 
 
 @pytest.mark.parametrize("lat", SMALL, ids=ids)
