@@ -12,7 +12,6 @@ from .commutant import (
     commutant_basis,
     commutant_of_matrices,
     generalized_biorthogonality,
-    is_tracial_on_range,
     is_tracial_pair,
     reduced_commutant,
     regular_commutant_basis,
@@ -35,7 +34,6 @@ from .frames import (
     coefficient_operator,
     dual_null_space,
     frame_operator,
-    is_admissible_on_range,
     is_admissible_pair,
     is_frame_vector,
     natural_trace,
@@ -53,9 +51,7 @@ from .gabor import (
     gabor_frame_operator,
     gabor_reconstruction_check,
     lattice_ops,
-    modulation,
     reference_window,
-    translation,
     wexler_raz_check,
     wh_bridge_check,
     wh_group_build,

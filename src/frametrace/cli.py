@@ -22,7 +22,6 @@ from .frames import (
     admissibility_defect,
     admissible_check,
     canonical_dual,
-    is_admissible_on_range,
     projection_from_spanning,
     regular_coefficient_matrix,
     tighten,
@@ -82,13 +81,14 @@ def _reader(report: RunReport):
     return read
 
 
-def _load_group(args, report: RunReport, read):
-    if getattr(args, "builtin", None):
-        report.inputs["group"] = digest_text(args.builtin)
-        return builtin_group(args.builtin)
-    if getattr(args, "file", None):
-        return ftio.load_group(read("group", args.file))
-    raise _CliInputError("one of --builtin or --file is required")
+def _resolve_group(report: RunReport, read, spec, path):
+    """The builtin group of ``spec`` (its digest is inputs["group"]); without one, the file at ``path``."""
+    if not spec and path:
+        return ftio.load_group(read("group", path))
+    if spec is None:
+        raise _CliInputError("one of --builtin or --file is required")
+    report.inputs["group"] = digest_text(spec)
+    return builtin_group(spec)
 
 
 def _finish(report: RunReport, args) -> int:
@@ -122,7 +122,7 @@ def cmd_group(args) -> int:
     tol = _resolve_tol(args)
     report = RunReport(seed=args.seed)
     read = _reader(report)
-    group = _load_group(args, report, read)
+    group = _resolve_group(report, read, args.builtin, args.file)
     rng = np.random.default_rng(args.seed)
     report.metadata["group"] = group.label or "<file>"
     report.metadata["order"] = group.order
@@ -166,16 +166,11 @@ def cmd_group(args) -> int:
 
 
 def _frame_context(args, report: RunReport, read):
-    """Resolve the group, the window vector and the analysis subspace."""
-    if args.builtin:
-        obj_group = builtin_group(args.builtin)
-        report.inputs["group"] = digest_text(args.builtin)
-    elif args.group_file:
-        obj_group = ftio.load_group(read("group", args.group_file))
-    else:
-        label = ftio.load_label(read("window", args.window))
-        obj_group = builtin_group(label)
-        report.inputs["group"] = digest_text(label)
+    """Resolve the group (by default the spec the window file names), the window vector and the subspace."""
+    spec = args.builtin
+    if not spec and not args.group_file:
+        spec = ftio.load_label(read("window", args.window))
+    obj_group = _resolve_group(report, read, spec, args.group_file)
     window = ftio.load_vector(read("window", args.window), obj_group)
     if args.subspace:
         vectors = ftio.load_vectors(read("subspace", args.subspace), obj_group)
@@ -207,7 +202,7 @@ def cmd_frame(args) -> int:
             return _finish(report, args)
         out = q @ out_c
         partner = out if args.action == "tighten" else window.data
-        check = is_admissible_on_range(proj, partner, out, tol)
+        check = admissible_check(group, admissibility_defect(proj, partner, out), tol)
         report.add(check.renamed(f"{args.action}_reconstruction"))
         if args.out_vector:
             ftio.save_vector(GroupVector(group, out), args.out_vector)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NotInvariant, ReferencePairNotAdmissible
-from .frames import InvariantProjection, admissibility_defect, is_admissible_pair, natural_trace
+from .frames import is_admissible_pair, natural_trace
 from .groups import FiniteGroup, Rep, delta, convolution_operator
 from .numerics import DEFAULT_TOL, NULLSPACE_CUTOFF, orthonormal_columns, within_tol
 from .reporting import CheckResult
@@ -129,11 +129,6 @@ def tracial_check(group: FiniteGroup, d: np.ndarray, tol: float) -> CheckResult:
     """
     residual = float(np.max(np.abs(d)) / np.sqrt(group.order))
     return CheckResult(name="tracial_pair", residual=residual, tol=tol)
-
-
-def is_tracial_on_range(p: InvariantProjection, eta, psi, tol: float) -> CheckResult:
-    """Check <T eta, psi> = tau(T) for T in p VN_r(G) p through :func:`tracial_check` of the defect."""
-    return tracial_check(p.group, admissibility_defect(p, eta, psi), tol)
 
 
 def generalized_biorthogonality(

@@ -163,14 +163,6 @@ def admissible_check(group: FiniteGroup, d: np.ndarray, tol: float) -> CheckResu
     return CheckResult(name="admissible_pair", residual=residual, tol=tol)
 
 
-def is_admissible_on_range(p: InvariantProjection, eta, psi, tol: float) -> CheckResult:
-    """Check V_psi^* V_eta = p on l2(G) through :func:`admissible_check` of the defect.
-
-    Equals :func:`is_admissible_pair` on the compression to range(p), as range_basis is an isometry.
-    """
-    return admissible_check(p.group, admissibility_defect(p, eta, psi), tol)
-
-
 def admissible_vector_for_projection(
     p: InvariantProjection, tol: float = DEFAULT_TOL
 ) -> GroupVector:

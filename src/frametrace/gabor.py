@@ -6,11 +6,12 @@ the product of the continuous steps.  The adjoint (commuting) lattice has
 time step L/b and frequency step L/a; its operators commute with every
 lattice operator exactly and span the commutant of the system.
 
-Every lattice operator is a cyclic shift times a phase, so the kernels work
-on index arithmetic: V_gamma^* V_g vanishes off the residue classes mod L/b
-(Walnut), leaving L/b blocks of size b read from the b x a correlation array
-whose DFT holds the Wexler-Raz sums (Janssen).  The dense operator functions
-(``translation`` ... ``wh_rep``) are API and test oracles.
+Every lattice operator is a cyclic shift times a phase, built once by
+:func:`_tf_shifts`, so the kernels work on index arithmetic: V_gamma^* V_g
+vanishes off the residue classes mod L/b (Walnut), leaving L/b blocks of size b
+read from the b x a correlation array whose DFT holds the Wexler-Raz sums
+(Janssen).  ``lattice_ops``, ``adjoint_lattice_ops`` and ``wh_rep`` are dense
+views of the same (phase, shift) arrays.
 """
 from __future__ import annotations
 
@@ -20,24 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotAFrame, NotAGroup, NotInvertible
-from .groups import MAX_ORDER, FiniteGroup, Rep, group_from_cayley
+from .errors import DimensionMismatch, NotAFrame, NotInvertible
+from .groups import Rep, check_order, group_from_cayley
 from .numerics import DEFAULT_TOL, _unit_roots, as_vector, eig_hermitian, inv_psd
 from .reporting import CheckResult
-
-
-def translation(length: int, x: int) -> np.ndarray:
-    """Cyclic shift (T_x f)(j) = f(j - x mod L)."""
-    if not 0 <= x < length:
-        raise ValueError(f"shift {x} out of range for length {length}")
-    return np.roll(np.eye(length, dtype=complex), x, axis=0)
-
-
-def modulation(length: int, w: int) -> np.ndarray:
-    """Diagonal phase (M_w f)(j) = exp(2 pi i w j / L) f(j)."""
-    if not 0 <= w < length:
-        raise ValueError(f"frequency {w} out of range for length {length}")
-    return np.diag(np.exp(2j * np.pi * w * np.arange(length) / length))
 
 
 def _check_lattice(length: int, a: int, b: int) -> None:
@@ -65,12 +52,25 @@ class GaborSystem:
         object.__setattr__(self, "window", w)
 
 
+def _tf_shifts(length: int, tstep: int, fstep: int) -> tuple[np.ndarray, np.ndarray]:
+    """(phase, shift) with M_(m fstep) T_(n tstep) f = phase[r] * f[shift[r]], r = m (L/tstep) + n."""
+    j = np.arange(length)
+    m, n = np.divmod(np.arange((length // fstep) * (length // tstep)), length // tstep)
+    return _unit_roots(np.outer(fstep * m, j), length), (j - tstep * n[:, None]) % length
+
+
+def _dense(phase: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """f -> phase[r] * f[shift[r]] as (rows, L, L) matrices: entry [r, j, shift[r, j]] = phase[r, j]."""
+    out = np.zeros(shift.shape + shift.shape[-1:], dtype=complex)
+    np.put_along_axis(out, shift[..., None], phase[..., None], axis=-1)
+    return out
+
+
 def gabor_coefficient_map(sys: GaborSystem) -> np.ndarray:
     """(L/a)(L/b) x L analysis matrix; row (m, n) is the conjugate of M_(mb) T_(na) g."""
-    length, j = sys.L, np.arange(sys.L)
-    shifted = sys.window[(j - sys.a * np.arange(length // sys.a)[:, None]) % length]
-    phase = _unit_roots(np.outer(sys.b * np.arange(length // sys.b), j), length)
-    return (phase[:, None, :] * shifted[None, :, :]).conj().reshape(-1, length)
+    phase, shift = _tf_shifts(sys.L, sys.a, sys.b)
+    phase *= sys.window[shift]
+    return np.conjugate(phase, out=phase)
 
 
 def _correlation(length: int, a: int, b: int, gamma: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -153,29 +153,20 @@ def reference_window(length: int, a: int, b: int) -> np.ndarray:
     return g
 
 
-def _dense_ops(length: int, tstep: int, fstep: int) -> list[np.ndarray]:
-    """Dense M_(m fstep) T_(n tstep), m outer and n inner."""
-    return [
-        modulation(length, m * fstep) @ translation(length, n * tstep)
-        for m in range(length // fstep)
-        for n in range(length // tstep)
-    ]
+def lattice_ops(length: int, a: int, b: int) -> list[np.ndarray]:
+    """All lattice operators M_(mb) T_(na) of the system itself, m outer and n inner, as dense matrices."""
+    _check_lattice(length, a, b)
+    return list(_dense(*_tf_shifts(length, a, b)))
 
 
 def adjoint_lattice_ops(length: int, a: int, b: int) -> list[np.ndarray]:
-    """Operators M_(s L/a) T_(t L/b), s in Z_a, t in Z_b, of the adjoint lattice.
+    """Operators M_(s L/a) T_(t L/b), s in Z_a, t in Z_b, of the adjoint lattice: the lattice (L/b, L/a).
 
     Each commutes exactly with every lattice operator M_(mb) T_(na); the
     identity (s = t = 0) comes first.
     """
     _check_lattice(length, a, b)
-    return _dense_ops(length, length // b, length // a)
-
-
-def lattice_ops(length: int, a: int, b: int) -> list[np.ndarray]:
-    """All lattice operators M_(mb) T_(na) of the system itself."""
-    _check_lattice(length, a, b)
-    return _dense_ops(length, a, b)
+    return lattice_ops(length, length // b, length // a)
 
 
 def wexler_raz_check(sys: GaborSystem, gamma, tol: float = DEFAULT_TOL) -> CheckResult:
@@ -239,11 +230,6 @@ class WHGroup:
         return np.ravel_multi_index((m + m2, n + n2, z + z2 - self.k * n * m2), self.shape, mode="wrap")
 
     @functools.cached_property
-    def group(self) -> FiniteGroup:
-        table = self.product(*np.ogrid[: self.order, : self.order])
-        return group_from_cayley(table, label=f"wh:{self.L}:{self.a}:{self.b}")
-
-    @functools.cached_property
     def operators(self) -> tuple[np.ndarray, np.ndarray]:
         """(phase, shift) of every element, built once per group: see :func:`_wh_operators`."""
         return _wh_operators(self)
@@ -260,26 +246,23 @@ def wh_group_build(length: int, a: int, b: int) -> WHGroup:
     """The Weyl-Heisenberg group of the lattice, refused above MAX_ORDER; builds no table."""
     _check_lattice(length, a, b)
     wh = WHGroup(length, a, b, length // math.gcd(length, a * b), a * b // math.gcd(length, a * b))
-    if wh.order > MAX_ORDER:
-        raise NotAGroup(f"order {wh.order} exceeds the supported maximum {MAX_ORDER}")
+    check_order(wh.order)
     return wh
 
 
 def _wh_operators(wh: WHGroup) -> tuple[np.ndarray, np.ndarray]:
-    """(phase, shift) with pi(x) f = phase[x] * f[shift[x]] for every element x, as (order, L) arrays."""
-    m, n, z = wh.coords(np.arange(wh.order))
-    j = np.arange(wh.L)
-    phase = _unit_roots(z, wh.q)[:, None] * _unit_roots(np.outer(wh.b * m, j), wh.L)
-    return phase, (j - wh.a * n[:, None]) % wh.L
+    """(phase, shift) with pi(x) f = phase[x] * f[shift[x]] for every element x, as (order, L) arrays:
+    the central root of z times :func:`_tf_shifts` row (m, n), as x = (m L/a + n) q + z."""
+    phase, shift = _tf_shifts(wh.L, wh.a, wh.b)
+    r, z = np.divmod(np.arange(wh.order), wh.q)
+    return _unit_roots(z, wh.q)[:, None] * phase[r], shift[r]
 
 
 def wh_rep(wh: WHGroup) -> Rep:
-    """Representation pi(m, n, z) = exp(2 pi i z / q) M_(mb) T_(na) on C^L."""
-    mats = np.array([
-        np.exp(2j * np.pi * z / wh.q) * modulation(wh.L, m * wh.b) @ translation(wh.L, n * wh.a)
-        for m, n, z in map(wh.coords, range(wh.order))
-    ])
-    return Rep(group=wh.group, dim=wh.L, matrices=mats)
+    """pi(m, n, z) = exp(2 pi i z / q) M_(mb) T_(na) on C^L, on the validated Cayley table of the law."""
+    table = wh.product(*np.ogrid[: wh.order, : wh.order])
+    group = group_from_cayley(table, label=f"wh:{wh.L}:{wh.a}:{wh.b}")
+    return Rep(group=group, dim=wh.L, matrices=_dense(*wh.operators))
 
 
 def wh_bridge_check(wh: WHGroup, f, g, tol: float = DEFAULT_TOL) -> CheckResult:

@@ -20,6 +20,12 @@ from .numerics import DEFAULT_TOL, as_vector, within_tol
 MAX_ORDER = 512
 
 
+def check_order(order: int) -> None:
+    """Refuse a group of more than :data:`MAX_ORDER` elements, before any table of it exists."""
+    if order > MAX_ORDER:
+        raise NotAGroup(f"order {order} exceeds the supported maximum {MAX_ORDER}")
+
+
 @dataclass(frozen=True)
 class FiniteGroup:
     """A finite group given by its Cayley table of element indices."""
@@ -65,8 +71,7 @@ def group_from_cayley(table, label: str = "") -> FiniteGroup:
     n = cayley.shape[0]
     if n == 0:
         raise NotAGroup("empty table")
-    if n > MAX_ORDER:
-        raise NotAGroup(f"order {n} exceeds the supported maximum {MAX_ORDER}")
+    check_order(n)
     if cayley.min() < 0 or cayley.max() >= n:
         raise NotAGroup("entries are not element indices")
 
@@ -150,7 +155,7 @@ _FAMILIES = {
 def _parse_spec(spec: str) -> list[tuple[str, int]]:
     """The ``(family, n)`` factors of a group spec such as ``cyclic:2 x dihedral:3``.
 
-    Refuses a spec whose order exceeds :data:`MAX_ORDER` before any table exists.
+    Refuses a spec whose order exceeds :data:`MAX_ORDER` (:func:`check_order`) before any table exists.
     """
     parts = [p.strip() for p in re.split(r"\s*x\s*", spec.strip()) if p.strip()]
     if not parts:
@@ -164,9 +169,7 @@ def _parse_spec(spec: str) -> list[tuple[str, int]]:
         if n < 1:
             raise NotAGroup("group parameter must be at least 1")
         factors.append((family, n))
-    order = math.prod(_FAMILIES[family][0](n) for family, n in factors)
-    if order > MAX_ORDER:
-        raise NotAGroup(f"order {order} exceeds the supported maximum {MAX_ORDER}")
+    check_order(math.prod(_FAMILIES[family][0](n) for family, n in factors))
     return factors
 
 

@@ -12,9 +12,16 @@ import numpy as np
 from frametrace.commutant import commutant_of_matrices
 from frametrace.errors import NotAGroup
 from frametrace.frames import InvariantProjection
-from frametrace.gabor import GaborSystem, gabor_coefficient_map
-from frametrace.groups import MAX_ORDER, FiniteGroup, GroupVector, Rep, convolution_operator
-from frametrace.numerics import eig_hermitian
+from frametrace.gabor import GaborSystem, WHGroup, gabor_coefficient_map
+from frametrace.groups import (
+    MAX_ORDER,
+    FiniteGroup,
+    GroupVector,
+    Rep,
+    convolution_operator,
+    group_from_cayley,
+)
+from frametrace.numerics import _unit_roots, eig_hermitian
 
 #: Smallest spectral gap, relative to the spread of the spectrum, at which
 #: :func:`random_invariant_projection_spectral` may cut.
@@ -164,3 +171,49 @@ def wr_fundamental_relation_dense(length: int, a: int, b: int, f, g, h) -> float
     lhs = analysis(a, b, f).conj().T @ (analysis(a, b, g) @ h)
     rhs = analysis(length // b, length // a, h).conj().T @ (analysis(length // b, length // a, g) @ f)
     return float(np.linalg.norm(lhs - (length / (a * b)) * rhs))
+
+
+def translation(length: int, x: int) -> np.ndarray:
+    """The former ``gabor.translation``: the cyclic shift (T_x f)(j) = f(j - x mod L), a rolled identity."""
+    return np.roll(np.eye(length, dtype=complex), x, axis=0)
+
+
+def modulation(length: int, w: int) -> np.ndarray:
+    """The former ``gabor.modulation``: the diagonal phase (M_w f)(j) = exp(2 pi i w j / L) f(j)."""
+    return np.diag(np.exp(2j * np.pi * w * np.arange(length) / length))
+
+
+def lattice_ops_dense(length: int, tstep: int, fstep: int) -> np.ndarray:
+    """The former ``gabor._dense_ops``: dense products M_(m fstep) T_(n tstep), m outer and n inner."""
+    return np.array([
+        modulation(length, m * fstep) @ translation(length, n * tstep)
+        for m in range(length // fstep)
+        for n in range(length // tstep)
+    ])
+
+
+def wh_rep_dense(wh: WHGroup) -> Rep:
+    """The former ``gabor.wh_rep``: exp(2 pi i z / q) M_(mb) T_(na) from the dense matrices, one
+    element at a time, on the table of the law (the former ``WHGroup.group``)."""
+    table = wh.product(*np.ogrid[: wh.order, : wh.order])
+    mats = np.array([
+        np.exp(2j * np.pi * z / wh.q) * modulation(wh.L, m * wh.b) @ translation(wh.L, n * wh.a)
+        for m, n, z in map(wh.coords, range(wh.order))
+    ])
+    return Rep(group=group_from_cayley(table), dim=wh.L, matrices=mats)
+
+
+def wh_operators_by_coords(wh: WHGroup) -> tuple[np.ndarray, np.ndarray]:
+    """The former ``gabor._wh_operators``: (phase, shift) of each element from its coordinates (m, n, z)."""
+    m, n, z = wh.coords(np.arange(wh.order))
+    j = np.arange(wh.L)
+    phase = _unit_roots(z, wh.q)[:, None] * _unit_roots(np.outer(wh.b * m, j), wh.L)
+    return phase, (j - wh.a * n[:, None]) % wh.L
+
+
+def coefficient_map_by_gathers(sys: GaborSystem) -> np.ndarray:
+    """The former ``gabor.gabor_coefficient_map``: L/a shifted windows times L/b phase rows, broadcast."""
+    length, j = sys.L, np.arange(sys.L)
+    shifted = sys.window[(j - sys.a * np.arange(length // sys.a)[:, None]) % length]
+    phase = _unit_roots(np.outer(sys.b * np.arange(length // sys.b), j), length)
+    return (phase[:, None, :] * shifted[None, :, :]).conj().reshape(-1, length)

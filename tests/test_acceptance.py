@@ -67,7 +67,7 @@ BUILTIN_SPECS = ["cyclic:12", "dihedral:4", "heisenberg:3"]
 
 def all_test_groups():
     groups = [builtin_group(s) for s in BUILTIN_SPECS]
-    groups.append(wh_group_build(12, 3, 2).group)
+    groups.append(wh_rep(wh_group_build(12, 3, 2)).group)
     return groups
 
 
@@ -356,7 +356,7 @@ def test_criterion_8_wh_bridge():
     for _ in range(20):
         f, g = rand_c(rng, 12), rand_c(rng, 12)
         worst = max(worst, wh_bridge_check(wh, f, g).residual)
-    announce(8, worst <= 1e-9, f"order {wh.group.order}, bridge residual {worst:.3e}")
+    announce(8, worst <= 1e-9, f"order {rep.group.order}, bridge residual {worst:.3e}")
 
 
 def test_criterion_9_cli_contract(tmp_path):

@@ -11,9 +11,7 @@ from frametrace.gabor import (
     gabor_coefficient_map,
     gabor_frame_operator,
     lattice_ops,
-    modulation,
     reference_window,
-    translation,
     wexler_raz_check,
     wh_bridge_check,
     wh_group_build,
@@ -29,32 +27,43 @@ def rand_c(rng, n):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
+def tf_ops(L):
+    """Every M_w T_x on C^L: lattice_ops(L, 1, 1)[w * L + x]."""
+    ops = lattice_ops(L, 1, 1)
+    assert len(ops) == L * L
+    return lambda w, x: ops[w * L + x]
+
+
 def test_translation_moves_delta():
+    op = tf_ops(5)
     e0 = np.zeros(5)
     e0[0] = 1.0
     for x in range(5):
-        out = translation(5, x) @ e0
+        out = op(0, x) @ e0
         assert out[x] == 1.0 and np.count_nonzero(out) == 1
 
 
 def test_modulation_group_law():
     L = 6
+    op = tf_ops(L)
     for b in range(L):
         for b2 in range(L):
-            lhs = modulation(L, b) @ modulation(L, b2)
-            rhs = modulation(L, (b + b2) % L)
+            lhs = op(b, 0) @ op(b2, 0)
+            rhs = op((b + b2) % L, 0)
             assert np.linalg.norm(lhs - rhs) <= 1e-12
 
 
 def test_commutation_relation():
     L = 8
+    op = tf_ops(L)
     rng = np.random.default_rng(50)
     for _ in range(5):
         x = int(rng.integers(L))
         w = int(rng.integers(L))
-        lhs = translation(L, x) @ modulation(L, w)
-        rhs = np.exp(-2j * np.pi * x * w / L) * modulation(L, w) @ translation(L, x)
+        lhs = op(0, x) @ op(w, 0)
+        rhs = np.exp(-2j * np.pi * x * w / L) * op(w, 0) @ op(0, x)
         assert np.linalg.norm(lhs - rhs) <= 1e-12
+        assert np.linalg.norm(op(w, x) - op(w, 0) @ op(0, x)) <= 1e-12
 
 
 def test_coefficient_map_trivial_lattice():
@@ -199,16 +208,18 @@ def test_wr_fundamental_relation_full_lattice():
 def test_wh_group_critical_density():
     wh = wh_group_build(4, 2, 2)
     assert wh.q == 1
-    assert wh.group.order == 4
-    assert is_abelian(wh.group)
-    assert sorted(element_orders(wh.group)) == [1, 2, 2, 2]  # Z2 x Z2
+    group = wh_rep(wh).group
+    assert group.order == 4
+    assert is_abelian(group)
+    assert sorted(element_orders(group)) == [1, 2, 2, 2]  # Z2 x Z2
 
 
 def test_wh_group_half_density():
     wh = wh_group_build(12, 3, 2)
     assert wh.q == 2
-    assert wh.group.order == 48
-    assert not is_abelian(wh.group)
+    group = wh_rep(wh).group
+    assert group.order == 48
+    assert not is_abelian(group)
 
 
 def test_wh_rep_is_projective_lift():

@@ -1,15 +1,18 @@
 """Walnut-block and gather Gabor kernels against the dense operators they replaced.
 
 Every lattice operator is a shift times a phase, so the kernels never build an
-L x L operator.  The dense versions stay here as oracles: the analysis matrix
-built from ``lattice_ops``, ``inv_psd``/``eigvalsh`` of the dense frame
-operator, the loop over ``adjoint_lattice_ops`` (applied as M_(sL/a) and
-T_(tL/b) at L = 512, where the whole list takes 256 MiB), the dense product
-V_gamma^* V_g and the ``wh_rep`` sum.  The Walnut blocks, read from one b x a
-correlation array, are also checked against the gather-and-matmul blocks they
-replaced, and the Walnut form of the lattice-swap relation against its dense
-form.  Windows: random ones, and ones that vanish on a residue class mod a,
-which are never frames.
+L x L operator.  The dense versions stay here as oracles, built from the
+rolled-identity and diagonal matrices of ``oracles.translation`` and
+``oracles.modulation``: the analysis matrix, ``inv_psd``/``eigvalsh`` of the
+dense frame operator, the loop over the adjoint lattice operators (applied as
+M_(sL/a) and T_(tL/b) at L = 512, where the whole list takes 256 MiB), the
+dense product V_gamma^* V_g and the sum over the dense Weyl-Heisenberg
+representation.  The one (phase, shift) kernel is also checked bitwise against
+the gathers it replaced, and its dense views against the dense products.  The
+Walnut blocks, read from one b x a correlation array, are checked against the
+gather-and-matmul blocks they replaced, and the Walnut form of the
+lattice-swap relation against its dense form.  Windows: random ones, and ones
+that vanish on a residue class mod a, which are never frames.
 """
 import dataclasses
 
@@ -27,8 +30,6 @@ from frametrace.gabor import (
     gabor_frame_operator,
     gabor_reconstruction_check,
     lattice_ops,
-    modulation,
-    translation,
     wexler_raz_check,
     wh_bridge_check,
     wh_group_build,
@@ -37,7 +38,16 @@ from frametrace.gabor import (
 )
 from frametrace.gabor import _apply_blocks, _frame_blocks, _walnut_blocks
 from frametrace.numerics import inv_psd
-from oracles import walnut_blocks_by_gather, wr_fundamental_relation_dense
+from oracles import (
+    coefficient_map_by_gathers,
+    lattice_ops_dense,
+    modulation,
+    translation,
+    walnut_blocks_by_gather,
+    wh_operators_by_coords,
+    wh_rep_dense,
+    wr_fundamental_relation_dense,
+)
 
 LATTICES = [
     (4, 2, 2), (6, 1, 1), (12, 3, 2), (24, 4, 3), (30, 5, 3),
@@ -88,7 +98,7 @@ def adjoint_images(length, a, b, cands):
     At L = 512 the operators are built one at a time as M_(sL/a) and T_(tL/b).
     """
     if length <= 256:
-        return [op @ cands for op in adjoint_lattice_ops(length, a, b)]
+        return [op @ cands for op in lattice_ops_dense(length, length // b, length // a)]
     return [
         modulation(length, s * (length // a)) @ (translation(length, t * (length // b)) @ cands)
         for s in range(a)
@@ -110,12 +120,31 @@ def wr_oracle(sys_, cands):
 @pytest.mark.parametrize("lat", SMALL, ids=ids)
 def test_coefficient_map_matches_lattice_operators(lat):
     length, a, b = lat
-    ops = lattice_ops(length, a, b)
+    ops = lattice_ops_dense(length, a, b)
     for seed in seeds(length):
         for _, g in windows(length, a, seed):
             rows = np.array([(op @ g).conj() for op in ops])
             got = gabor_coefficient_map(GaborSystem(length, a, b, g))
             assert np.abs(got - rows).max() <= 1e-12
+
+
+@pytest.mark.parametrize("lat", SMALL, ids=ids)
+def test_tf_kernel_is_the_former_gathers_and_the_dense_products(lat):
+    length, a, b = lat
+    wh = wh_group_build(length, a, b)
+    for got, former in zip(wh.operators, wh_operators_by_coords(wh)):
+        assert got.dtype == former.dtype and got.tobytes() == former.tobytes()
+    for _, g in windows(length, a, 0):
+        sys_ = GaborSystem(length, a, b, g)
+        assert gabor_coefficient_map(sys_).tobytes() == coefficient_map_by_gathers(sys_).tobytes()
+    views = [
+        (lattice_ops(length, a, b), lattice_ops_dense(length, a, b)),
+        (adjoint_lattice_ops(length, a, b), lattice_ops_dense(length, length // b, length // a)),
+        (wh_rep(wh).matrices, wh_rep_dense(wh).matrices),
+    ]
+    for got, oracle in views:
+        assert np.shape(got) == oracle.shape
+        assert np.abs(np.asarray(got) - oracle).max() <= 1e-12
 
 
 @pytest.mark.parametrize("lat", BLOCK_LATTICES, ids=ids)
@@ -210,16 +239,16 @@ def test_wh_table_and_bridge_match_dense(lat):
     def index(m, n, z):
         return ((m % n_m) * n_n + n % n_n) * q + z % q
 
-    order = wh.group.order
+    order = wh.order
     table = np.zeros((order, order), dtype=np.int64)
     for i in range(order):
         m, n, z = wh.coords(i)
         for j in range(order):
             m2, n2, z2 = wh.coords(j)
             table[i, j] = index(m + m2, n + n2, z + z2 - k * n * m2)
-    assert np.array_equal(wh.group.cayley, table)
+    assert np.array_equal(wh_rep(wh).group.cayley, table)
 
-    mats = wh_rep(wh).matrices
+    mats = wh_rep_dense(wh).matrices
     # The law residual reads the phases of pi(x) pi(s) - pi(xs) on the three
     # generators; the dense matrices give the same entries.  A wrong cocycle
     # k + 1 changes the law unless q = 1, where every k gives the same law.
@@ -238,6 +267,43 @@ def test_wh_table_and_bridge_match_dense(lat):
         acc = sum(np.outer(p @ g, (p @ f).conj()) for p in mats) / q
         oracle = float(np.linalg.norm(acc - dense_cross(length, a, b, g, f)))
         assert abs(wh_bridge_check(wh, f, g).residual - oracle) <= 1e-11
+
+
+def test_wh_bridge_fails_on_a_corrupted_shift_but_not_on_a_scalar_phase():
+    length, a, b = 12, 3, 2
+    rng = np.random.default_rng(59)
+    f, g = rand_c(rng, length), rand_c(rng, length)
+    wh = wh_group_build(length, a, b)
+    phase, shift = wh.operators
+    cross = dense_cross(length, a, b, g, f)
+
+    def oracle(phase, shift):
+        """The residual from the dense matrices of f -> phase[x] * f[shift[x]], built entry by entry."""
+        mats = np.zeros(shift.shape + (length,), dtype=complex)
+        for x, j in np.ndindex(shift.shape):
+            mats[x, j, shift[x, j]] = phase[x, j]
+        acc = sum(np.outer(p @ g, (p @ f).conj()) for p in mats) / wh.q
+        return float(np.linalg.norm(acc - cross))
+
+    def bridge(operators):
+        corrupted = wh_group_build(length, a, b)
+        vars(corrupted)["operators"] = operators  # the cached (phase, shift) of the group
+        return wh_bridge_check(corrupted, f, g, tol=1e-9)
+
+    clean = wh_bridge_check(wh, f, g, tol=1e-9)
+    assert clean.passed and abs(clean.residual - oracle(phase, shift)) <= 1e-12
+
+    rolled = shift.copy()
+    rolled[5] = np.roll(rolled[5], 1)
+    broken = bridge((phase, rolled))
+    assert not broken.passed and broken.residual > 1.0
+    assert broken.residual == pytest.approx(oracle(phase, rolled), rel=1e-12)
+
+    # The average of pi(x) g (pi(x) f)^* is blind to a unit scalar on one pi(x): only
+    # a shift or a non-scalar phase error can show.
+    rotated = phase.copy()
+    rotated[7] *= np.exp(0.7j)
+    assert bridge((rotated, shift)).residual <= 1e-12
 
 
 def test_wh_group_build_refuses_large_orders_up_front():

@@ -10,24 +10,20 @@ and on seeded random invariant projections.
 import numpy as np
 import pytest
 
-from frametrace.commutant import (
-    is_tracial_on_range,
-    is_tracial_pair,
-    reduced_commutant,
-    regular_commutant_basis,
-)
+from frametrace.commutant import is_tracial_pair, reduced_commutant, regular_commutant_basis, tracial_check
 from frametrace.errors import NotInvariant, UnsupportedGroup
 from frametrace.frames import (
     InvariantProjection,
+    admissibility_defect,
+    admissible_check,
     canonical_dual,
     coefficient_operator,
-    is_admissible_on_range,
     is_admissible_pair,
     is_frame_vector,
     projection_from_spanning,
     regular_coefficient_matrix,
 )
-from frametrace.gabor import wh_group_build
+from frametrace.gabor import wh_group_build, wh_rep
 from frametrace.groups import builtin_group, left_regular_rep, restrict_rep
 from frametrace.plancherel import builtin_irreps, random_invariant_projection
 
@@ -38,7 +34,7 @@ TOL = 1e-9
 
 def acceptance_groups():
     groups = [builtin_group(s) for s in ("cyclic:12", "dihedral:4", "heisenberg:3")]
-    return groups + [wh_group_build(12, 3, 2).group]
+    return groups + [wh_rep(wh_group_build(12, 3, 2)).group]
 
 
 def rand_c(rng, n):
@@ -92,9 +88,9 @@ def test_residuals_agree_with_compressed_and_commutant_oracles(group):
                 psi_c = psi_c + size * np.linalg.norm(psi_c) * rand_c(rng, rep.dim)
             eta, psi = q @ eta_c, q @ psi_c
             old_adm = is_admissible_pair(rep, eta_c, psi_c, tol=TOL)
-            new_adm = is_admissible_on_range(p, eta, psi, TOL)
             old_tra = is_tracial_pair(reduced, group, eta, psi, tol=TOL)
-            new_tra = is_tracial_on_range(p, eta, psi, TOL)
+            d = admissibility_defect(p, eta, psi)
+            new_adm, new_tra = admissible_check(group, d, TOL), tracial_check(group, d, TOL)
             assert new_adm.name == old_adm.name and new_tra.name == old_tra.name
             assert new_adm.passed == old_adm.passed == (not perturbed)
             assert new_tra.passed == old_tra.passed == (not perturbed)
