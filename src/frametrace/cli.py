@@ -36,7 +36,7 @@ from .gabor import (
     wh_bridge_check,
     wh_group_build,
 )
-from .groups import GroupVector, builtin_group
+from .groups import GroupVector, builtin_group, delta
 from .numerics import DEFAULT_TOL
 from .plancherel import (
     builtin_irreps,
@@ -176,8 +176,7 @@ def _frame_context(args, report: RunReport, read):
         vectors = ftio.load_vectors(read("subspace", args.subspace), obj_group)
         proj = projection_from_spanning(obj_group, [v.data for v in vectors])
     else:
-        eye = np.eye(obj_group.order, dtype=complex)
-        proj = InvariantProjection(obj_group, eye, eye)
+        proj = InvariantProjection(delta(obj_group, obj_group.identity), np.eye(obj_group.order, dtype=complex))
     return obj_group, window, proj
 
 
@@ -312,8 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("group", help="validate a group and its spectral data")
     g.add_argument("action", choices=["analyze"])
-    g.add_argument("--builtin", default=None)
-    g.add_argument("--file", default=None)
+    source = g.add_mutually_exclusive_group()
+    source.add_argument("--builtin", default=None)
+    source.add_argument("--file", default=None)
     g.add_argument("--irreps", default=None)
     common(g)
 
@@ -322,8 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--window", required=True)
     f.add_argument("--subspace", default=None)
     f.add_argument("--pair", nargs=2, metavar=("ETA", "PSI"), default=None)
-    f.add_argument("--builtin", default=None)
-    f.add_argument("--group-file", default=None)
+    source = f.add_mutually_exclusive_group()
+    source.add_argument("--builtin", default=None)
+    source.add_argument("--group-file", default=None)
     f.add_argument("--out-vector", default=None)
     common(f)
 

@@ -7,12 +7,13 @@ the natural trace on the right group von Neumann algebra is matrix-trace/|G|.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvariantViolated, NotInvariant, NotInvertible
-from .groups import FiniteGroup, GroupVector, Rep, convolution_operator
+from .errors import DimensionMismatch, InvariantViolated, NotInvertible
+from .groups import FiniteGroup, GroupVector, Rep, convolution_operator, convolve, involution
 from .numerics import (
     DEFAULT_TOL,
     PROJECTION_RANK_CUT,
@@ -103,30 +104,37 @@ def natural_trace(t, group: FiniteGroup) -> complex:
 
 @dataclass(frozen=True)
 class InvariantProjection:
-    """Orthogonal projection on l2(G) commuting with left translation."""
+    """Orthogonal projection p on l2(G) commuting with left translation, stored as h = p delta_e:
+    p is the right convolution R_h by a self-adjoint idempotent h = h * h = h* of the group algebra."""
 
-    group: FiniteGroup
-    matrix: np.ndarray = field(repr=False)
-    #: Orthonormal columns spanning range(matrix), when the builder already has them.
+    h: GroupVector
+    #: Orthonormal columns spanning range(R_h), when the builder already has them.
     basis: np.ndarray | None = field(default=None, repr=False, compare=False)
 
+    @property
+    def group(self) -> FiniteGroup:
+        return self.h.group
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense operator R_h, entry [x, y] = h(y^-1 x), built on first use."""
+        return convolution_operator(self.h)
+
     def validate(self, tol: float = DEFAULT_TOL) -> None:
-        p = self.matrix
-        if not within_tol(np.linalg.norm(p @ p - p), tol, p):
-            raise InvariantViolated("matrix is not idempotent")
-        if not within_tol(np.linalg.norm(p - p.conj().T), tol, p):
-            raise InvariantViolated("matrix is not Hermitian")
-        # p commutes with every left translation exactly when it is the right
-        # convolution by its own column at the identity, h = p delta_e.
-        h = GroupVector(self.group, p[:, self.group.identity])
-        if not within_tol(np.linalg.norm(p - convolution_operator(h)), tol, p):
-            raise NotInvariant("projection does not commute with left translation")
+        """Check h * h = h and h = h* in O(|G|^2).  ||R_f||_F = sqrt(|G|) ||f||_2, so each residual
+        and the scale are those of ||p p - p||_F, ||p - p*||_F and ||p||_F."""
+        h, root = self.h.data, np.sqrt(self.group.order)
+        scale = root * np.linalg.norm(h)
+        if not within_tol(root * np.linalg.norm(self.matrix @ h - h), tol, scale):
+            raise InvariantViolated("projection is not idempotent")
+        if not within_tol(root * np.linalg.norm(h - involution(self.h).data), tol, scale):
+            raise InvariantViolated("projection is not Hermitian")
 
     def rank(self) -> int:
         return self.range_basis().shape[1]
 
     def range_basis(self) -> np.ndarray:
-        """The carried basis; for a bare matrix, its eigenvectors above ``PROJECTION_RANK_CUT``."""
+        """The carried basis; without one, the eigenvectors of R_h above ``PROJECTION_RANK_CUT``."""
         if self.basis is not None:
             return self.basis
         dec = eig_hermitian(self.matrix)
@@ -140,7 +148,7 @@ def projection_from_spanning(group: FiniteGroup, vectors) -> InvariantProjection
     """
     cols = [regular_coefficient_matrix(group, v).conj().T for v in vectors]
     q = orthonormal_columns(np.hstack(cols)) if cols else np.zeros((group.order, 0), dtype=complex)
-    return InvariantProjection(group, q @ q.conj().T, q)
+    return InvariantProjection(GroupVector(group, q @ q[group.identity].conj()), q)  # (q q*) delta_e
 
 
 def admissibility_defect(p: InvariantProjection, eta, psi) -> np.ndarray:
@@ -150,11 +158,9 @@ def admissibility_defect(p: InvariantProjection, eta, psi) -> np.ndarray:
     translation, so V_psi^* V_eta = R_c with c(x) = sum_z psi(zx) conj eta(z), and p = R_h
     with h = p delta_e.  O(|G|^2), with no compression to range(p).
     """
-    group = p.group
     eta = p.matrix @ as_vector(eta)
     psi = p.matrix @ as_vector(psi)
-    c = psi[group.cayley].T @ eta.conj()
-    return c - p.matrix[:, group.identity]
+    return psi[p.group.cayley].T @ eta.conj() - p.h.data  # c - h
 
 
 def admissible_check(group: FiniteGroup, d: np.ndarray, tol: float) -> CheckResult:
@@ -166,21 +172,15 @@ def admissible_check(group: FiniteGroup, d: np.ndarray, tol: float) -> CheckResu
 def admissible_vector_for_projection(
     p: InvariantProjection, tol: float = DEFAULT_TOL
 ) -> GroupVector:
-    """Admissible vector for the restriction of left translation to range(p).
-
-    Takes eta = (p delta_e)^* and returns p eta; the result v satisfies
-    V_v^* V_v = p.
-    """
+    """Admissible vector for the restriction of left translation to range(p): v = p h* = h* * h
+    for h = p delta_e, which is h itself when h * h = h = h*; it satisfies V_v^* V_v = R_(v* * v) = p."""
     p.validate(tol=tol)
-    group = p.group
-    h = p.matrix[:, group.identity]          # p delta_e
-    eta = h[group.inverses].conj()           # involution of p delta_e
-    return GroupVector(group, p.matrix @ eta)
+    return convolve(involution(p.h), p.h)
 
 
 def trace_of_projection(p: InvariantProjection) -> float:
-    """Natural trace of an invariant projection; equals ||v||^2 for its admissible vector."""
-    return float(natural_trace(p.matrix, p.group).real)
+    """Natural trace tau(R_h) = h(e) of an invariant projection; equals ||v||^2 for its admissible vector."""
+    return float(p.h.data[p.group.identity].real)
 
 
 def dual_null_space(rep: Rep, eta) -> np.ndarray:

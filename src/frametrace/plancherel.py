@@ -37,7 +37,7 @@ from .errors import (
     UnsupportedGroup,
 )
 from .frames import InvariantProjection
-from .groups import FiniteGroup, GroupVector, Rep, _parse_spec, _spec_table, convolution_operator
+from .groups import FiniteGroup, GroupVector, Rep, _parse_spec, _spec_table
 from .numerics import DEFAULT_TOL, PLANCHEREL_TOL_FLOOR, PROJECTION_RANK_CUT, _unit_roots, within_tol
 from .reporting import CheckResult
 
@@ -302,8 +302,7 @@ def _fibers(table: IrrepTable, p: InvariantProjection, tol: float, *vectors):
     if p.group != table.group:
         raise DimensionMismatch("projection and table belong to different groups")
     p.validate(tol=tol)
-    h = GroupVector(table.group, p.matrix[:, table.group.identity])
-    flat = _coefficients(table, np.stack([_samples(table, v) for v in (h, *vectors)]))
+    flat = _coefficients(table, np.stack([_samples(table, v) for v in (p.h, *vectors)]))
     hhat, *others = (_blocks(table, row) for row in flat)
     loose = max(tol, PLANCHEREL_TOL_FLOOR)
     for s, b in zip(table.irreps, hhat):
@@ -327,15 +326,13 @@ def fiber_projections(
 
 def projection_from_fibers(table: IrrepTable, projections) -> InvariantProjection:
     """Synthesize the invariant projection with prescribed fiber projections."""
-    group = table.group
     blocks = []
     for s, b in zip(table.irreps, projections):
         b = np.asarray(b, dtype=complex)
         if b.shape != (s.dim, s.dim):
             raise DimensionMismatch(f"fiber block at {s.label!r} has wrong shape")
         blocks.append(b)
-    h = inverse_plancherel(PlancherelCoefficients(table=table, blocks=tuple(blocks)))
-    return InvariantProjection(group=group, matrix=convolution_operator(h))
+    return InvariantProjection(inverse_plancherel(PlancherelCoefficients(table=table, blocks=tuple(blocks))))
 
 
 def fiber_admissibility_check(

@@ -10,7 +10,7 @@ import json
 import numpy as np
 
 from frametrace.commutant import commutant_of_matrices
-from frametrace.errors import NotAGroup
+from frametrace.errors import InvariantViolated, NotAGroup, NotInvariant
 from frametrace.frames import InvariantProjection
 from frametrace.gabor import GaborSystem, WHGroup, gabor_coefficient_map
 from frametrace.groups import (
@@ -21,7 +21,7 @@ from frametrace.groups import (
     convolution_operator,
     group_from_cayley,
 )
-from frametrace.numerics import _unit_roots, eig_hermitian
+from frametrace.numerics import DEFAULT_TOL, _unit_roots, eig_hermitian, within_tol
 
 #: Smallest spectral gap, relative to the spread of the spectrum, at which
 #: :func:`random_invariant_projection_spectral` may cut.
@@ -31,7 +31,7 @@ SPECTRAL_GAP = 1e-6
 def random_invariant_projection_spectral(
     group: FiniteGroup, rng: np.random.Generator
 ) -> InvariantProjection:
-    """Random invariant projection without irrep data, given as a bare matrix.
+    """Random invariant projection without irrep data or a carried basis.
 
     Takes a random Hermitian element of VN_r(G) (a symmetrized right
     convolution) and cuts its spectrum at a random genuine gap, so degenerate
@@ -48,7 +48,30 @@ def random_invariant_projection_spectral(
             continue
         c = int(rng.choice(cuts))
         q = dec.eigenvectors[:, :c]
-        return InvariantProjection(group, q @ q.conj().T)
+        return InvariantProjection(GroupVector(group, (q @ q.conj().T)[:, group.identity]))
+
+
+def coset_average(group: FiniteGroup, u: np.ndarray) -> np.ndarray:
+    """u averaged over the right cosets of {e, s}, s the first involution: the frame-ladder
+    subspace window, whose left-translation orbit spans a proper invariant subspace."""
+    s = next(x for x in group.elements() if x != group.identity and group.mul(x, x) == group.identity)
+    return 0.5 * (u + u[group.cayley[:, s]])
+
+
+def validate_dense(group: FiniteGroup, p: np.ndarray, tol: float = DEFAULT_TOL) -> None:
+    """The former matrix ``InvariantProjection.validate``: three checks on the dense p, O(|G|^3).
+
+    Idempotent and Hermitian, then invariant: p commutes with every left
+    translation exactly when it is the right convolution by its own column at
+    the identity, h = p delta_e.
+    """
+    if not within_tol(np.linalg.norm(p @ p - p), tol, p):
+        raise InvariantViolated("projection is not idempotent")
+    if not within_tol(np.linalg.norm(p - p.conj().T), tol, p):
+        raise InvariantViolated("projection is not Hermitian")
+    h = GroupVector(group, p[:, group.identity])
+    if not within_tol(np.linalg.norm(p - convolution_operator(h)), tol, p):
+        raise NotInvariant("projection does not commute with left translation")
 
 
 def group_from_cayley_by_word_length(table, label: str = "") -> FiniteGroup:

@@ -704,7 +704,7 @@ def test_subspace_outputs_agree_with_an_eigh_basis_oracle(tmp_path, spec, action
             "--out", str(tmp_path / "r.json")]
     assert run(argv) == 0
     got = ftio.load_vector(out, g).data
-    q = InvariantProjection(g, projection_from_spanning(g, [span]).matrix).range_basis()  # eigh path
+    q = InvariantProjection(projection_from_spanning(g, [span]).h).range_basis()  # eigh path
     assert 0 < q.shape[1] < g.order
     v = CoefficientOperator(vector=q.conj().T @ window, matrix=regular_coefficient_matrix(g, window) @ q)
     expect = q @ solve(v)
@@ -742,3 +742,23 @@ def test_frame_check_opens_each_input_once(tmp_path, monkeypatch, group_flag):
     assert read_report(tmp_path / "r.json")["inputs"] == {
         "eta": sha("eta.json"), "group": group_digest, "psi": sha("psi.json"), "window": sha("eta.json"),
     }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["group", "analyze", "--builtin", "cyclic:4", "--file", "g.json"],
+        ["frame", "dual", "--window", "eta.json", "--builtin", "dihedral:3", "--group-file", "g.json"],
+    ],
+)
+def test_a_builtin_group_and_a_group_file_together_exit_2(tmp_path, monkeypatch, capsys, argv):
+    # Naming both used to run the builtin group and ignore the file.
+    monkeypatch.chdir(tmp_path)
+    g = builtin_group("dihedral:3")
+    ftio.save_group(g, "g.json")
+    ftio.save_vector(GroupVector(g, np.arange(6.0)), "eta.json")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", "r.json"])
+    assert exc.value.code == 2
+    assert "not allowed with argument --builtin" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()

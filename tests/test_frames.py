@@ -26,9 +26,9 @@ from frametrace.groups import (
     involution,
     left_regular_rep,
 )
-from frametrace.plancherel import builtin_irreps, isotypic_projection
+from frametrace.plancherel import builtin_irreps, fiber_projections, isotypic_projection, rank_measure
 
-from oracles import random_invariant_projection_spectral
+from oracles import coset_average, random_invariant_projection_spectral
 
 
 def rand_vec(group, rng):
@@ -247,11 +247,13 @@ def test_natural_trace_axioms():
 def test_projection_from_spanning_cases():
     g = builtin_group("cyclic:2")
     p_full = projection_from_spanning(g, [delta(g, g.identity).data])
+    assert np.allclose(p_full.h.data, [1.0, 0.0])
     assert np.allclose(p_full.matrix, np.eye(2))
     p_half = projection_from_spanning(g, [np.ones(2)])
+    assert np.allclose(p_half.h.data, [0.5, 0.5])
     assert np.allclose(p_half.matrix, 0.5 * np.ones((2, 2)))
     p_zero = projection_from_spanning(g, [])
-    assert np.allclose(p_zero.matrix, 0.0)
+    assert np.allclose(p_zero.h.data, 0.0)
 
 
 def test_admissible_vector_for_projection():
@@ -292,11 +294,16 @@ def test_random_invariant_projection_spectral_is_invariant():
         assert 0 < p.rank() < g.order or p.rank() in (0, g.order)
 
 
-@pytest.mark.parametrize("spec", ["dihedral:4", "heisenberg:3", "cyclic:2 x dihedral:3"])
+@pytest.mark.parametrize(
+    "spec",
+    ["dihedral:4", "heisenberg:3", "cyclic:2 x dihedral:3",
+     "dihedral:16", "cyclic:3 x dihedral:8", "dihedral:256"],  # the frame-ladder subspace groups, and order 512
+)
 def test_carried_range_basis_matches_the_eigh_path(spec):
-    # projection_from_spanning keeps the SVD columns it builds p from; a bare
-    # matrix falls back to the eigenvectors above PROJECTION_RANK_CUT.
+    # projection_from_spanning keeps the SVD columns it builds h from; a projection
+    # without a carried basis falls back to the eigenvectors of R_h above PROJECTION_RANK_CUT.
     g = builtin_group(spec)
+    table = builtin_irreps(g)
     rng = np.random.default_rng(21)
     proper = random_invariant_projection_spectral(g, rng)
     spans = [
@@ -304,12 +311,16 @@ def test_carried_range_basis_matches_the_eigh_path(spec):
         [rng.standard_normal(g.order) + 1j * rng.standard_normal(g.order)],
         [proper.matrix[:, j] for j in rng.choice(g.order, size=2, replace=False)],
     ]
+    if g.order % 2 == 0:  # the frame-ladder subspace needs an involution
+        spans.append([coset_average(g, rng.standard_normal(g.order) + 1j * rng.standard_normal(g.order))])
+    ranks = []
     for vectors in spans:
         p = projection_from_spanning(g, vectors)
         q = p.range_basis()
-        bare = InvariantProjection(g, p.matrix)
-        assert q.shape == (g.order, bare.rank())
-        assert p.rank() == bare.rank()
+        assert q.shape == (g.order, p.rank())
+        assert p.rank() == InvariantProjection(p.h).rank()
         assert np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1])) <= 1e-12
-        assert np.linalg.norm(q @ q.conj().T - p.matrix) <= 1e-12
-    assert [projection_from_spanning(g, v).rank() for v in spans] == [0, g.order, proper.rank()]
+        assert np.linalg.norm(q @ q.conj().T - p.matrix) <= 1e-12 * np.sqrt(g.order)
+        assert abs(rank_measure(fiber_projections(table, p)) - trace_of_projection(p)) <= 1e-12
+        ranks.append(p.rank())
+    assert ranks == [0, g.order, proper.rank(), g.order // 2][: len(spans)]

@@ -1,17 +1,19 @@
 """Table-native checks against the dense algorithms they replaced.
 
-The CLI checks admissibility, traciality and projection invariance on l2(G)
+The CLI checks admissibility, traciality and invariant projections on l2(G)
 with O(|G|^2) gathers on the Cayley table.  The dense versions stay here as
 oracles: compression of the left regular representation to range(p) with
-``restrict_rep``, the reduced commutant basis, and the loop of commutators
-with every lambda(x).  Groups: the acceptance groups, each on the full space
-and on seeded random invariant projections.
+``restrict_rep``, the reduced commutant basis, the former matrix validate
+(``oracles.validate_dense``) and the loop of commutators with every
+lambda(x).  Groups: the acceptance groups, each on the full space and on
+seeded random invariant projections.
 """
 import numpy as np
 import pytest
 
+from frametrace import frames
 from frametrace.commutant import is_tracial_pair, reduced_commutant, regular_commutant_basis, tracial_check
-from frametrace.errors import NotInvariant, UnsupportedGroup
+from frametrace.errors import InvariantViolated, NotInvariant, UnsupportedGroup
 from frametrace.frames import (
     InvariantProjection,
     admissibility_defect,
@@ -24,10 +26,12 @@ from frametrace.frames import (
     regular_coefficient_matrix,
 )
 from frametrace.gabor import wh_group_build, wh_rep
-from frametrace.groups import builtin_group, left_regular_rep, restrict_rep
+from frametrace.groups import GroupVector, builtin_group, delta, left_regular_rep, restrict_rep
+from frametrace.numerics import frob_norm
 from frametrace.plancherel import builtin_irreps, random_invariant_projection
 
-from oracles import random_invariant_projection_spectral
+import oracles
+from oracles import coset_average, random_invariant_projection_spectral, validate_dense
 
 TOL = 1e-9
 
@@ -43,7 +47,7 @@ def rand_c(rng, n):
 
 def projections(group, rng, count):
     """The full space, then ``count`` random invariant projections of 0 < rank < |G|."""
-    yield InvariantProjection(group, np.eye(group.order, dtype=complex))
+    yield InvariantProjection(delta(group, group.identity))
     try:
         table = builtin_irreps(group)
     except UnsupportedGroup:
@@ -103,34 +107,75 @@ def test_residuals_agree_with_compressed_and_commutant_oracles(group):
     assert checked == 24
 
 
+def validate_verdict_and_residuals(monkeypatch, module, check):
+    """The error message of ``check(TOL)`` (None when it passes), and the residuals and scales
+    ``check(inf)`` hands to ``module.within_tol``: every check runs at an infinite tolerance."""
+    try:
+        check(TOL)
+        verdict = None
+    except (InvariantViolated, NotInvariant) as exc:
+        verdict = str(exc)
+    seen = []
+    with monkeypatch.context() as mp:
+        mp.setattr(module, "within_tol", lambda r, tol, scale: seen.append((r, frob_norm(scale))) or True)
+        check(np.inf)
+    return verdict, np.array(seen)
+
+
 @pytest.mark.parametrize("group", acceptance_groups(), ids=lambda g: g.label)
-def test_validate_agrees_with_commutator_oracle(group):
+def test_validate_agrees_with_commutator_oracle(group, monkeypatch):
+    # validate checks h * h = h and h = h* on h = p delta_e; the oracle is the
+    # former matrix validate on R_h, whose invariance check R_h always passes.
     rng = np.random.default_rng(400 + group.order)
     for p in projections(group, rng, 4):
-        bound = TOL * max(1.0, np.linalg.norm(p.matrix))
-        assert commutator_oracle(p) <= bound
-        p.validate(TOL)
-        if p.rank() == group.order:
-            continue  # every rotation fixes the identity
-        # A small unitary rotation keeps a Hermitian idempotent but breaks invariance.
-        a = rand_c(rng, group.order ** 2).reshape(group.order, group.order)
-        w, v = np.linalg.eigh(a + a.conj().T)
         eps = 10.0 ** rng.uniform(-6, -2)
-        u = (v * np.exp(1j * eps * w / np.abs(w).max())) @ v.conj().T
-        rotated = InvariantProjection(group, u @ p.matrix @ u.conj().T)
-        assert commutator_oracle(rotated) > bound
-        with pytest.raises(NotInvariant):
-            rotated.validate(TOL)
+        noise = eps * np.linalg.norm(p.h.data) * rand_c(rng, group.order)
+        noisy = InvariantProjection(GroupVector(group, p.h.data + noise))
+        for q, perturbed in ((p, False), (noisy, True)):
+            m = q.matrix
+            assert commutator_oracle(q) <= 1e-12 * max(1.0, np.linalg.norm(m))
+            new, new_res = validate_verdict_and_residuals(monkeypatch, frames, q.validate)
+            old, old_res = validate_verdict_and_residuals(
+                monkeypatch, oracles, lambda tol: validate_dense(group, m, tol))
+            assert new == old == ("projection is not idempotent" if perturbed else None)
+            assert old_res[2, 0] == 0.0  # ||R_h - R_h||_F
+            assert np.allclose(new_res[:, 1], old_res[:2, 1], rtol=1e-12, atol=0.0)  # ||p||_F
+            gap = np.abs(new_res[:, 0] - old_res[:2, 0])
+            if perturbed:
+                assert np.all(gap <= 1e-9 * old_res[:2, 0])
+            else:
+                # Both residuals are rounding noise here, so only their gap is bounded.
+                assert np.all(gap <= 1e-12)
 
 
-@pytest.mark.parametrize("group", acceptance_groups(), ids=lambda g: g.label)
-def test_gathers_match_the_dense_representation(group):
+def dense_lambda(group):
+    """lambda(x) for each x as a dense permutation matrix, delta_y -> delta_xy, one at a time:
+    at order 512 the tensor of ``left_regular_rep`` would take 2 GiB."""
+    cols = np.arange(group.order)
+    for x in group.elements():
+        m = np.zeros((group.order, group.order))
+        m[group.cayley[x], cols] = 1.0
+        yield m
+
+
+#: The acceptance groups spanned by a random pair, and the frame-ladder subspace
+#: shapes (a coset average) on its two groups and at order 512.
+GATHER_CASES = [(g, "pair") for g in acceptance_groups()] + [
+    (builtin_group(s), "coset") for s in ("dihedral:16", "cyclic:3 x dihedral:8", "dihedral:256")
+]
+
+
+@pytest.mark.parametrize("group, span", GATHER_CASES, ids=lambda c: getattr(c, "label", c))
+def test_gathers_match_the_dense_representation(group, span):
     rng = np.random.default_rng(500 + group.order)
-    lam = left_regular_rep(group)
     f, g = rand_c(rng, group.order), rand_c(rng, group.order)
-    assert np.array_equal(regular_coefficient_matrix(group, f), coefficient_operator(lam, f).matrix)
-    orbit = np.hstack([np.einsum("xij,j->ix", lam.matrices, w) for w in (f, g)])
-    u, s, _ = np.linalg.svd(orbit, full_matrices=False)
+    vectors = [f, g] if span == "pair" else [coset_average(group, g)]
+    orbits = np.array([[m @ w for w in (f, *vectors)] for m in dense_lambda(group)])  # [x, k] = lambda(x) w_k
+    assert np.array_equal(regular_coefficient_matrix(group, f), orbits[:, 0].conj())
+    if group.order <= 64:
+        assert np.array_equal(orbits[:, 0].conj(), coefficient_operator(left_regular_rep(group), f).matrix)
+    u, s, _ = np.linalg.svd(orbits[:, 1:].reshape(-1, group.order).T, full_matrices=False)
     q = u[:, s > 1e-11 * s[0]]
-    p = projection_from_spanning(group, [f, g])
-    assert np.linalg.norm(p.matrix - q @ q.conj().T) <= 1e-10
+    p = projection_from_spanning(group, vectors)
+    assert np.linalg.norm(p.matrix - q @ q.conj().T) <= 1e-12 * np.sqrt(group.order)
+    assert p.rank() == q.shape[1] == InvariantProjection(p.h).rank()

@@ -217,7 +217,7 @@ def test_fiber_projections_identity():
     table = builtin_irreps(g)
     from frametrace.frames import InvariantProjection
 
-    p = InvariantProjection(g, np.eye(g.order, dtype=complex))
+    p = InvariantProjection(delta(g, g.identity))
     field = fiber_projections(table, p)
     for s, b in zip(table.irreps, field.projections):
         assert np.allclose(b, np.eye(s.dim))
@@ -229,7 +229,7 @@ def test_fiber_projections_cyclic2_halfspace():
     table = builtin_irreps(g)
     from frametrace.frames import InvariantProjection
 
-    p = InvariantProjection(g, 0.5 * np.ones((2, 2), dtype=complex))
+    p = InvariantProjection(GroupVector(g, [0.5, 0.5]))
     field = fiber_projections(table, p)
     vals = {s.label: complex(b[0, 0]) for s, b in zip(table.irreps, field.projections)}
     assert abs(vals["chi0"] - 1.0) < 1e-12
@@ -322,7 +322,7 @@ def test_fiber_criterion_identity_delta():
     table = builtin_irreps(g)
     from frametrace.frames import InvariantProjection
 
-    p = InvariantProjection(g, np.eye(3, dtype=complex))
+    p = InvariantProjection(delta(g, g.identity))
     e = delta(g, g.identity)
     assert fiber_admissibility_check(table, p, e, e).residual <= 1e-12
 
@@ -332,7 +332,7 @@ def test_fiber_criterion_rejects_out_of_range():
     table = builtin_irreps(g)
     from frametrace.frames import InvariantProjection
 
-    p = InvariantProjection(g, 0.5 * np.ones((2, 2), dtype=complex))
+    p = InvariantProjection(GroupVector(g, [0.5, 0.5]))
     e = delta(g, 0)
     with pytest.raises(NotInRange):
         fiber_admissibility_check(table, p, e, e)
