@@ -145,12 +145,12 @@ def cmd_group(args) -> int:
         except UnsupportedGroup:
             report.metadata["irreps"] = "unavailable"
     if table is not None:
-        report.metadata["irreps"] = len(table.irreps)
-        report.metadata["irrep_dims"] = sorted(table.dims())
+        report.metadata["irreps"] = len(table.labels)
+        report.metadata["irrep_dims"] = sorted(table.degrees)
         report.add(
             CheckResult(
                 name="irrep_completeness",
-                residual=float(abs(sum(d * d for d in table.dims()) - group.order)),
+                residual=float(abs(sum(d * d for d in table.degrees) - group.order)),
                 tol=0.0,
             )
         )
@@ -176,7 +176,7 @@ def _frame_context(args, report: RunReport, read):
         vectors = ftio.load_vectors(read("subspace", args.subspace), obj_group)
         proj = projection_from_spanning(obj_group, [v.data for v in vectors])
     else:
-        proj = InvariantProjection(delta(obj_group, obj_group.identity), np.eye(obj_group.order, dtype=complex))
+        proj = InvariantProjection(delta(obj_group, obj_group.identity))  # the identity, no basis carried
     return obj_group, window, proj
 
 
@@ -189,17 +189,15 @@ def cmd_frame(args) -> int:
     report.metadata["subcommand"] = args.action
 
     if args.action in ("dual", "tighten"):
-        q = proj.range_basis()  # the frame operator is inverted on range(p), in these coordinates
-        v = CoefficientOperator(
-            vector=q.conj().T @ window.data,
-            matrix=regular_coefficient_matrix(group, window.data) @ q,
-        )
+        q = proj.basis  # the frame operator is inverted in these coordinates of range(p); None: all of l2(G)
+        vec, mat = window.data, regular_coefficient_matrix(group, window.data)
+        v = CoefficientOperator(vec, mat) if q is None else CoefficientOperator(q.conj().T @ vec, mat @ q)
         try:
             out_c = canonical_dual(v) if args.action == "dual" else tighten(v)
         except NotInvertible:
             report.add(CheckResult(name=f"{args.action}_not_a_frame", residual=1.0, tol=0.0))
             return _finish(report, args)
-        out = q @ out_c
+        out = out_c if q is None else q @ out_c
         partner = out if args.action == "tighten" else window.data
         check = admissible_check(group, admissibility_defect(proj, partner, out), tol)
         report.add(check.renamed(f"{args.action}_reconstruction"))
@@ -223,7 +221,7 @@ def cmd_frame(args) -> int:
         table = builtin_irreps(group)
         field = fiber_projections(table, proj, tol=tol)
         nu = rank_measure(field)
-        report.metadata["fiber_ranks"] = {s.label: r for s, r in zip(table.irreps, field.ranks)}
+        report.metadata["fiber_ranks"] = dict(zip(table.labels, field.ranks))
         report.metadata["rank_measure"] = nu
         report.add(
             CheckResult(

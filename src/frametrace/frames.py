@@ -111,6 +111,10 @@ class InvariantProjection:
     #: Orthonormal columns spanning range(R_h), when the builder already has them.
     basis: np.ndarray | None = field(default=None, repr=False, compare=False)
 
+    def __post_init__(self):
+        if not isinstance(self.h, GroupVector):
+            raise TypeError(f"h must be the GroupVector p delta_e, not {type(self.h).__name__}")
+
     @property
     def group(self) -> FiniteGroup:
         return self.h.group

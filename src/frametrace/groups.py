@@ -63,9 +63,13 @@ def group_from_cayley(table, label: str = "") -> FiniteGroup:
 
     Checks, in order: shape, Latin-square property, existence of an identity,
     inverses, and associativity.  Raises :class:`NotAGroup` naming the
-    first violated axiom.
+    first violated axiom.  A table with a two-sided identity and inverses that
+    passes Light's test is a group, hence a Latin square, so the O(n^2 log n)
+    Latin sort runs only once a later check has failed, to name the axiom.
     """
     cayley = np.asarray(table, dtype=np.int64)
+    if not cayley.flags.writeable:  # np.take copies a read-only index array on every gather
+        cayley = cayley.copy()
     if cayley.ndim != 2 or cayley.shape[0] != cayley.shape[1]:
         raise NotAGroup("table is not square")
     n = cayley.shape[0]
@@ -76,70 +80,69 @@ def group_from_cayley(table, label: str = "") -> FiniteGroup:
         raise NotAGroup("entries are not element indices")
 
     idx = np.arange(n)
-    if not (np.all(np.sort(cayley, axis=1) == idx) and np.all(np.sort(cayley, axis=0) == idx[:, None])):
-        raise NotAGroup("Latin square property fails")
-
-    identity = -1
-    for e in range(n):
-        if np.array_equal(cayley[e], idx) and np.array_equal(cayley[:, e], idx):
-            identity = e
-            break
-    if identity < 0:
-        raise NotAGroup("no two-sided identity")
-
-    inverses = np.argmax(cayley == identity, axis=1)
-    if not (np.all(cayley[idx, inverses] == identity) and np.all(cayley[inverses, idx] == identity)):
-        raise NotAGroup("inverses missing")
-
-    # Associativity by Light's test: the z with (xy)z = x(yz) for all x, y contain
-    # e and are closed under products, so one O(n^2) slice per z in a greedy set S
-    # suffices once the left-bracketed words (...((e s1) s2)...) reach every element.  As each s
-    # passed, those are the product closure of {e} u S: R <- R R, about log2 |G| + 1 rounds.
-    reached, gens = idx == identity, []
-    while not reached.all():
-        z = int(np.argmin(reached))
-        if not np.array_equal(cayley[:, z][cayley], cayley[:, cayley[:, z]]):  # (xy)z vs x(yz)
-            raise NotAGroup("associativity fails")
-        gens.append(z)
-        reached[z] = True
+    try:
+        identity = next((e for e in range(n) if np.array_equal(cayley[e], idx)
+                         and np.array_equal(cayley[:, e], idx)), -1)
+        if identity < 0:
+            raise NotAGroup("no two-sided identity")
+        inverses = np.argmax(cayley == identity, axis=1)
+        if not (np.all(cayley[idx, inverses] == identity) and np.all(cayley[inverses, idx] == identity)):
+            raise NotAGroup("inverses missing")
+        # Associativity by Light's test: the z with (xy)z = x(yz) for all x, y contain e and are closed
+        # under products, so one O(n^2) slice per z in a greedy set S suffices once the words (...((e s1)
+        # s2)...) reach every element.  As each s passed, those are the closure R of {e} u S: R <- R R,
+        # about log2 |G| + 1 rounds.  R is a group, so by Lagrange each s doubles it: |S| <= log2 |G|.
+        reached, gens = idx == identity, []
         while not reached.all():
-            r = idx[reached]
-            grown = np.zeros(n, dtype=bool)
-            grown[cayley[np.ix_(r, r)]] = True  # R R contains R, as e is in R
-            if np.count_nonzero(grown) == r.size:
-                break
-            reached = grown
-
+            z = int(np.argmin(reached))
+            col = cayley[:, z]
+            if not np.array_equal(np.take(col, cayley), np.take(cayley, col, axis=1)):  # (xy)z vs x(yz)
+                raise NotAGroup("associativity fails")
+            gens.append(z)
+            reached[z] = True
+            while not reached.all():
+                r = idx[reached]
+                grown = np.zeros(n, dtype=bool)
+                grown[np.take(cayley[r], r, axis=1)] = True  # R R contains R, as e is in R
+                if np.count_nonzero(grown) == r.size:
+                    break
+                reached = grown
+    except NotAGroup:
+        if not (np.all(np.sort(cayley, axis=1) == idx) and np.all(np.sort(cayley, axis=0) == idx[:, None])):
+            raise NotAGroup("Latin square property fails") from None
+        raise
     cayley.setflags(write=False)
     inverses.setflags(write=False)
     return FiniteGroup(n, cayley, identity, inverses, tuple(gens), label)
 
 
 def _cyclic_table(n: int) -> np.ndarray:
-    idx = np.arange(n)
-    return (idx[:, None] + idx[None, :]) % n
+    return np.lib.stride_tricks.sliding_window_view(np.arange(2 * n - 1) % n, n).copy()
 
 
 def _dihedral_table(n: int) -> np.ndarray:
     """Dihedral group of order 2n; indices 0..n-1 are r^j, n..2n-1 are s r^j."""
-    i, j = np.arange(n)[:, None], np.arange(n)[None, :]
-    rot, ref = (i + j) % n, (j - i) % n  # r^i r^j = r^(i+j); r^i (s r^j) = s r^(j-i)
-    return np.block([[rot, n + ref], [n + rot, ref]])  # (s r^i) r^j, (s r^i)(s r^j)
+    windows = np.lib.stride_tricks.sliding_window_view(np.arange(2 * n) % n, n)  # row i: (i + j) % n
+    rot, ref = windows[:n], windows[n:0:-1]  # (i + j) % n and (j - i) % n
+    out = np.empty((2 * n, 2 * n), dtype=np.int64)
+    # r^i r^j = r^(i+j), r^i (s r^j) = s r^(j-i), (s r^i) r^j = s r^(i+j), (s r^i)(s r^j) = r^(j-i)
+    out[:n, :n], out[:n, n:], out[n:, :n], out[n:, n:] = rot, ref + n, rot + n, ref
+    return out
 
 
 def _heisenberg_table(n: int) -> np.ndarray:
     """Unitriangular 3x3 matrices over Z_n; element (x, y, z) has index x n^2 + y n + z."""
-    e = np.arange(n ** 3)
-    x, y, z = e // (n * n), (e // n) % n, e % n
-    x, y, z, x2, y2, z2 = x[:, None], y[:, None], z[:, None], x, y, z
-    return ((x + x2) % n) * n * n + ((y + y2) % n) * n + (z + z2 + x * y2) % n
+    # (x, y, z)(x2, y2, z2) = (x + x2, y + y2, z + z2 + x y2): (x, y) multiplies in Z_n x Z_n, and
+    # z + z2 + x y2 is one lookup in the cyclic table, for the n^3 values of (x, y2, z2).
+    c, i = _cyclic_table(n), np.arange(n)
+    zs = c[i[:, None, None], (np.outer(i, i)[:, None, :, None] + i) % n]  # [x, z, y2, z2]
+    xy = _product_table(c, c).reshape(n, n, n, n)  # [x, y, x2, y2]
+    return (xy[:, :, None, :, :, None] * n + zs[:, None, :, None]).reshape(n ** 3, n ** 3)
 
 
 def _product_table(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
-    n2 = t2.shape[0]
-    return (t1[:, None, :, None] * n2 + t2[None, :, None, :]).reshape(
-        t1.shape[0] * n2, t1.shape[0] * n2
-    )
+    n = len(t1) * len(t2)
+    return (t1[:, None, :, None] * len(t2) + t2[None, :, None, :]).reshape(n, n)
 
 
 _SPEC_RE = re.compile(r"^(cyclic|dihedral|heisenberg):(\d+)$")

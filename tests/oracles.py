@@ -5,12 +5,13 @@ on ``sys.path``).
 """
 from __future__ import annotations
 
+import functools
 import json
 
 import numpy as np
 
 from frametrace.commutant import commutant_of_matrices
-from frametrace.errors import InvariantViolated, NotAGroup, NotInvariant
+from frametrace.errors import DimensionMismatch, InvariantViolated, NotAGroup, NotInvariant
 from frametrace.frames import InvariantProjection
 from frametrace.gabor import GaborSystem, WHGroup, gabor_coefficient_map
 from frametrace.groups import (
@@ -21,7 +22,15 @@ from frametrace.groups import (
     convolution_operator,
     group_from_cayley,
 )
-from frametrace.numerics import DEFAULT_TOL, _unit_roots, eig_hermitian, within_tol
+from frametrace.numerics import (
+    DEFAULT_TOL,
+    PLANCHEREL_TOL_FLOOR,
+    PROJECTION_RANK_CUT,
+    _unit_roots,
+    eig_hermitian,
+    within_tol,
+)
+from frametrace.plancherel import plancherel_transform
 
 #: Smallest spectral gap, relative to the spread of the spectrum, at which
 #: :func:`random_invariant_projection_spectral` may cut.
@@ -240,3 +249,107 @@ def coefficient_map_by_gathers(sys: GaborSystem) -> np.ndarray:
     shifted = sys.window[(j - sys.a * np.arange(length // sys.a)[:, None]) % length]
     phase = _unit_roots(np.outer(sys.b * np.arange(length // sys.b), j), length)
     return (phase[:, None, :] * shifted[None, :, :]).conj().reshape(-1, length)
+
+
+def spec_table_by_blocks(spec: str) -> np.ndarray:
+    """The former family table builders: modular formulas, the dihedral table by ``np.block``,
+    and the direct product of the factors' tables, first factor outermost."""
+    def cyclic(n):
+        idx = np.arange(n)
+        return (idx[:, None] + idx[None, :]) % n
+
+    def dihedral(n):
+        i, j = np.arange(n)[:, None], np.arange(n)[None, :]
+        rot, ref = (i + j) % n, (j - i) % n
+        return np.block([[rot, n + ref], [n + rot, ref]])
+
+    def heisenberg(n):
+        e = np.arange(n ** 3)
+        x, y, z = e // (n * n), (e // n) % n, e % n
+        x, y, z, x2, y2, z2 = x[:, None], y[:, None], z[:, None], x, y, z
+        return ((x + x2) % n) * n * n + ((y + y2) % n) * n + (z + z2 + x * y2) % n
+
+    def product(t1, t2):
+        n2 = t2.shape[0]
+        return (t1[:, None, :, None] * n2 + t2[None, :, None, :]).reshape(len(t1) * n2, len(t1) * n2)
+
+    families = {"cyclic": cyclic, "dihedral": dihedral, "heisenberg": heisenberg}
+    tables = [families[family](int(n)) for family, n in (part.split(":") for part in spec.split(" x "))]
+    return functools.reduce(product, tables)
+
+
+def builtin_irreps_by_pairs(spec: str) -> list[tuple[str, np.ndarray]]:
+    """The former ``plancherel.builtin_irreps`` builders: (label, matrices) per irrep, the
+    matrices of shape (order, d, d), a product's irreps by one einsum per pair of factor irreps."""
+    def cyclic(n):
+        chars = _unit_roots(np.outer(np.arange(n), np.arange(n)), n)
+        return [(f"chi{k}", row.reshape(n, 1, 1)) for k, row in enumerate(chars)]
+
+    def dihedral(n):
+        j = np.arange(n)
+        signs = [("triv", 1, 1), ("sgn", 1, -1), ("alt+", -1, 1), ("alt-", -1, -1)]
+        out = [
+            (label, np.concatenate([r ** j, s * r ** j]).astype(complex).reshape(-1, 1, 1))
+            for label, r, s in signs[: 4 if n % 2 == 0 else 2]
+        ]
+        hs = np.arange(1, (n + 1) // 2)
+        up, down = _unit_roots(np.outer(hs, j), n), _unit_roots(-np.outer(hs, j), n)
+        mats = np.zeros((len(hs), 2 * n, 2, 2), dtype=complex)
+        mats[:, :n, 0, 0], mats[:, :n, 1, 1] = up, down
+        mats[:, n:, 0, 1], mats[:, n:, 1, 0] = down, up
+        return out + [(f"rho{h}", m) for h, m in zip(hs, mats)]
+
+    def heisenberg(p):
+        e, t = np.arange(p ** 3), np.arange(p)
+        x, y, z = e // (p * p), (e // p) % p, e % p
+        chars = _unit_roots(t[:, None, None] * x + t[:, None] * y, p).reshape(p * p, -1, 1, 1)
+        out = [(f"chi{a},{b}", c) for (a, b), c in zip(np.ndindex(p, p), chars)]
+        for c in range(1, p):
+            mats = np.zeros((p ** 3, p, p), dtype=complex)
+            mats[e[:, None], t, (t + x[:, None]) % p] = _unit_roots(c * (z[:, None] + y[:, None] * t), p)
+            out.append((f"pi{c}", mats))
+        return out
+
+    def tensor_product(left, right):
+        out = []
+        for l1, m1 in left:
+            for l2, m2 in right:
+                d = m1.shape[1] * m2.shape[1]
+                mats = np.einsum("xij,ykl->xyikjl", m1, m2).reshape(len(m1) * len(m2), d, d)
+                out.append((f"{l1}*{l2}", mats))
+        return out
+
+    families = {"cyclic": cyclic, "dihedral": dihedral, "heisenberg": heisenberg}
+    parts = [families[family](int(n)) for family, n in (part.split(":") for part in spec.split(" x "))]
+    return functools.reduce(tensor_product, parts)
+
+
+def fibers_by_irrep(table, p: InvariantProjection, tol: float = DEFAULT_TOL, *vectors):
+    """The former ``plancherel._fibers``: one transform of [h, *vectors], then a per-irrep
+    loop testing each block of h idempotent, then Hermitian.  Returns the blocks of h and of
+    each vector."""
+    if p.group != table.group:
+        raise DimensionMismatch("projection and table belong to different groups")
+    p.validate(tol=tol)
+    hhat, *others = (plancherel_transform(table, v).blocks for v in (p.h, *vectors))
+    loose = max(tol, PLANCHEREL_TOL_FLOOR)
+    for s, b in zip(table.irreps, hhat):
+        if not within_tol(np.linalg.norm(b @ b - b), loose, b):
+            raise NotInvariant(f"fiber block at {s.label!r} is not idempotent")
+        if not within_tol(np.linalg.norm(b - b.conj().T), loose, b):
+            raise NotInvariant(f"fiber block at {s.label!r} is not Hermitian")
+    return hhat, others
+
+
+def fiber_ranks_by_irrep(projections) -> tuple[int, ...]:
+    """The former ``FiberProjectionField.ranks``: one ``eigvalsh`` per irrep."""
+    return tuple(
+        int(np.sum(np.linalg.eigvalsh(0.5 * (b + b.conj().T)) > PROJECTION_RANK_CUT)) for b in projections
+    )
+
+
+def fiber_admissibility_residual_by_irrep(table, p, eta, psi, tol: float = DEFAULT_TOL) -> float:
+    """The former ``fiber_admissibility_check`` residual: max over irreps of
+    ||psihat etahat^* - P_sigma||_F, one product per irrep."""
+    hhat, (etahat, psihat) = fibers_by_irrep(table, p, tol, eta, psi)
+    return max(float(np.linalg.norm(bp @ be.conj().T - pb)) for be, bp, pb in zip(etahat, psihat, hhat))

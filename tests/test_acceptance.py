@@ -230,7 +230,7 @@ def test_criterion_5_plancherel_suite():
     worst_round = 0.0
     complete = True
     for group, table in table_groups():
-        complete = complete and sum(d * d for d in table.dims()) == group.order
+        complete = complete and sum(d * d for d in table.degrees) == group.order
         for _ in range(200):
             f = GroupVector(group, rand_c(rng, group.order))
             worst_parseval = max(worst_parseval, parseval_residual(table, f))

@@ -245,6 +245,24 @@ def test_frame_dual_and_check_roundtrip(tmp_path):
     assert rep2["overall_pass"] is True
 
 
+@pytest.mark.parametrize("action", ["dual", "tighten"])
+@pytest.mark.parametrize("spec", ["dihedral:3", "heisenberg:3", "cyclic:2 x dihedral:8"])
+def test_full_space_frame_vectors_skip_the_identity_basis_byte_identically(tmp_path, action, spec):
+    """On all of l2(G) the frame operator is inverted without the basis q = I: no q* eta, no
+    V q (an n^3 product) and no q c.  The written vector has the bytes of the former q = I path."""
+    g = builtin_group(spec)
+    rng = np.random.default_rng(23)
+    eta = GroupVector(g, rng.standard_normal(g.order) + 1j * rng.standard_normal(g.order))
+    ftio.save_vector(eta, tmp_path / "eta.json")
+    argv = ["frame", action, "--window", str(tmp_path / "eta.json"), "--out-vector", str(tmp_path / "out.json")]
+    assert run(argv) == 0
+    q = np.eye(g.order, dtype=complex)
+    v = CoefficientOperator(vector=q.conj().T @ eta.data, matrix=regular_coefficient_matrix(g, eta.data) @ q)
+    former = q @ (canonical_dual(v) if action == "dual" else tighten(v))
+    ftio.save_vector(GroupVector(g, former), tmp_path / "former.json")
+    assert (tmp_path / "out.json").read_bytes() == (tmp_path / "former.json").read_bytes()
+
+
 def test_frame_check_failing_pair(tmp_path):
     g = builtin_group("cyclic:4")
     e = delta(g, g.identity)
@@ -576,7 +594,7 @@ def test_order_512_frame_and_group_analyze_stay_quadratic(tmp_path):
     for spec in ("dihedral:256", "cyclic:512"):
         group = builtin_group(spec)
         table = builtin_irreps(group)
-        assert validate_irreps(group, table.irreps).dims() == table.dims()
+        assert validate_irreps(group, table.irreps).degrees == table.degrees
 
 
 def test_gabor_walnut_jobs_stay_small_at_L2048(tmp_path):
@@ -672,7 +690,7 @@ def test_io_irreps_roundtrip(tmp_path):
     p = tmp_path / "irr.json"
     ftio.save_irreps(table, p)
     back = ftio.load_irreps(p, g)
-    assert back.dims() == table.dims()
+    assert back.degrees == table.degrees
 
 
 def test_io_window_roundtrip(tmp_path):

@@ -324,3 +324,14 @@ def test_carried_range_basis_matches_the_eigh_path(spec):
         assert abs(rank_measure(fiber_projections(table, p)) - trace_of_projection(p)) <= 1e-12
         ranks.append(p.rank())
     assert ranks == [0, g.order, proper.rank(), g.order // 2][: len(spans)]
+
+
+def test_invariant_projection_rejects_a_matrix_for_h():
+    """The former form InvariantProjection(group, matrix) fails at construction, not at a
+    later use of h (rank() used to return |G| from the matrix taken as the carried basis)."""
+    g = builtin_group("dihedral:3")
+    with pytest.raises(TypeError, match="GroupVector"):
+        InvariantProjection(g, np.eye(g.order, dtype=complex))
+    with pytest.raises(TypeError, match="ndarray"):
+        InvariantProjection(np.eye(g.order)[:, g.identity])
+    assert InvariantProjection(delta(g, g.identity)).rank() == g.order

@@ -8,6 +8,8 @@ import pytest
 from frametrace.errors import NotAGroup, NotInvariant
 from frametrace.groups import (
     GroupVector,
+    _parse_spec,
+    _spec_table,
     builtin_group,
     convolution_operator,
     convolve,
@@ -18,7 +20,14 @@ from frametrace.groups import (
     restrict_rep,
 )
 
-from oracles import center, conjugacy_classes, element_orders, group_from_cayley_by_word_length, is_abelian
+from oracles import (
+    center,
+    conjugacy_classes,
+    element_orders,
+    group_from_cayley_by_word_length,
+    is_abelian,
+    spec_table_by_blocks,
+)
 
 
 def rand_vec(group, rng):
@@ -142,6 +151,143 @@ def weyl_heisenberg_table(n):
 )
 def test_closure_by_doubling_matches_word_length_oracle(table):
     assert_same_as_word_length_closure(table)
+
+
+# group_from_cayley sorts for the Latin-square test only once a later check has failed.  The
+# word-length oracle sorts first, as the package did before; verdicts, messages, identity,
+# inverses and generators must still agree on every kind of table below.
+
+
+def relabel(table, rng):
+    perm = rng.permutation(len(table))
+    inv = np.argsort(perm)
+    return perm[np.asarray(table)[np.ix_(inv, inv)]]
+
+
+def magma(n, rng, identity=True, inverses=True):
+    """A random table, mostly not Latin.  With ``identity``, 0 is a two-sided identity; with
+    ``inverses`` too, the other entries lie in 1..n-1 except x s(x) = s(x) x = 0 for a random
+    involution s, so every element has a two-sided inverse."""
+    t = rng.integers(1 if inverses else 0, n, size=(n, n))
+    if identity:
+        t[0], t[:, 0] = np.arange(n), np.arange(n)
+    if identity and inverses:
+        s = np.arange(n)
+        pairs = rng.permutation(np.arange(1, n))[: 2 * ((n - 1) // 2)].reshape(-1, 2)
+        s[pairs[:, 0]], s[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
+        t[np.arange(1, n), s[1:]] = 0
+    return t
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 16, 33])
+def test_non_latin_tables_match_the_word_length_oracle(n):
+    rng = np.random.default_rng(100 + n)
+    kinds = [dict(identity=False, inverses=False), dict(inverses=False), dict()]
+    messages = set()
+    for k in range(30):
+        table = magma(n, rng, **kinds[k % 3])
+        assert_same_as_word_length_closure(table)
+        try:
+            group_from_cayley(table)
+        except NotAGroup as exc:
+            messages.add(str(exc))
+    assert "Latin square property fails" in messages
+
+
+@pytest.mark.parametrize("spec", ["cyclic:7", "dihedral:6", "heisenberg:3", "cyclic:2 x dihedral:8"])
+def test_perturbed_groups_with_identity_and_inverses_match_the_oracle(spec):
+    """A product moved to another non-identity value keeps the identity and the inverses but
+    not the Latin property: in the new order Light's test fails, then the Latin sort names it."""
+    rng = np.random.default_rng(7)
+    group = builtin_group(spec)
+    for _ in range(20):
+        table = np.array(relabel(group.cayley, rng))
+        e = int(np.argmax((table == np.arange(len(table))).all(axis=1)))  # the identity's row
+        for _ in range(int(rng.integers(1, 4))):
+            x, y = rng.integers(len(table), size=2)
+            if e in (x, y) or table[x, y] == e:
+                continue
+            table[x, y] = rng.choice([v for v in range(len(table)) if v not in (e, table[x, y])])
+        assert_same_as_word_length_closure(table)
+
+
+@pytest.mark.parametrize("spec", ["cyclic:9", "dihedral:5", "heisenberg:3", "cyclic:2 x dihedral:4"])
+def test_tables_with_a_repeated_row_or_column_match_the_oracle(spec):
+    rng = np.random.default_rng(8)
+    table = builtin_group(spec).cayley
+    for _ in range(10):
+        t = relabel(table, rng)
+        i, j = rng.choice(len(t), size=2, replace=False)
+        if rng.random() < 0.5:
+            t[j] = t[i]
+        else:
+            t[:, j] = t[:, i]
+        assert_same_as_word_length_closure(t)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [pytest.param(builtin_group(spec).cayley, id=spec) for spec in
+     ("dihedral:256", "heisenberg:5", "cyclic:2 x dihedral:64", "cyclic:3 x cyclic:3 x cyclic:3")]
+    + [pytest.param(weyl_heisenberg_table(6), id="weyl-heisenberg:6")],
+)
+def test_relabeled_groups_match_the_word_length_oracle(table):
+    rng = np.random.default_rng(9)
+    for _ in range(3):
+        assert_same_as_word_length_closure(relabel(table, rng))
+
+
+def test_a_magma_with_a_large_associative_part_is_refused_after_at_most_log2_light_tests(monkeypatch):
+    """Z_2^7 x Q, Q a non-Latin magma of order 3 with identity and inverses whose only
+    associative element is its identity: Light's test passes on the 7 generators of Z_2^7 x {e}
+    and fails on the 8th.  Each passing generator at least doubles the closure, a group, so no
+    table with an identity and inverses runs more than log2 |G| + 1 tests before refusal."""
+    q = np.array([[0, 1, 2], [1, 0, 0], [2, 0, 1]])
+    h = np.arange(128)
+    table = (q[:, None, :, None] * 128 + (h[:, None] ^ h)[None, :, None, :]).reshape(384, 384)
+    calls = []
+    array_equal = np.array_equal
+
+    def counting(a, b, *args, **kwargs):
+        calls.append(np.ndim(a))
+        return array_equal(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "array_equal", counting)
+    with pytest.raises(NotAGroup, match="^Latin square property fails$"):
+        group_from_cayley(table)
+    monkeypatch.undo()
+    assert calls.count(2) == 8 <= np.log2(384) + 1
+    assert_same_as_word_length_closure(table)
+
+
+@pytest.mark.parametrize("spec", ["cyclic:1", "cyclic:2", "cyclic:7", "cyclic:512", "dihedral:1", "dihedral:2",
+                                  "dihedral:3", "dihedral:8", "dihedral:256", "heisenberg:2", "heisenberg:4",
+                                  "heisenberg:7", "cyclic:2 x dihedral:3", "cyclic:3 x cyclic:2 x dihedral:4",
+                                  "dihedral:3 x heisenberg:3"])
+def test_family_tables_match_the_former_builders(spec):
+    table = _spec_table(_parse_spec(spec))
+    assert table.dtype == np.int64 and table.flags.c_contiguous
+    assert np.array_equal(table, spec_table_by_blocks(spec))
+
+
+@pytest.mark.parametrize("spec", ["dihedral:4", "cyclic:2 x dihedral:64", "heisenberg:5"])
+def test_read_only_table_is_gathered_through_a_writeable_copy(spec, monkeypatch):
+    # np.take copies a read-only index array on each call: about 6x slower per gather at order 256.
+    table = builtin_group(spec).cayley
+    assert not table.flags.writeable
+    take, index_writeable = np.take, []
+
+    def spy(a, indices, *args, **kwargs):
+        index_writeable.append(np.asarray(indices).flags.writeable)
+        return take(a, indices, *args, **kwargs)
+
+    monkeypatch.setattr(np, "take", spy)
+    again = group_from_cayley(table, label=spec)
+    monkeypatch.undo()
+    assert index_writeable and all(index_writeable)
+    assert again == builtin_group(spec) and again.generators == builtin_group(spec).generators
+    assert again.identity == 0 and np.array_equal(again.inverses, builtin_group(spec).inverses)
+    assert not again.cayley.flags.writeable and not table.flags.writeable
 
 
 def test_relabeled_z6_preserves_orders():

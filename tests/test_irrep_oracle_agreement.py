@@ -129,7 +129,7 @@ def test_builtin_irreps_match_loop_builders(spec):
     table = builtin_irreps(group)
     oracle = loop_irreps(spec)
     assert [s.label for s in table.irreps] == [label for label, _ in oracle]
-    assert table.dims() == [m.shape[1] for _, m in oracle]
+    assert list(table.degrees) == [m.shape[1] for _, m in oracle]
     for s, (_, mats) in zip(table.irreps, oracle):
         assert s.rep.group == group
         assert np.abs(s.rep.matrices - mats).max() <= 1e-12, s.label

@@ -53,19 +53,19 @@ def rand_vec(group, rng):
 
 def test_builtin_dims_cyclic4():
     table = builtin_irreps(builtin_group("cyclic:4"))
-    assert table.dims() == [1, 1, 1, 1]
+    assert table.degrees == (1, 1, 1, 1)
 
 
 def test_builtin_dims_dihedral4():
     table = builtin_irreps(builtin_group("dihedral:4"))
-    assert sorted(table.dims()) == [1, 1, 1, 1, 2]
-    assert sum(d * d for d in table.dims()) == 8
+    assert sorted(table.degrees) == [1, 1, 1, 1, 2]
+    assert sum(d * d for d in table.degrees) == 8
 
 
 def test_builtin_dims_heisenberg3():
     table = builtin_irreps(builtin_group("heisenberg:3"))
-    assert sorted(table.dims()) == [1] * 9 + [3, 3]
-    assert sum(d * d for d in table.dims()) == 27
+    assert sorted(table.degrees) == [1] * 9 + [3, 3]
+    assert sum(d * d for d in table.degrees) == 27
 
 
 def test_builtin_irreps_are_irreducible_by_commutant():
@@ -78,7 +78,7 @@ def test_builtin_irreps_are_irreducible_by_commutant():
 def test_builtin_product_table():
     g = builtin_group("cyclic:2 x dihedral:3")
     table = builtin_irreps(g)
-    assert sum(d * d for d in table.dims()) == g.order
+    assert sum(d * d for d in table.degrees) == g.order
 
 
 def test_builtin_rejects_unknown_label():
@@ -98,6 +98,31 @@ def test_builtin_rejects_table_that_contradicts_label():
     klein = group_from_cayley(KLEIN_FOUR, label="cyclic:4")
     with pytest.raises(UnsupportedGroup, match="does not match"):
         builtin_irreps(klein)
+
+
+@pytest.mark.parametrize("spec", ["dihedral:4", "heisenberg:3", "cyclic:2 x dihedral:3", "cyclic:12"])
+def test_builtin_rejects_relabelings_that_change_the_table(spec):
+    """builtin_irreps compares only the n x |S| products x s with the generators s: two group
+    tables with the same identity that agree there agree everywhere.  A relabeling that moves
+    the identity, or keeps it and changes the table, is refused; an automorphism is the same table."""
+    from frametrace.groups import group_from_cayley
+
+    group = builtin_group(spec)
+    rng = np.random.default_rng(17)
+    refused = 0
+    for k in range(12):
+        perm = rng.permutation(group.order)
+        if k % 2:
+            perm = np.concatenate([[0], rng.permutation(np.arange(1, group.order))])
+        inv = np.argsort(perm)
+        relabeled = group_from_cayley(perm[group.cayley[np.ix_(inv, inv)]], label=spec)
+        if relabeled == group:
+            assert builtin_irreps(relabeled).labels == builtin_irreps(group).labels
+            continue
+        with pytest.raises(UnsupportedGroup, match="does not match"):
+            builtin_irreps(relabeled)
+        refused += 1
+    assert refused >= 10
     assert len(builtin_irreps(group_from_cayley(KLEIN_FOUR, label="cyclic:2 x cyclic:2")).irreps) == 4
 
 
@@ -111,7 +136,7 @@ def test_validate_irreps_roundtrip():
     g = builtin_group("dihedral:3")
     table = builtin_irreps(g)
     revalidated = validate_irreps(g, list(table.irreps))
-    assert revalidated.dims() == table.dims()
+    assert revalidated.degrees == table.degrees
 
 
 def test_validate_irreps_incomplete():
