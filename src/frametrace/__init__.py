@@ -38,7 +38,6 @@ from .frames import (
     is_frame_vector,
     natural_trace,
     projection_from_spanning,
-    regular_coefficient_matrix,
     tighten,
     trace_of_projection,
 )

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 
 import numpy as np
@@ -17,14 +16,10 @@ from . import io as ftio
 from .commutant import tracial_check
 from .errors import FrametraceError, NotAFrame, NotInRange, NotInvertible, UnsupportedGroup
 from .frames import (
-    CoefficientOperator,
     InvariantProjection,
     admissibility_defect,
     admissible_check,
-    canonical_dual,
     projection_from_spanning,
-    regular_coefficient_matrix,
-    tighten,
     trace_of_projection,
 )
 from .gabor import (
@@ -36,8 +31,8 @@ from .gabor import (
     wh_bridge_check,
     wh_group_build,
 )
-from .groups import GroupVector, builtin_group, delta
-from .numerics import DEFAULT_TOL
+from .groups import GroupVector, builtin_group, convolution_operator, delta, star_convolve
+from .numerics import DEFAULT_TOL, inv_psd, inv_sqrt_psd
 from .plancherel import (
     builtin_irreps,
     fiber_admissibility_check,
@@ -53,19 +48,9 @@ class _CliInputError(Exception):
 
 
 def _resolve_tol(args) -> float:
-    env = os.environ.get("FRAMETRACE_TOL")
-    if args.tol is not None:
-        tol = args.tol
-    elif env:
-        try:
-            tol = float(env)
-        except ValueError as exc:
-            raise _CliInputError(f"bad FRAMETRACE_TOL value {env!r}") from exc
-    else:
-        return DEFAULT_TOL
-    if not (np.isfinite(tol) and tol > 0.0):
-        raise _CliInputError(f"tolerance must be a finite positive number, got {tol!r}")
-    return tol
+    if not (np.isfinite(args.tol) and args.tol > 0.0):
+        raise _CliInputError(f"tolerance must be a finite positive number, got {args.tol!r}")
+    return args.tol
 
 
 def _reader(report: RunReport):
@@ -138,7 +123,7 @@ def cmd_group(args) -> int:
 
     table = None
     if args.irreps:
-        table = ftio.load_irreps(read("irreps", args.irreps), group)
+        table = ftio.load_irreps(read("irreps", args.irreps), group, tol)
     else:
         try:
             table = builtin_irreps(group)
@@ -189,15 +174,17 @@ def cmd_frame(args) -> int:
     report.metadata["subcommand"] = args.action
 
     if args.action in ("dual", "tighten"):
-        q = proj.basis  # the frame operator is inverted in these coordinates of range(p); None: all of l2(G)
-        vec, mat = window.data, regular_coefficient_matrix(group, window.data)
-        v = CoefficientOperator(vec, mat) if q is None else CoefficientOperator(q.conj().T @ vec, mat @ q)
+        q, eta = proj.basis, window.data  # S is inverted in the coordinates q of range(p); None: all of l2(G)
+        s = convolution_operator(GroupVector(group, star_convolve(group, eta, eta)))  # S = R_(eta* * eta)
+        if q is not None:
+            s, eta = q.conj().T @ s @ q, q.conj().T @ eta
         try:
-            out_c = canonical_dual(v) if args.action == "dual" else tighten(v)
+            out = (inv_psd if args.action == "dual" else inv_sqrt_psd)(s) @ eta  # S^-1 eta or S^-1/2 eta
         except NotInvertible:
             report.add(CheckResult(name=f"{args.action}_not_a_frame", residual=1.0, tol=0.0))
             return _finish(report, args)
-        out = out_c if q is None else q @ out_c
+        if q is not None:
+            out = q @ out
         partner = out if args.action == "tighten" else window.data
         check = admissible_check(group, admissibility_defect(proj, partner, out), tol)
         report.add(check.renamed(f"{args.action}_reconstruction"))
@@ -230,8 +217,6 @@ def cmd_frame(args) -> int:
                 tol=tol,
             )
         )
-    else:
-        raise _CliInputError(f"unknown frame action {args.action!r}")
     return _finish(report, args)
 
 
@@ -290,8 +275,6 @@ def cmd_gabor(args) -> int:
                     else rng.standard_normal(length) + 1j * rng.standard_normal(length))
         f, g = window_or_draw(args.window, "window"), window_or_draw(args.candidate, "candidate")
         report.add(wh_bridge_check(wh, f, g, tol=tol))
-    else:
-        raise _CliInputError(f"unknown gabor action {args.action!r}")
     return _finish(report, args)
 
 
@@ -303,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--tol", type=float, default=None)
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="write the JSON report here")
 

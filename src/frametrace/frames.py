@@ -4,6 +4,10 @@ The analysis map of a window eta under a representation pi is
 (V_eta phi)(x) = <phi, pi(x) eta>, a |G| x d matrix with rows indexed by group
 elements.  Admissibility of a pair (eta, psi) means V_psi^* V_eta = Id, and
 the natural trace on the right group von Neumann algebra is matrix-trace/|G|.
+
+For left translation on l2(G), V_eta = R_eta^*, with R_f the right convolution
+by f, so V_psi^* V_eta = R_c lies in the commuting algebra, with c = eta* * psi
+(``groups.star_convolve``), and the frame operator is S = R_(eta* * eta).
 """
 from __future__ import annotations
 
@@ -13,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolated, NotInvertible
-from .groups import FiniteGroup, GroupVector, Rep, convolution_operator, convolve, involution
+from .groups import FiniteGroup, GroupVector, Rep, convolution_operator, involution, star_convolve
 from .numerics import (
     DEFAULT_TOL,
     PROJECTION_RANK_CUT,
@@ -44,17 +48,6 @@ def coefficient_operator(rep: Rep, eta) -> CoefficientOperator:
         raise DimensionMismatch(f"window length {eta.shape[0]} != rep dim {rep.dim}")
     orbit = np.einsum("xij,j->xi", rep.matrices, eta)
     return CoefficientOperator(vector=eta, matrix=orbit.conj())
-
-
-def regular_coefficient_matrix(group: FiniteGroup, eta) -> np.ndarray:
-    """V_eta for left translation on l2(G): entry [x, y] = conj eta(x^-1 y), one table gather.
-
-    Equals ``coefficient_operator(left_regular_rep(group), eta).matrix`` without the n^3 tensor.
-    """
-    eta = as_vector(eta)
-    if eta.shape[0] != group.order:
-        raise DimensionMismatch(f"window length {eta.shape[0]} != group order {group.order}")
-    return eta[group.cayley[group.inverses]].conj()
 
 
 def frame_operator(v: CoefficientOperator) -> np.ndarray:
@@ -148,9 +141,9 @@ class InvariantProjection:
 def projection_from_spanning(group: FiniteGroup, vectors) -> InvariantProjection:
     """Projection onto the span of the left-translation orbits of ``vectors`` in l2(G).
 
-    Column x of each orbit block is lambda(x) v, the conjugate transpose of V_v.
+    Column x of the orbit block R_v = V_v^* is lambda(x) v.
     """
-    cols = [regular_coefficient_matrix(group, v).conj().T for v in vectors]
+    cols = [convolution_operator(GroupVector(group, v)) for v in vectors]
     q = orthonormal_columns(np.hstack(cols)) if cols else np.zeros((group.order, 0), dtype=complex)
     return InvariantProjection(GroupVector(group, q @ q[group.identity].conj()), q)  # (q q*) delta_e
 
@@ -159,12 +152,12 @@ def admissibility_defect(p: InvariantProjection, eta, psi) -> np.ndarray:
     """The function d = c - h on G with V_psi^* V_eta - p = R_d, for eta, psi projected to range(p).
 
     R_f is right convolution, entry [x, y] = f(y^-1 x).  Both operators commute with left
-    translation, so V_psi^* V_eta = R_c with c(x) = sum_z psi(zx) conj eta(z), and p = R_h
-    with h = p delta_e.  O(|G|^2), with no compression to range(p).
+    translation, so V_psi^* V_eta = R_c with c = eta* * psi, and p = R_h with h = p delta_e.
+    O(|G|^2), with no compression to range(p).
     """
     eta = p.matrix @ as_vector(eta)
     psi = p.matrix @ as_vector(psi)
-    return psi[p.group.cayley].T @ eta.conj() - p.h.data  # c - h
+    return star_convolve(p.group, eta, psi) - p.h.data  # c - h
 
 
 def admissible_check(group: FiniteGroup, d: np.ndarray, tol: float) -> CheckResult:
@@ -179,7 +172,7 @@ def admissible_vector_for_projection(
     """Admissible vector for the restriction of left translation to range(p): v = p h* = h* * h
     for h = p delta_e, which is h itself when h * h = h = h*; it satisfies V_v^* V_v = R_(v* * v) = p."""
     p.validate(tol=tol)
-    return convolve(involution(p.h), p.h)
+    return GroupVector(p.group, star_convolve(p.group, p.h.data, p.h.data))
 
 
 def trace_of_projection(p: InvariantProjection) -> float:

@@ -47,7 +47,7 @@ class FiniteGroup:
         return range(self.order)
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, FiniteGroup)
             and self.order == other.order
             and np.array_equal(self.cayley, other.cayley)
@@ -245,6 +245,15 @@ def convolution_operator(f: GroupVector) -> np.ndarray:
     return f.data[group.cayley[group.inverses]].T.copy()
 
 
+def star_convolve(group: FiniteGroup, eta: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """The data of eta* * psi, c(x) = sum_z conj eta(z) psi(z x), from data arrays in one table gather.
+
+    For left translation on l2(G), V_psi^* V_eta = R_c, right convolution by c; the frame operator
+    V_eta^* V_eta is R_(eta* * eta).
+    """
+    return psi[group.cayley].T @ eta.conj()
+
+
 @dataclass(frozen=True)
 class Rep:
     """A unitary representation: one d x d matrix per group element."""
@@ -267,16 +276,15 @@ class Rep:
         return self.matrices[x]
 
     def homomorphism_residual(self) -> float:
-        """2|G| delta, delta = max_{x, s in S} ||rep(x)rep(s) - rep(xs)||_F over the generators S.
+        """delta = max_{x, s in S} ||rep(x)rep(s) - rep(xs)||_F over the generators S, 0 for a homomorphism.
 
-        For unitary matrices this bounds d = max_{x,y} ||rep(x)rep(y) - rep(xy)||_F.  Let d_k be that
-        max over words y = y's of length <= k in S.  From rep(x)rep(y) - rep(xy) = rep(x)[rep(y's) -
-        rep(y')rep(s)] + [rep(x)rep(y') - rep(xy')]rep(s) + [rep(xy')rep(s) - rep(xy)], d_k <= d_(k-1)
+        For unitary matrices (2|G| - 1) delta bounds d = max_{x,y} ||rep(x)rep(y) - rep(xy)||_F.  Let d_k
+        be that max over words y = y's of length <= k in S.  From rep(x)rep(y) - rep(xy) = rep(x)[rep(y's)
+        - rep(y')rep(s)] + [rep(x)rep(y') - rep(xy')]rep(s) + [rep(xy')rep(s) - rep(xy)], d_k <= d_(k-1)
         + 2 delta; d_0 = ||rep(e) - Id||_F = ||rep(e)rep(s) - rep(es)||_F <= delta; every y has k < |G|,
         so d <= (2|G| - 1) delta.  The trivial group has no generators and is checked on S = {e}."""
         m, cayley, gens = self.matrices, self.group.cayley, self.group.generators or (self.group.identity,)
-        delta = max(float(np.max(np.linalg.norm(m @ m[s] - m[cayley[:, s]], axis=(1, 2)))) for s in gens)
-        return 2 * self.group.order * delta
+        return max(float(np.max(np.linalg.norm(m @ m[s] - m[cayley[:, s]], axis=(1, 2)))) for s in gens)
 
     def unitarity_residual(self) -> float:
         eye = np.eye(self.dim)

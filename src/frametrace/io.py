@@ -15,6 +15,7 @@ import numpy as np
 from .errors import FrametraceError, NotAGroup
 from .gabor import GaborSystem
 from .groups import FiniteGroup, GroupVector, Rep, group_from_cayley
+from .numerics import DEFAULT_TOL
 from .plancherel import Irrep, IrrepTable, validate_irreps
 from .reporting import digest_bytes
 
@@ -204,7 +205,8 @@ def save_irreps(table: IrrepTable, path) -> None:
         fh.write("\n")
 
 
-def load_irreps(source, group: FiniteGroup) -> IrrepTable:
+def load_irreps(source, group: FiniteGroup, tol: float = DEFAULT_TOL) -> IrrepTable:
+    """Load an irrep table and check it with :func:`validate_irreps` at ``tol``."""
     obj, path = _load_json(source)
     label = _require(obj, "group", path)
     if label != group.label:
@@ -222,7 +224,7 @@ def load_irreps(source, group: FiniteGroup) -> IrrepTable:
                 f"expected {(group.order, dim, dim)}"
             )
         entries.append(Irrep(label=name, dim=dim, rep=Rep(group=group, dim=dim, matrices=mats)))
-    return validate_irreps(group, entries)
+    return validate_irreps(group, entries, tol)
 
 
 def save_window(sys: GaborSystem, path) -> None:

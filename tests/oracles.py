@@ -27,6 +27,7 @@ from frametrace.numerics import (
     PLANCHEREL_TOL_FLOOR,
     PROJECTION_RANK_CUT,
     _unit_roots,
+    as_vector,
     eig_hermitian,
     within_tol,
 )
@@ -81,6 +82,18 @@ def validate_dense(group: FiniteGroup, p: np.ndarray, tol: float = DEFAULT_TOL) 
     h = GroupVector(group, p[:, group.identity])
     if not within_tol(np.linalg.norm(p - convolution_operator(h)), tol, p):
         raise NotInvariant("projection does not commute with left translation")
+
+
+def regular_coefficient_matrix(group: FiniteGroup, eta) -> np.ndarray:
+    """The former ``frames.regular_coefficient_matrix``: V_eta for left translation on l2(G),
+    entry [x, y] = conj eta(x^-1 y), one table gather.
+
+    Equals ``coefficient_operator(left_regular_rep(group), eta).matrix`` without the n^3 tensor.
+    """
+    eta = as_vector(eta)
+    if eta.shape[0] != group.order:
+        raise DimensionMismatch(f"window length {eta.shape[0]} != group order {group.order}")
+    return eta[group.cayley[group.inverses]].conj()
 
 
 def group_from_cayley_by_word_length(table, label: str = "") -> FiniteGroup:

@@ -352,6 +352,22 @@ def test_equal_groups_hash_alike():
     assert other == g and hash(other) == hash(g)
 
 
+def test_a_group_equals_itself_without_comparing_its_table(monkeypatch):
+    g = builtin_group("dihedral:64")
+    copy, cyclic = group_from_cayley(g.cayley.copy()), builtin_group("cyclic:128")
+    calls = []
+    real = np.array_equal
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "array_equal", counting)
+    assert g == g and not calls
+    assert copy == g and len(calls) == 1  # an equal table that is another array is still compared
+    assert copy != cyclic and len(calls) == 2
+
+
 def test_generators_of_builtin_groups():
     for spec, count in (("cyclic:512", 1), ("dihedral:256", 2), ("heisenberg:7", 3),
                         ("cyclic:2 x dihedral:128", 3), ("cyclic:1", 0)):

@@ -8,8 +8,8 @@ equal within 1e-12.  ``validate_irreps`` is the independent mathematical
 oracle (homomorphism, unitarity, character orthogonality, completeness).
 
 ``Rep.homomorphism_residual`` checks rep(x) rep(s) = rep(xs) on the group's
-generators s only and returns 2|G| times that residual.  The loop over all
-pairs (x, y) that it replaced stays below as the oracle: the returned bound
+generators s only and returns that residual delta.  The loop over all pairs
+(x, y) that it replaced stays below as the oracle: the bound (2|G| - 1) delta
 must cover it, and ``Rep.validate`` must pass and fail where the loop does.
 """
 import numpy as np
@@ -189,10 +189,10 @@ def validate_message(rep, tol=DEFAULT_TOL):
 def assert_bound_covers_all_pairs(rep):
     pairs = all_pairs_residuals(rep)
     generator_residual = pairs[:, list(rep.group.generators)].max()
-    bound = rep.homomorphism_residual()
+    delta = rep.homomorphism_residual()
     # The gathered generator residual is the loop's on the pairs (x, s), up to rounding.
-    assert bound / (2 * rep.group.order) == pytest.approx(generator_residual, rel=1e-12, abs=1e-300)
-    assert pairs.max() <= bound
+    assert delta == pytest.approx(generator_residual, rel=1e-12, abs=1e-300)
+    assert pairs.max() <= (2 * rep.group.order - 1) * delta
 
 
 ACCEPTANCE_SPECS = ("cyclic:12", "dihedral:4", "heisenberg:3")
@@ -223,7 +223,7 @@ def test_trivial_group_is_checked_on_its_identity():
     rep = Rep(group=builtin_group("cyclic:1"), dim=1, matrices=[[[-1.0]]])
     assert rep.group.generators == ()
     assert all_pairs_residuals(rep).max() == 2.0
-    assert rep.homomorphism_residual() == 4.0
+    assert rep.homomorphism_residual() == 2.0
 
 
 def perturbation_cases():
@@ -249,4 +249,23 @@ def test_validate_verdicts_match_all_pairs_loop(eps):
             expected = oracle_validate(bent)
             assert validate_message(bent) == expected, (case, seed)
             assert expected == (None if eps == 0.0 else "rep is not a homomorphism within tolerance")
-            assert all_pairs_residuals(bent).max() <= bent.homomorphism_residual()
+            assert all_pairs_residuals(bent).max() <= (2 * group.order - 1) * bent.homomorphism_residual()
+
+
+def builtin_specs_up_to_order_64():
+    yield from (f"cyclic:{n}" for n in range(1, 65))
+    yield from (f"dihedral:{n}" for n in range(1, 33))
+    yield from ("heisenberg:2", "heisenberg:3")
+    yield from ("cyclic:2 x dihedral:16", "cyclic:4 x cyclic:4 x cyclic:4", "cyclic:2 x heisenberg:3",
+                "cyclic:3 x dihedral:8", "dihedral:4 x dihedral:4", "heisenberg:2 x heisenberg:2")
+
+
+def test_every_builtin_irrep_up_to_order_64_passes_at_1e_13():
+    # The generator residual delta, not the all-pairs bound (2|G| - 1) delta, is held to tol:
+    # 2|G| delta reached 3.1e-13 on the exact irreps of dihedral:32.
+    for spec in builtin_specs_up_to_order_64():
+        group = builtin_group(spec)
+        table = builtin_irreps(group)
+        for s in table.irreps:
+            s.rep.validate(tol=1e-13)
+        validate_irreps(group, table.irreps, tol=1e-13)

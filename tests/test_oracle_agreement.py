@@ -23,15 +23,23 @@ from frametrace.frames import (
     is_admissible_pair,
     is_frame_vector,
     projection_from_spanning,
-    regular_coefficient_matrix,
 )
 from frametrace.gabor import wh_group_build, wh_rep
-from frametrace.groups import GroupVector, builtin_group, delta, left_regular_rep, restrict_rep
+from frametrace.groups import (
+    GroupVector,
+    builtin_group,
+    convolution_operator,
+    delta,
+    involution,
+    left_regular_rep,
+    restrict_rep,
+    star_convolve,
+)
 from frametrace.numerics import frob_norm
 from frametrace.plancherel import builtin_irreps, random_invariant_projection
 
 import oracles
-from oracles import coset_average, random_invariant_projection_spectral, validate_dense
+from oracles import coset_average, random_invariant_projection_spectral, regular_coefficient_matrix, validate_dense
 
 TOL = 1e-9
 
@@ -179,3 +187,23 @@ def test_gathers_match_the_dense_representation(group, span):
     p = projection_from_spanning(group, vectors)
     assert np.linalg.norm(p.matrix - q @ q.conj().T) <= 1e-12 * np.sqrt(group.order)
     assert p.rank() == q.shape[1] == InvariantProjection(p.h).rank()
+
+
+@pytest.mark.parametrize("group, span", GATHER_CASES, ids=lambda c: getattr(c, "label", c))
+def test_right_convolution_is_the_adjoint_of_the_coefficient_matrix(group, span):
+    # V_f = R_f^* for left translation: the former gather of V_f, conjugated and transposed, bit for bit.
+    f = rand_c(np.random.default_rng(600 + group.order), group.order)
+    expect = regular_coefficient_matrix(group, f)
+    assert convolution_operator(GroupVector(group, f)).conj().T.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("group, span", GATHER_CASES, ids=lambda c: getattr(c, "label", c))
+def test_star_convolution_is_the_kernel_of_v_psi_star_v_eta(group, span):
+    # V_psi^* V_eta = R_c with c = eta* * psi, against the product of the former n x n matrices.
+    rng = np.random.default_rng(700 + group.order)
+    eta, psi = rand_c(rng, group.order), rand_c(rng, group.order)
+    dense = regular_coefficient_matrix(group, psi).conj().T @ regular_coefficient_matrix(group, eta)
+    r_c = convolution_operator(GroupVector(group, star_convolve(group, eta, psi)))
+    assert np.linalg.norm(r_c - dense) <= 1e-13 * np.linalg.norm(dense)
+    c = star_convolve(group, eta, eta)  # S = R_c is Hermitian: c = c*
+    assert np.linalg.norm(c - involution(GroupVector(group, c)).data) <= 1e-13 * np.linalg.norm(c)

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from frametrace.cli import _trace_identity_residuals
-from frametrace.frames import regular_coefficient_matrix
 from frametrace.groups import FiniteGroup, GroupVector, builtin_group
 from frametrace.numerics import DEFAULT_TOL
 from frametrace.plancherel import (
@@ -22,6 +21,7 @@ from frametrace.plancherel import (
     parseval_residual,
     plancherel_transform,
 )
+from oracles import regular_coefficient_matrix
 from test_irrep_oracle_agreement import SPECS
 
 
