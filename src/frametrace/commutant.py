@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NotInvariant, ReferencePairNotAdmissible
-from .frames import is_admissible_pair, natural_trace
+from .frames import InvariantProjection, is_admissible_pair, natural_trace
 from .groups import FiniteGroup, Rep, delta, convolution_operator
 from .numerics import DEFAULT_TOL, NULLSPACE_CUTOFF, orthonormal_columns, within_tol
 from .reporting import CheckResult
@@ -79,11 +79,11 @@ def regular_commutant_basis(group: FiniteGroup) -> CommutantBasis:
 def reduced_commutant(basis: CommutantBasis, p, tol: float = DEFAULT_TOL) -> CommutantBasis:
     """Compressions {p T p} of a commutant basis, re-orthonormalized.
 
-    The matrix ``p`` (an invariant projection, or its raw matrix) must commute
-    with the representation the basis came from; the returned elements are
-    full-space matrices supported on range(p).
+    The matrix ``p`` (an invariant projection, whose dense R_h is built here, or
+    a raw matrix) must commute with the representation the basis came from; the
+    returned elements are full-space matrices supported on range(p).
     """
-    pm = np.asarray(getattr(p, "matrix", p), dtype=complex)
+    pm = convolution_operator(p.h) if isinstance(p, InvariantProjection) else np.asarray(p, dtype=complex)
     if pm.shape != (basis.dim, basis.dim):
         raise DimensionMismatch("projection does not act on the basis space")
     if basis.rep is not None:

@@ -7,11 +7,11 @@ the natural trace on the right group von Neumann algebra is matrix-trace/|G|.
 
 For left translation on l2(G), V_eta = R_eta^*, with R_f the right convolution
 by f, so V_psi^* V_eta = R_c lies in the commuting algebra, with c = eta* * psi
-(``groups.star_convolve``), and the frame operator is S = R_(eta* * eta).
+(``groups.star_convolve``), and the frame operator is S = R_(eta* * eta).  An invariant projection
+p = R_h is its element h = p delta_e alone: it acts as v -> v * h by the same product, with no R_h.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,17 +112,19 @@ class InvariantProjection:
     def group(self) -> FiniteGroup:
         return self.h.group
 
-    @functools.cached_property
-    def matrix(self) -> np.ndarray:
-        """The dense operator R_h, entry [x, y] = h(y^-1 x), built on first use."""
-        return convolution_operator(self.h)
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """p v = R_h v = v * h, the product (v*)* * h of ``groups.star_convolve``, for the data of one
+        vector or each column of a (|G|, k) array, in one gather of h; no dense R_h is built."""
+        if v.shape[0] != self.group.order:  # v[inverses] would silently drop the extra rows
+            raise DimensionMismatch(f"vector length {v.shape[0]} != group order {self.group.order}")
+        return star_convolve(self.group, v[self.group.inverses].conj(), self.h.data)
 
     def validate(self, tol: float = DEFAULT_TOL) -> None:
         """Check h * h = h and h = h* in O(|G|^2).  ||R_f||_F = sqrt(|G|) ||f||_2, so each residual
         and the scale are those of ||p p - p||_F, ||p - p*||_F and ||p||_F."""
         h, root = self.h.data, np.sqrt(self.group.order)
         scale = root * np.linalg.norm(h)
-        if not within_tol(root * np.linalg.norm(self.matrix @ h - h), tol, scale):
+        if not within_tol(root * np.linalg.norm(self.apply(h) - h), tol, scale):
             raise InvariantViolated("projection is not idempotent")
         if not within_tol(root * np.linalg.norm(h - involution(self.h).data), tol, scale):
             raise InvariantViolated("projection is not Hermitian")
@@ -134,7 +136,7 @@ class InvariantProjection:
         """The carried basis; without one, the eigenvectors of R_h above ``PROJECTION_RANK_CUT``."""
         if self.basis is not None:
             return self.basis
-        dec = eig_hermitian(self.matrix)
+        dec = eig_hermitian(convolution_operator(self.h))
         return dec.eigenvectors[:, dec.eigenvalues > PROJECTION_RANK_CUT]
 
 
@@ -153,10 +155,9 @@ def admissibility_defect(p: InvariantProjection, eta, psi) -> np.ndarray:
 
     R_f is right convolution, entry [x, y] = f(y^-1 x).  Both operators commute with left
     translation, so V_psi^* V_eta = R_c with c = eta* * psi, and p = R_h with h = p delta_e.
-    O(|G|^2), with no compression to range(p).
+    O(|G|^2), with no compression to range(p) and no dense R_h.
     """
-    eta = p.matrix @ as_vector(eta)
-    psi = p.matrix @ as_vector(psi)
+    eta, psi = p.apply(np.column_stack([as_vector(eta), as_vector(psi)])).T  # one stacked p v
     return star_convolve(p.group, eta, psi) - p.h.data  # c - h
 
 

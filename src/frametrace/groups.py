@@ -231,7 +231,7 @@ def _same_group(f: GroupVector, g: GroupVector) -> None:
 def convolve(f: GroupVector, g: GroupVector) -> GroupVector:
     """(f * g)(x) = sum_y f(y) g(y^-1 x) with counting measure."""
     _same_group(f, g)
-    return GroupVector(f.group, convolution_operator(g) @ f.data)
+    return GroupVector(f.group, star_convolve(f.group, involution(f).data, g.data))
 
 
 def involution(f: GroupVector) -> GroupVector:
@@ -249,7 +249,7 @@ def star_convolve(group: FiniteGroup, eta: np.ndarray, psi: np.ndarray) -> np.nd
     """The data of eta* * psi, c(x) = sum_z conj eta(z) psi(z x), from data arrays in one table gather.
 
     For left translation on l2(G), V_psi^* V_eta = R_c, right convolution by c; the frame operator
-    V_eta^* V_eta is R_(eta* * eta).
+    V_eta^* V_eta is R_(eta* * eta).  The columns of a (|G|, k) ``eta`` give the k products at once.
     """
     return psi[group.cayley].T @ eta.conj()
 
@@ -263,7 +263,7 @@ class Rep:
     matrices: np.ndarray = field(repr=False)  # shape (order, dim, dim)
 
     def __post_init__(self):
-        mats = np.asarray(self.matrices, dtype=complex)
+        mats = np.asarray(self.matrices, dtype=complex).view()  # freezes a view, not the caller's array
         if mats.shape != (self.group.order, self.dim, self.dim):
             raise DimensionMismatch(
                 f"expected matrices of shape {(self.group.order, self.dim, self.dim)}, "

@@ -359,9 +359,9 @@ def fiber_admissibility_check(
     eta and psi must lie in range(p).  Equivalent to admissibility of
     (eta, psi) for left translation restricted to range(p).
     """
-    for name, v in (("eta", eta), ("psi", psi)):
-        leak = np.linalg.norm(p.matrix @ v.data - v.data)
-        if not within_tol(leak, max(tol, PLANCHEREL_TOL_FLOOR), v.data):
+    vs = np.column_stack([eta.data, psi.data])
+    for name, v, leak in zip(("eta", "psi"), vs.T, np.linalg.norm(p.apply(vs) - vs, axis=0)):
+        if not within_tol(leak, max(tol, PLANCHEREL_TOL_FLOOR), v):
             raise NotInRange(f"{name} is not in the range of the projection")
     _, flat = _fibers(table, p, tol, eta, psi)
     residual = max(  # one stacked product per dimension class

@@ -13,7 +13,7 @@ import numpy as np
 from frametrace.commutant import commutant_of_matrices
 from frametrace.errors import DimensionMismatch, InvariantViolated, NotAGroup, NotInvariant
 from frametrace.frames import InvariantProjection
-from frametrace.gabor import GaborSystem, WHGroup, gabor_coefficient_map
+from frametrace.gabor import GaborSystem, WHGroup, _walnut_blocks, gabor_coefficient_map
 from frametrace.groups import (
     MAX_ORDER,
     FiniteGroup,
@@ -21,6 +21,7 @@ from frametrace.groups import (
     Rep,
     convolution_operator,
     group_from_cayley,
+    star_convolve,
 )
 from frametrace.numerics import (
     DEFAULT_TOL,
@@ -82,6 +83,13 @@ def validate_dense(group: FiniteGroup, p: np.ndarray, tol: float = DEFAULT_TOL) 
     h = GroupVector(group, p[:, group.identity])
     if not within_tol(np.linalg.norm(p - convolution_operator(h)), tol, p):
         raise NotInvariant("projection does not commute with left translation")
+
+
+def admissibility_defect_dense(p: InvariantProjection, eta, psi) -> np.ndarray:
+    """The former ``frames.admissibility_defect``: eta and psi projected by the dense R_h = p,
+    one matrix-vector product each, then d = eta* * psi - h."""
+    m = convolution_operator(p.h)
+    return star_convolve(p.group, m @ as_vector(eta), m @ as_vector(psi)) - p.h.data
 
 
 def regular_coefficient_matrix(group: FiniteGroup, eta) -> np.ndarray:
@@ -205,6 +213,18 @@ def walnut_blocks_by_gather(length: int, a: int, b: int, gamma, g) -> np.ndarray
     idx = np.arange(length // b)[:, None] + (length // b) * np.arange(b)
     shifted = (idx[:, :, None] - a * np.arange(length // a)) % length
     return (length / b) * (gamma[shifted] @ g[shifted].conj().swapaxes(1, 2))
+
+
+def wh_bridge_residual_by_scatter(wh: WHGroup, f, g) -> float:
+    """The former ``gabor.wh_bridge_check`` residual: the Walnut blocks of (g, f) scattered into a
+    zero-filled L x L (the former ``gabor._walnut_dense``), then subtracted from the group average."""
+    f, g = as_vector(f), as_vector(g)
+    phase, shift = wh.operators
+    acc = (phase * g[shift]).T @ (phase * f[shift]).conj() / wh.q
+    idx = np.arange(wh.L // wh.b)[:, None] + (wh.L // wh.b) * np.arange(wh.b)
+    cross = np.zeros((wh.L, wh.L), dtype=complex)
+    cross[idx[:, :, None], idx[:, None, :]] = _walnut_blocks(wh.L, wh.a, wh.b, g, f)
+    return float(np.linalg.norm(acc - cross))
 
 
 def wr_fundamental_relation_dense(length: int, a: int, b: int, f, g, h) -> float:

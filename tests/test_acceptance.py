@@ -43,6 +43,7 @@ from frametrace.gabor import (
 from frametrace.groups import (
     GroupVector,
     builtin_group,
+    convolution_operator,
     delta,
     left_regular_rep,
     restrict_rep,
@@ -185,7 +186,7 @@ def test_criterion_3_admissible_vector_construction():
             v = admissible_vector_for_projection(p)
             vv = coefficient_operator(lam, v.data)
             worst_op = max(
-                worst_op, np.linalg.norm(vv.matrix.conj().T @ vv.matrix - p.matrix)
+                worst_op, np.linalg.norm(vv.matrix.conj().T @ vv.matrix - convolution_operator(p.h))
             )
             worst_tr = max(worst_tr, abs(trace_of_projection(p) - v.norm() ** 2))
     ok = worst_op <= 1e-9 and worst_tr <= 1e-9
@@ -258,7 +259,7 @@ def test_criterion_6_fiber_criterion_and_rank_measure():
             field = fiber_projections(table, p)
             worst_rank = max(
                 worst_rank,
-                abs(rank_measure(field) - natural_trace(p.matrix, group).real),
+                abs(rank_measure(field) - natural_trace(convolution_operator(p.h), group).real),
             )
         for _ in range(5):
             p = random_projection_for(group, table, rng)

@@ -2,12 +2,14 @@
 import builtins
 import hashlib
 import json
+import sys
 import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from frametrace import groups
 from frametrace import io as ftio
 from frametrace.cli import main
 from frametrace.frames import (
@@ -29,7 +31,7 @@ from frametrace.groups import GroupVector, builtin_group, delta, left_regular_re
 from frametrace.plancherel import builtin_irreps, validate_irreps
 from frametrace.reporting import CheckResult, RunReport, digest_text, report_dumps
 
-from oracles import regular_coefficient_matrix
+from oracles import coset_average, regular_coefficient_matrix
 
 
 def run(args, capsys=None):
@@ -748,6 +750,42 @@ def test_subspace_outputs_agree_with_an_eigh_basis_oracle(tmp_path, spec, action
     v = CoefficientOperator(vector=q.conj().T @ window, matrix=regular_coefficient_matrix(g, window) @ q)
     expect = q @ solve(v)
     assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
+
+
+@pytest.mark.parametrize("subspace", [False, True], ids=["full", "subspace"])
+@pytest.mark.parametrize("action, dense", [("dual", 1), ("tighten", 1), ("check", 0), ("decompose", 0)])
+def test_frame_builds_a_dense_right_convolution_only_to_decompose_it(tmp_path, monkeypatch, action, dense,
+                                                                       subspace):
+    # p acts as v * h, so the only dense R_f of a job are S = R_(eta* * eta) of dual and tighten and,
+    # with --subspace, one orbit block R_v per spanning vector (k = 1 here).
+    monkeypatch.chdir(tmp_path)
+    g = builtin_group("dihedral:8")
+    rng = np.random.default_rng(41)
+    window = rng.standard_normal(g.order) + 1j * rng.standard_normal(g.order)
+    sub = []
+    if subspace:
+        window = coset_average(g, window)  # its orbit spans a proper invariant subspace
+        spanning = {"group": "dihedral:8", "vectors": [ftio.complex_to_json(window)]}
+        (tmp_path / "sub.json").write_text(json.dumps(spanning))
+        sub = ["--subspace", "sub.json"]
+    ftio.save_vector(GroupVector(g, window), "eta.json")
+    argv = ["frame", "dual", "--window", "eta.json", *sub, "--out-vector", "psi.json", "--out", "d.json"]
+    assert run(argv) == 0
+    orig, calls = groups.convolution_operator, []
+
+    def counting(f):
+        calls.append(f.group.order)
+        return orig(f)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "frametrace" or name.startswith("frametrace."):
+            for key, value in list(vars(mod).items()):
+                if value is orig:
+                    monkeypatch.setattr(mod, key, counting)
+    extra = {"dual": ["--out-vector", "out.json"], "tighten": ["--out-vector", "out.json"],
+             "check": ["--pair", "eta.json", "psi.json"], "decompose": []}[action]
+    assert run(["frame", action, "--window", "eta.json", *sub, *extra, "--out", "r.json"]) == 0
+    assert len(calls) == dense + subspace
 
 
 @pytest.mark.parametrize("group_flag", [[], ["--builtin", "dihedral:3"], ["--group-file", "g.json"]])

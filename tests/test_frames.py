@@ -5,6 +5,7 @@ import pytest
 from frametrace.errors import DimensionMismatch, NotInvertible
 from frametrace.frames import (
     InvariantProjection,
+    admissibility_defect,
     admissible_vector_for_projection,
     canonical_dual,
     coefficient_operator,
@@ -87,6 +88,14 @@ def test_coefficient_operator_dim_mismatch():
         coefficient_operator(lam, [1.0, 0.0, 0.0])
 
 
+def test_projection_apply_rejects_a_vector_of_the_wrong_length():
+    g = builtin_group("cyclic:3")
+    p = InvariantProjection(delta(g, g.identity))
+    for n in (2, 4):  # a longer vector must not lose its extra entries to the inverse gather
+        with pytest.raises(DimensionMismatch):
+            admissibility_defect(p, np.ones(n), np.ones(n))
+
+
 def test_frame_operator_cases():
     g = builtin_group("dihedral:3")
     lam = left_regular_rep(g)
@@ -119,7 +128,7 @@ def test_is_frame_vector():
     # vector supported on a proper invariant subspace cannot frame all of l2(G)
     table = builtin_irreps(g)
     p = isotypic_projection(table, table.irreps[0].label)
-    eta = p.matrix @ np.ones(g.order)
+    eta = convolution_operator(p.h) @ np.ones(g.order)
     assert not is_frame_vector(coefficient_operator(lam, eta))
 
 
@@ -248,10 +257,10 @@ def test_projection_from_spanning_cases():
     g = builtin_group("cyclic:2")
     p_full = projection_from_spanning(g, [delta(g, g.identity).data])
     assert np.allclose(p_full.h.data, [1.0, 0.0])
-    assert np.allclose(p_full.matrix, np.eye(2))
+    assert np.allclose(convolution_operator(p_full.h), np.eye(2))
     p_half = projection_from_spanning(g, [np.ones(2)])
     assert np.allclose(p_half.h.data, [0.5, 0.5])
-    assert np.allclose(p_half.matrix, 0.5 * np.ones((2, 2)))
+    assert np.allclose(convolution_operator(p_half.h), 0.5 * np.ones((2, 2)))
     p_zero = projection_from_spanning(g, [])
     assert np.allclose(p_zero.h.data, 0.0)
 
@@ -263,7 +272,7 @@ def test_admissible_vector_for_projection():
     v = admissible_vector_for_projection(p)
     assert np.allclose(v.data, [0.5, 0.5])
     vv = coefficient_operator(lam, v.data)
-    assert np.linalg.norm(vv.matrix.conj().T @ vv.matrix - p.matrix) <= 1e-12
+    assert np.linalg.norm(vv.matrix.conj().T @ vv.matrix - convolution_operator(p.h)) <= 1e-12
 
     g = builtin_group("dihedral:4")
     lam = left_regular_rep(g)
@@ -272,7 +281,7 @@ def test_admissible_vector_for_projection():
     p = isotypic_projection(table, two_dim)
     v = admissible_vector_for_projection(p)
     vv = coefficient_operator(lam, v.data)
-    assert np.linalg.norm(vv.matrix.conj().T @ vv.matrix - p.matrix) <= 1e-9
+    assert np.linalg.norm(vv.matrix.conj().T @ vv.matrix - convolution_operator(p.h)) <= 1e-9
     assert abs(trace_of_projection(p) - v.norm() ** 2) <= 1e-9
 
 
@@ -309,7 +318,7 @@ def test_carried_range_basis_matches_the_eigh_path(spec):
     spans = [
         [],
         [rng.standard_normal(g.order) + 1j * rng.standard_normal(g.order)],
-        [proper.matrix[:, j] for j in rng.choice(g.order, size=2, replace=False)],
+        [convolution_operator(proper.h)[:, j] for j in rng.choice(g.order, size=2, replace=False)],
     ]
     if g.order % 2 == 0:  # the frame-ladder subspace needs an involution
         spans.append([coset_average(g, rng.standard_normal(g.order) + 1j * rng.standard_normal(g.order))])
@@ -320,7 +329,7 @@ def test_carried_range_basis_matches_the_eigh_path(spec):
         assert q.shape == (g.order, p.rank())
         assert p.rank() == InvariantProjection(p.h).rank()
         assert np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1])) <= 1e-12
-        assert np.linalg.norm(q @ q.conj().T - p.matrix) <= 1e-12 * np.sqrt(g.order)
+        assert np.linalg.norm(q @ q.conj().T - convolution_operator(p.h)) <= 1e-12 * np.sqrt(g.order)
         assert abs(rank_measure(fiber_projections(table, p)) - trace_of_projection(p)) <= 1e-12
         ranks.append(p.rank())
     assert ranks == [0, g.order, proper.rank(), g.order // 2][: len(spans)]

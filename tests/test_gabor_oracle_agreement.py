@@ -44,6 +44,7 @@ from oracles import (
     modulation,
     translation,
     walnut_blocks_by_gather,
+    wh_bridge_residual_by_scatter,
     wh_operators_by_coords,
     wh_rep_dense,
     wr_fundamental_relation_dense,
@@ -267,6 +268,16 @@ def test_wh_table_and_bridge_match_dense(lat):
         acc = sum(np.outer(p @ g, (p @ f).conj()) for p in mats) / q
         oracle = float(np.linalg.norm(acc - dense_cross(length, a, b, g, f)))
         assert abs(wh_bridge_check(wh, f, g).residual - oracle) <= 1e-11
+
+
+@pytest.mark.parametrize("lat", [(48, 4, 4), (12, 2, 3), (24, 4, 3), (36, 6, 4), (60, 5, 6)], ids=ids)
+def test_wh_bridge_subtracts_the_blocks_in_place_bit_for_bit(lat):
+    # The Walnut blocks come off the group average on their classes mod L/b; off them the former
+    # zero-filled L x L subtracted exact zeros, so the residual keeps every bit.
+    wh = wh_group_build(*lat)
+    rng = np.random.default_rng(sum(lat))
+    f, g = rand_c(rng, lat[0]), rand_c(rng, lat[0])
+    assert wh_bridge_check(wh, f, g).residual == wh_bridge_residual_by_scatter(wh, f, g)
 
 
 def test_wh_bridge_fails_on_a_corrupted_shift_but_not_on_a_scalar_phase():

@@ -16,6 +16,7 @@ from frametrace.groups import (
     delta,
     group_from_cayley,
     involution,
+    Rep,
     left_regular_rep,
     restrict_rep,
 )
@@ -472,6 +473,16 @@ def test_regular_rep_exact_homomorphism():
     lam = left_regular_rep(g)
     assert lam.homomorphism_residual() == 0.0
     assert lam.unitarity_residual() == 0.0
+
+
+def test_rep_freezes_a_view_not_the_callers_matrices():
+    g = builtin_group("cyclic:3")
+    m = np.ones((3, 1, 1), dtype=complex)  # already complex: np.asarray returns m itself
+    rep = Rep(g, 1, m)
+    assert m.flags.writeable
+    assert not rep.matrices.flags.writeable
+    m[1] = -1.0  # still the caller's to write; the Rep shares its memory
+    assert rep.matrices[1, 0, 0] == -1.0
 
 
 def test_right_convolution_operator():

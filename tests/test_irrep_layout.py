@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from frametrace.errors import InvariantViolated, NotInvariant
-from frametrace.groups import GroupVector, builtin_group
+from frametrace.groups import GroupVector, builtin_group, convolution_operator
 from frametrace.plancherel import (
     builtin_irreps,
     fiber_admissibility_check,
@@ -95,7 +95,7 @@ def test_validate_irreps_stacks_supplied_irreps_into_the_same_kernel(spec):
 
 def _in_range(p, rng):
     v = rng.standard_normal(p.group.order) + 1j * rng.standard_normal(p.group.order)
-    return GroupVector(p.group, p.matrix @ v)
+    return GroupVector(p.group, convolution_operator(p.h) @ v)
 
 
 @pytest.mark.parametrize("spec", ["dihedral:8", "heisenberg:3", "cyclic:3 x dihedral:4", "dihedral:32",

@@ -74,7 +74,7 @@ def projections(group, rng, count):
 def commutator_oracle(p: InvariantProjection) -> float:
     """max_x ||lambda(x) p - p lambda(x)||_F, the residual of the old validate."""
     lam = left_regular_rep(p.group)
-    m = p.matrix
+    m = convolution_operator(p.h)
     return max(float(np.linalg.norm(lam[x] @ m - m @ lam[x])) for x in p.group.elements())
 
 
@@ -140,7 +140,7 @@ def test_validate_agrees_with_commutator_oracle(group, monkeypatch):
         noise = eps * np.linalg.norm(p.h.data) * rand_c(rng, group.order)
         noisy = InvariantProjection(GroupVector(group, p.h.data + noise))
         for q, perturbed in ((p, False), (noisy, True)):
-            m = q.matrix
+            m = convolution_operator(q.h)
             assert commutator_oracle(q) <= 1e-12 * max(1.0, np.linalg.norm(m))
             new, new_res = validate_verdict_and_residuals(monkeypatch, frames, q.validate)
             old, old_res = validate_verdict_and_residuals(
@@ -185,7 +185,7 @@ def test_gathers_match_the_dense_representation(group, span):
     u, s, _ = np.linalg.svd(orbits[:, 1:].reshape(-1, group.order).T, full_matrices=False)
     q = u[:, s > 1e-11 * s[0]]
     p = projection_from_spanning(group, vectors)
-    assert np.linalg.norm(p.matrix - q @ q.conj().T) <= 1e-12 * np.sqrt(group.order)
+    assert np.linalg.norm(convolution_operator(p.h) - q @ q.conj().T) <= 1e-12 * np.sqrt(group.order)
     assert p.rank() == q.shape[1] == InvariantProjection(p.h).rank()
 
 
@@ -207,3 +207,48 @@ def test_star_convolution_is_the_kernel_of_v_psi_star_v_eta(group, span):
     assert np.linalg.norm(r_c - dense) <= 1e-13 * np.linalg.norm(dense)
     c = star_convolve(group, eta, eta)  # S = R_c is Hermitian: c = c*
     assert np.linalg.norm(c - involution(GroupVector(group, c)).data) <= 1e-13 * np.linalg.norm(c)
+
+
+@pytest.mark.parametrize("group", acceptance_groups() + [builtin_group("dihedral:16")], ids=lambda g: g.label)
+def test_apply_is_the_dense_right_convolution(group):
+    # p v = R_h v = v * h without R_h, for one vector and for the columns of a (|G|, 3) array.
+    rng = np.random.default_rng(800 + group.order)
+    n = group.order
+    hs = [p.h for p in projections(group, rng, 3)][1:] + [GroupVector(group, rand_c(rng, n))]  # last: h != h*
+    for h in hs:
+        p, m = InvariantProjection(h), convolution_operator(h)
+        for v in (rand_c(rng, n), rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))):
+            expect = m @ v
+            assert p.apply(v).shape == v.shape
+            assert np.linalg.norm(p.apply(v) - expect) <= 1e-12 * np.linalg.norm(expect)
+    full = InvariantProjection(delta(group, group.identity))  # h = delta_e: p is the identity, bit for bit
+    for v in (rand_c(rng, n), rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))):
+        assert full.apply(v).tobytes() == (convolution_operator(full.h) @ v).tobytes() == v.tobytes()
+
+
+#: The frame-ladder groups and the order-512 shapes of the CLI guard.
+DEFECT_SPECS = ("dihedral:8", "heisenberg:3", "dihedral:16", "dihedral:32", "cyclic:3 x dihedral:8",
+                "dihedral:256", "cyclic:512")
+
+
+@pytest.mark.parametrize("spec", DEFECT_SPECS)
+def test_defect_through_apply_matches_the_dense_projection(spec):
+    # Full space: the same bits as the former p.matrix @ v defect.  --subspace (a window averaged
+    # over a subgroup, its orbit spanning range(p)): the same defect up to the order of the sums.
+    group = builtin_group(spec)
+    rng = np.random.default_rng(900 + group.order)
+    u, psi = rand_c(rng, group.order), rand_c(rng, group.order)
+    if group.order % 2:  # no involution: average over the cyclic subgroup of the last generator
+        s, powers = group.generators[-1], [group.identity]
+        while group.mul(powers[-1], s) != group.identity:
+            powers.append(group.mul(powers[-1], s))
+        eta = sum(u[group.cayley[:, t]] for t in powers)
+    else:
+        eta = coset_average(group, u)
+    full = InvariantProjection(delta(group, group.identity))
+    expect = oracles.admissibility_defect_dense(full, eta, psi)
+    assert admissibility_defect(full, eta, psi).tobytes() == expect.tobytes()
+    sub = projection_from_spanning(group, [eta])
+    assert 0 < sub.rank() < group.order
+    expect = oracles.admissibility_defect_dense(sub, eta, psi)
+    assert np.linalg.norm(admissibility_defect(sub, eta, psi) - expect) <= 1e-12 * np.linalg.norm(expect)

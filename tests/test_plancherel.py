@@ -22,6 +22,7 @@ from frametrace.groups import (
     GroupVector,
     Rep,
     builtin_group,
+    convolution_operator,
     delta,
     left_regular_rep,
     restrict_rep,
@@ -380,7 +381,7 @@ def test_isotypic_projection_trace():
     p = isotypic_projection(table, two.label)
     # full isotypic component has dimension d^2 = 4, trace 4/8
     assert p.rank() == 4
-    assert abs(natural_trace(p.matrix, g).real - 0.5) < 1e-12
+    assert abs(natural_trace(convolution_operator(p.h), g).real - 0.5) < 1e-12
     with pytest.raises(KeyError):
         isotypic_projection(table, "nope")
 
