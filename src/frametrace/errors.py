@@ -33,10 +33,6 @@ class NotInvariant(FrametraceError):
     """A subspace or projection fails the required invariance."""
 
 
-class InvariantViolated(FrametraceError):
-    """An input value violates its declared invariants."""
-
-
 class UnsupportedGroup(FrametraceError):
     """No builtin irreducible representations for this group."""
 

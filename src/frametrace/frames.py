@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvariantViolated, NotInvertible
+from .errors import DimensionMismatch, NotInvariant, NotInvertible
 from .groups import FiniteGroup, GroupVector, Rep, convolution_operator, involution, star_convolve
 from .numerics import (
     DEFAULT_TOL,
@@ -125,9 +125,9 @@ class InvariantProjection:
         h, root = self.h.data, np.sqrt(self.group.order)
         scale = root * np.linalg.norm(h)
         if not within_tol(root * np.linalg.norm(self.apply(h) - h), tol, scale):
-            raise InvariantViolated("projection is not idempotent")
+            raise NotInvariant("projection is not idempotent")
         if not within_tol(root * np.linalg.norm(h - involution(self.h).data), tol, scale):
-            raise InvariantViolated("projection is not Hermitian")
+            raise NotInvariant("projection is not Hermitian")
 
     def rank(self) -> int:
         return self.range_basis().shape[1]

@@ -223,7 +223,7 @@ def load_irreps(source, group: FiniteGroup, tol: float = DEFAULT_TOL) -> IrrepTa
                 f"{path}: irrep {name!r} has matrices of shape {mats.shape}, "
                 f"expected {(group.order, dim, dim)}"
             )
-        entries.append(Irrep(label=name, dim=dim, rep=Rep(group=group, dim=dim, matrices=mats)))
+        entries.append(Irrep(label=name, rep=Rep(group=group, dim=dim, matrices=mats)))
     return validate_irreps(group, entries, tol)
 
 

@@ -37,7 +37,7 @@ from .errors import (
     UnsupportedGroup,
 )
 from .frames import InvariantProjection
-from .groups import FiniteGroup, GroupVector, Rep, _parse_spec, _spec_table
+from .groups import FiniteGroup, GroupVector, Rep, _parse_spec, _spec_table, convolve
 from .numerics import DEFAULT_TOL, PLANCHEREL_TOL_FLOOR, PROJECTION_RANK_CUT, _unit_roots, within_tol
 from .reporting import CheckResult
 
@@ -45,8 +45,11 @@ from .reporting import CheckResult
 @dataclass(frozen=True)
 class Irrep:
     label: str
-    dim: int
     rep: Rep
+
+    @property
+    def dim(self) -> int:
+        return self.rep.dim
 
 
 @dataclass(frozen=True)
@@ -66,7 +69,7 @@ class IrrepTable:
     def irreps(self) -> tuple:
         """One :class:`Irrep` per kernel block, its matrices a view of the kernel."""
         blocks = _blocks(self, self.kernel)  # sigma(x)^T
-        return tuple(Irrep(s, d, Rep(self.group, d, b.transpose(0, 2, 1)))
+        return tuple(Irrep(s, Rep(self.group, d, b.transpose(0, 2, 1)))
                      for s, d, b in zip(self.labels, self.degrees, blocks))
 
 
@@ -187,7 +190,7 @@ def builtin_irreps(group: FiniteGroup) -> IrrepTable:
     try:
         factors = _parse_spec(group.label)
     except NotAGroup:
-        raise UnsupportedGroup(f"no builtin irreps for group {group.label!r}; supply a table") from None
+        raise UnsupportedGroup(f"no builtin irreps for group {group.label!r}") from None
     if not np.array_equal(group.cayley, _spec_table(factors)):  # shapes first, then entries
         raise UnsupportedGroup(f"group table does not match its label {group.label!r}")
     labels, dims, kernel = functools.reduce(_tensor_product, (_FAMILY_IRREPS[f](n) for f, n in factors))
@@ -201,13 +204,13 @@ def validate_irreps(group: FiniteGroup, supplied, tol: float = DEFAULT_TOL) -> I
     pairwise inequivalence (via character orthogonality), and completeness
     sum d^2 = |G|; then stacks them once into the kernel layout.
     """
-    irreps = [e if isinstance(e, Irrep) else Irrep(label=e[0], dim=e[1].dim, rep=e[1]) for e in supplied]
+    irreps = [e if isinstance(e, Irrep) else Irrep(*e) for e in supplied]
     for s in irreps:
         if s.rep.group != group:
             raise NotHomomorphism(f"irrep {s.label!r} lives on a different group")
         try:
             s.rep.validate(tol=tol)
-        except Exception as exc:
+        except NotInvariant as exc:
             raise NotHomomorphism(f"irrep {s.label!r}: {exc}") from exc
     # gram[i, j] = <chi_i, chi_j> / |G|: every character norm and overlap from one product
     chars = np.array([s.rep.character() for s in irreps]).reshape(len(irreps), group.order)
@@ -291,8 +294,6 @@ def convolution_to_product_check(
     table: IrrepTable, f: GroupVector, g: GroupVector, tol: float = DEFAULT_TOL
 ) -> CheckResult:
     """Pin the convolution transport: (f * g)^(sigma) = ghat(sigma) fhat(sigma)."""
-    from .groups import convolve
-
     flat = _coefficients(table, np.stack([_samples(table, v) for v in (convolve(f, g), f, g)]))
     fg, fhat, ghat = (_blocks(table, row) for row in flat)
     residual = max(

@@ -11,7 +11,7 @@ import json
 import numpy as np
 
 from frametrace.commutant import commutant_of_matrices
-from frametrace.errors import DimensionMismatch, InvariantViolated, NotAGroup, NotInvariant
+from frametrace.errors import DimensionMismatch, NotAGroup, NotInvariant
 from frametrace.frames import InvariantProjection
 from frametrace.gabor import GaborSystem, WHGroup, _walnut_blocks, gabor_coefficient_map
 from frametrace.groups import (
@@ -77,9 +77,9 @@ def validate_dense(group: FiniteGroup, p: np.ndarray, tol: float = DEFAULT_TOL) 
     the identity, h = p delta_e.
     """
     if not within_tol(np.linalg.norm(p @ p - p), tol, p):
-        raise InvariantViolated("projection is not idempotent")
+        raise NotInvariant("projection is not idempotent")
     if not within_tol(np.linalg.norm(p - p.conj().T), tol, p):
-        raise InvariantViolated("projection is not Hermitian")
+        raise NotInvariant("projection is not Hermitian")
     h = GroupVector(group, p[:, group.identity])
     if not within_tol(np.linalg.norm(p - convolution_operator(h)), tol, p):
         raise NotInvariant("projection does not commute with left translation")

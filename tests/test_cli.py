@@ -28,7 +28,7 @@ from frametrace.gabor import (
     wr_fundamental_relation_check,
 )
 from frametrace.groups import GroupVector, builtin_group, delta, left_regular_rep
-from frametrace.plancherel import builtin_irreps, validate_irreps
+from frametrace.plancherel import IrrepTable, builtin_irreps, validate_irreps
 from frametrace.reporting import CheckResult, RunReport, digest_text, report_dumps
 
 from oracles import coset_average, regular_coefficient_matrix
@@ -50,8 +50,7 @@ def test_group_analyze_builtin(tmp_path):
     rep = read_report(out)
     assert rep["overall_pass"] is True
     assert rep["metadata"]["commutant_dim"] == 8
-    names = [c["name"] for c in rep["checks"]]
-    assert "trace_identity_sampled" in names
+    assert [c["name"] for c in rep["checks"]] == ["parseval_sampled"]
     assert all(c["pass"] for c in rep["checks"])
 
 
@@ -545,7 +544,8 @@ def test_group_analyze_file_table_contradicting_label(tmp_path):
         assert run(["group", "analyze", "--file", str(klein), "--out", str(out)]) == 0, label
         rep = read_report(out)
         assert rep["metadata"]["irreps"] == "unavailable"
-        assert [c["name"] for c in rep["checks"]] == ["trace_identity_sampled"]
+        # The table was validated on load, and without irreps nothing is left to check.
+        assert rep["checks"] == [] and rep["overall_pass"] is True
 
 
 def _traced_peak_mib(argv) -> tuple[int, float]:
@@ -646,6 +646,46 @@ def test_memory_error_exits_2(tmp_path, monkeypatch, capsys):
     assert run(["gabor", "reference", "--L", "12", "--a", "3", "--b", "2", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: out of memory")
     assert not out.exists()
+
+
+def test_group_analyze_parseval_fails_on_a_scaled_kernel_column(tmp_path, monkeypatch):
+    import frametrace.cli as cli
+
+    def scaled(group):
+        table = builtin_irreps(group)
+        kernel = table.kernel.copy()
+        kernel[:, -1] *= 1.5  # no longer unitary: Parseval's sum misweighs that coefficient
+        return IrrepTable(group, table.labels, table.degrees, kernel)
+
+    monkeypatch.setattr(cli, "builtin_irreps", scaled)
+    out = tmp_path / "r.json"
+    assert run(["group", "analyze", "--builtin", "dihedral:4", "--out", str(out)]) == 1
+    (check,) = read_report(out)["checks"]
+    assert check["name"] == "parseval_sampled" and check["pass"] is False
+
+
+def test_memory_error_while_validating_irreps_exits_2(tmp_path, monkeypatch, capsys):
+    irreps = tmp_path / "irreps.json"
+    ftio.save_irreps(builtin_irreps(builtin_group("dihedral:3")), irreps)
+
+    def simulated(self, tol=None):
+        raise MemoryError("simulated")
+
+    monkeypatch.setattr(groups.Rep, "validate", simulated)
+    assert run(["group", "analyze", "--builtin", "dihedral:3", "--irreps", str(irreps)]) == 2
+    assert capsys.readouterr().err.startswith("error: out of memory")
+
+
+def test_frame_decompose_without_builtin_irreps_names_the_group(tmp_path, capsys):
+    # dihedral:3 with its elements relabelled: a valid group file that no builtin spec names.
+    perm = np.array([0, 2, 1, 4, 3, 5])
+    inv = np.argsort(perm)
+    table = perm[builtin_group("dihedral:3").cayley[inv][:, inv]]
+    group_file, window = tmp_path / "g.json", tmp_path / "w.json"
+    group_file.write_text(json.dumps({"label": "relabelled", "order": 6, "cayley": table.tolist()}))
+    window.write_text(json.dumps({"group": "relabelled", "data": [[1.0, 0.0]] * 6}))
+    assert run(["frame", "decompose", "--window", str(window), "--group-file", str(group_file)]) == 2
+    assert capsys.readouterr().err == "error: no builtin irreps for group 'relabelled'\n"
 
 
 def test_report_overall_pass_logic():

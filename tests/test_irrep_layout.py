@@ -16,7 +16,7 @@ same message, naming the first bad irrep in table order.
 import numpy as np
 import pytest
 
-from frametrace.errors import InvariantViolated, NotInvariant
+from frametrace.errors import NotInvariant
 from frametrace.groups import GroupVector, builtin_group, convolution_operator
 from frametrace.plancherel import (
     builtin_irreps,
@@ -119,8 +119,8 @@ def test_fibers_match_the_per_irrep_loops(spec):
 def _message(fn):
     try:
         fn()
-    except (NotInvariant, InvariantViolated) as exc:
-        return type(exc), str(exc)
+    except NotInvariant as exc:
+        return str(exc)
     return None
 
 
@@ -144,7 +144,7 @@ def test_corrupted_fiber_block_names_the_first_bad_irrep_in_table_order(spec):
         new = _message(lambda: fiber_projections(table, p, tol=tol))
         old = _message(lambda: fibers_by_irrep(table, p, tol))
         assert new == old
-        if new is not None and new[0] is NotInvariant:
-            assert repr(table.labels[bad[0]]) in new[1]
-            named.add(new[1].split()[-1])
+        if new is not None and new.startswith("fiber block"):  # not p.validate's message
+            assert repr(table.labels[bad[0]]) in new
+            named.add(new.split()[-1])
     assert named == ({"idempotent"} if spec == "cyclic:64" else {"idempotent", "Hermitian"})

@@ -28,6 +28,7 @@ from frametrace.groups import (
     restrict_rep,
 )
 from frametrace.plancherel import (
+    Irrep,
     builtin_irreps,
     convolution_to_product_check,
     fiber_admissibility_check,
@@ -131,6 +132,13 @@ def test_builtin_heisenberg_requires_prime():
     g = builtin_group("heisenberg:4")
     with pytest.raises(UnsupportedGroup):
         builtin_irreps(g)
+
+
+def test_irrep_dimension_is_its_reps():
+    rep = builtin_irreps(builtin_group("dihedral:3")).irreps[-1].rep
+    assert Irrep("rho1", rep).dim == rep.dim == 2
+    with pytest.raises(TypeError):
+        Irrep("x", 2, rep)  # no second dimension beside the rep's
 
 
 def test_validate_irreps_roundtrip():

@@ -1,18 +1,17 @@
-"""The one-matrix Plancherel transform and the regrouped trace identity against
-the loops they replaced.
+"""The one-matrix Plancherel transform against the loops it replaced.
 
 ``plancherel`` maps a stack of samples to every block by one product with the
-|G| x sum d^2 matrix of all irreps, and ``group analyze`` reads
-tr(V_f^* V_g) as sum_z N(z) f(z) conj g(z) / |G| from one count of the table.
-The per-irrep ``einsum`` transform, inverse and Parseval loop and the gathered
-Frobenius product of V_f and V_g are the previous implementation, kept here as
-oracles on the irrep-oracle specs.
+|G| x sum d^2 matrix of all irreps.  The per-irrep ``einsum`` transform,
+inverse and Parseval loop are the previous implementation, kept here as
+oracles on the irrep-oracle specs, also for the one check of ``group analyze``.
 """
+import json
+
 import numpy as np
 import pytest
 
-from frametrace.cli import _trace_identity_residuals
-from frametrace.groups import FiniteGroup, GroupVector, builtin_group
+from frametrace.cli import main
+from frametrace.groups import GroupVector, builtin_group
 from frametrace.numerics import DEFAULT_TOL
 from frametrace.plancherel import (
     PlancherelCoefficients,
@@ -21,7 +20,6 @@ from frametrace.plancherel import (
     parseval_residual,
     plancherel_transform,
 )
-from oracles import regular_coefficient_matrix
 from test_irrep_oracle_agreement import SPECS
 
 
@@ -43,14 +41,6 @@ def einsum_parseval(table, f):
         for s, b in zip(table.irreps, einsum_transform(table, f))
     )
     return abs(total - np.linalg.norm(f) ** 2)
-
-
-def gathered_trace_residual(group, f, g):
-    vf = regular_coefficient_matrix(group, f)
-    vg = regular_coefficient_matrix(group, g)
-    lhs = complex(np.sum(vf.conj() * vg)) / group.order
-    rhs = np.vdot(g, f)  # <f, g>
-    return abs(lhs - rhs) / (1.0 + abs(rhs))
 
 
 def samples(rng, k, n):
@@ -88,25 +78,16 @@ def test_transform_inverse_and_parseval_match_einsum_loops(spec):
 
 
 @pytest.mark.parametrize("spec", SPECS)
-def test_regrouped_trace_identity_matches_gathered(spec):
+def test_group_analyze_checks_parseval_on_its_first_draw(spec, tmp_path):
+    # The table is validated on load, so Parseval on the run's first 20 samples is the one check.
+    out = tmp_path / "r.json"
+    assert main(["group", "analyze", "--builtin", spec, "--seed", "7", "--out", str(out)]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
     group = builtin_group(spec)
-    rng = np.random.default_rng(sum(map(ord, spec)))
-    f, g = samples(rng, 3, group.order), samples(rng, 3, group.order)
-    new = _trace_identity_residuals(group, f, g)
-    old = [gathered_trace_residual(group, a, b) for a, b in zip(f, g)]
-    assert np.abs(new - old).max() <= 1e-13
-
-
-def test_regrouped_trace_identity_reads_a_non_latin_table():
-    # Not a group: the table is not a Latin square, so N(z) = #{(x, y) : x^-1 y = z}
-    # is not |G| everywhere and tr(V_f^* V_g) != <f, g>.  Built directly, since
-    # group_from_cayley refuses it.
-    cayley = np.array([[0, 1, 2], [1, 0, 0], [2, 0, 1]])
-    fake = FiniteGroup(order=3, cayley=cayley, identity=0, inverses=np.array([0, 1, 2]), generators=(1,))
-    assert np.bincount(cayley[fake.inverses].ravel(), minlength=3).tolist() == [4, 3, 2]
-    rng = np.random.default_rng(3)
-    f, g = samples(rng, 4, 3), samples(rng, 4, 3)
-    new = _trace_identity_residuals(fake, f, g)
-    old = np.array([gathered_trace_residual(fake, a, b) for a, b in zip(f, g)])
-    assert old.min() > 1e-2
-    assert np.allclose(new, old, rtol=1e-12, atol=0.0)
+    table = builtin_irreps(group)
+    stack = samples(np.random.default_rng(7), 20, group.order)
+    old = max(einsum_parseval(table, f) / (1.0 + np.linalg.norm(f) ** 2) for f in stack)
+    (check,) = report["checks"]
+    assert check["name"] == "parseval_sampled" and check["pass"] is True
+    assert abs(check["residual"] - old) <= 1e-14
+    assert report["metadata"]["irrep_dims"] == sorted(table.degrees)

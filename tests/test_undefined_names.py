@@ -6,7 +6,8 @@ global read inside a function or class body up in the imported module's
 namespace and in ``builtins``.  Such a name fails only when its line runs, so an
 untested error path hides it.  Unused imports: every name a module binds by
 ``import`` must appear as a ``Name`` node (an attribute base such as ``np`` in
-``np.sum`` is one) somewhere in that module.
+``np.sum`` is one) somewhere in that module.  Imports sit at module level: no
+function body holds an ``import`` statement.
 """
 import ast
 import builtins
@@ -79,3 +80,30 @@ def test_every_import_is_read():
             unused[module.__name__] = sorted(names)
     assert unused == {}
 
+
+
+def function_imports(source: str) -> set[str]:
+    """``function:line`` of each import statement inside a function body, nested ones included."""
+    return {
+        f"{fn.name}:{node.lineno}"
+        for fn in ast.walk(ast.parse(source))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    }
+
+
+def test_function_imports_are_found():
+    source = "import os\ndef f():\n    from .a import b\n    def g():\n        import c\n    return b\n"
+    assert function_imports(source) == {"f:3", "f:5", "g:5"}
+    assert function_imports("import os\nclass A:\n    x = os.sep\n") == set()
+
+
+def test_no_function_body_imports():
+    found = {}
+    for module in _modules():
+        with open(module.__file__, "r", encoding="utf-8") as fh:
+            names = function_imports(fh.read())
+        if names:
+            found[module.__name__] = sorted(names)
+    assert found == {}
