@@ -77,9 +77,11 @@ from .numerics import (
     eig_hermitian,
     inv_psd,
     inv_sqrt_psd,
+    psd_inverses,
 )
 from .plancherel import (
     FiberProjectionField,
+    FiberSubspace,
     Irrep,
     IrrepTable,
     PlancherelCoefficients,
@@ -87,6 +89,7 @@ from .plancherel import (
     convolution_to_product_check,
     fiber_admissibility_check,
     fiber_projections,
+    fiber_subspace,
     inverse_plancherel,
     isotypic_projection,
     plancherel_transform,

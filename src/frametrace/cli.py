@@ -37,6 +37,7 @@ from .plancherel import (
     builtin_irreps,
     fiber_admissibility_check,
     fiber_projections,
+    fiber_subspace,
     parseval_residual,
     rank_measure,
 )
@@ -123,41 +124,60 @@ def cmd_group(args) -> int:
 
 
 def _frame_context(args, report: RunReport, read):
-    """Resolve the group (by default the spec the window file names), the window vector and the subspace."""
+    """Resolve the group (by default the spec the window file names), the window vector, the builtin
+    irreps (None without them, with the reason) and the subspace: on the fibers with irreps, else the
+    projection onto the orbit span of the vectors."""
     spec = args.builtin
     if not spec and not args.group_file:
         spec = ftio.load_label(read("window", args.window))
-    obj_group = _resolve_group(report, read, spec, args.group_file)
-    window = ftio.load_vector(read("window", args.window), obj_group)
+    group = _resolve_group(report, read, spec, args.group_file)
+    window = ftio.load_vector(read("window", args.window), group)
+    try:
+        table, missing = builtin_irreps(group), None
+    except UnsupportedGroup as exc:
+        table, missing = None, exc
+    vectors = None
     if args.subspace:
-        vectors = ftio.load_vectors(read("subspace", args.subspace), obj_group)
-        proj = projection_from_spanning(obj_group, [v.data for v in vectors])
+        vectors = [v.data for v in ftio.load_vectors(read("subspace", args.subspace), group)]
+    fibers = fiber_subspace(table, vectors) if table is not None else None
+    if vectors is None:
+        proj = InvariantProjection(delta(group, group.identity))  # the identity, no basis carried
+    elif fibers is not None:
+        proj = fibers.projection()
     else:
-        proj = InvariantProjection(delta(obj_group, obj_group.identity))  # the identity, no basis carried
-    return obj_group, window, proj
+        proj = projection_from_spanning(group, vectors)
+    return group, window, table, missing, fibers, proj
+
+
+def _dense_frame_solve(proj: InvariantProjection, eta: np.ndarray, sqrt: bool) -> np.ndarray:
+    """S^-1 eta (S^-1/2 eta with ``sqrt``) on range(p) from one eigh of the dense S = R_(eta* * eta),
+    compressed to the coordinates q of range(p) that ``projection_from_spanning`` carries: the path of
+    a group without builtin irreps."""
+    q, group = proj.basis, proj.group  # q None: all of l2(G)
+    s = convolution_operator(GroupVector(group, star_convolve(group, eta, eta)))
+    if q is not None:
+        s, eta = q.conj().T @ s @ q, q.conj().T @ eta
+    out = (inv_sqrt_psd if sqrt else inv_psd)(s) @ eta
+    return out if q is None else q @ out
 
 
 def cmd_frame(args) -> int:
     tol = _resolve_tol(args)
     report = RunReport(seed=args.seed)
     read = _reader(report)
-    group, window, proj = _frame_context(args, report, read)
+    group, window, table, missing, fibers, proj = _frame_context(args, report, read)
     report.metadata["group"] = group.label
     report.metadata["subcommand"] = args.action
 
     if args.action in ("dual", "tighten"):
-        q, eta = proj.basis, window.data  # S is inverted in the coordinates q of range(p); None: all of l2(G)
-        s = convolution_operator(GroupVector(group, star_convolve(group, eta, eta)))  # S = R_(eta* * eta)
-        if q is not None:
-            s, eta = q.conj().T @ s @ q, q.conj().T @ eta
+        sqrt = args.action == "tighten"
         try:
-            out = (inv_psd if args.action == "dual" else inv_sqrt_psd)(s) @ eta  # S^-1 eta or S^-1/2 eta
+            out = (fibers.frame_solve(window.data, sqrt) if fibers is not None
+                   else _dense_frame_solve(proj, window.data, sqrt))
         except NotInvertible:
             report.add(CheckResult(name=f"{args.action}_not_a_frame", residual=1.0, tol=0.0))
             return _finish(report, args)
-        if q is not None:
-            out = q @ out
-        partner = out if args.action == "tighten" else window.data
+        partner = out if sqrt else window.data
         check = admissible_check(group, admissibility_defect(proj, partner, out), tol)
         report.add(check.renamed(f"{args.action}_reconstruction"))
         if args.out_vector:
@@ -165,19 +185,21 @@ def cmd_frame(args) -> int:
     elif args.action == "check":
         eta_doc, psi_doc = read("eta", args.pair[0]), read("psi", args.pair[1])
         eta, psi = ftio.load_vector(eta_doc, group), ftio.load_vector(psi_doc, group)
-        d = admissibility_defect(proj, eta.data, psi.data)  # one defect for both residuals
+        applied = proj.apply(np.column_stack([eta.data, psi.data, proj.h.data]))  # one gather of h
+        d = admissibility_defect(proj, eta.data, psi.data, projected=applied)  # one defect for both residuals
         report.add(admissible_check(group, d, tol))
         report.add(tracial_check(group, d, tol))
-        try:
-            table = builtin_irreps(group)
-            report.add(fiber_admissibility_check(table, proj, eta, psi, tol=tol))
-        except UnsupportedGroup:
+        if table is None:
             report.metadata["fiber_check"] = "skipped: no irreps available"
-        except NotInRange as exc:
-            report.add(CheckResult(name="fiber_admissibility_in_range", residual=1.0, tol=0.0))
-            report.metadata["fiber_check"] = str(exc)
+        else:
+            try:
+                report.add(fiber_admissibility_check(table, proj, eta, psi, tol=tol, applied=applied))
+            except NotInRange as exc:
+                report.add(CheckResult(name="fiber_admissibility_in_range", residual=1.0, tol=0.0))
+                report.metadata["fiber_check"] = str(exc)
     elif args.action == "decompose":
-        table = builtin_irreps(group)
+        if table is None:
+            raise missing
         field = fiber_projections(table, proj, tol=tol)
         nu = rank_measure(field)
         report.metadata["fiber_ranks"] = dict(zip(table.labels, field.ranks))

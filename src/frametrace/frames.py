@@ -119,12 +119,13 @@ class InvariantProjection:
             raise DimensionMismatch(f"vector length {v.shape[0]} != group order {self.group.order}")
         return star_convolve(self.group, v[self.group.inverses].conj(), self.h.data)
 
-    def validate(self, tol: float = DEFAULT_TOL) -> None:
-        """Check h * h = h and h = h* in O(|G|^2).  ||R_f||_F = sqrt(|G|) ||f||_2, so each residual
-        and the scale are those of ||p p - p||_F, ||p - p*||_F and ||p||_F."""
+    def validate(self, tol: float = DEFAULT_TOL, ph: np.ndarray | None = None) -> None:
+        """Check h * h = h and h = h* in O(|G|^2), reading p h = h * h from ``ph`` when the caller has
+        it.  ||R_f||_F = sqrt(|G|) ||f||_2, so each residual and the scale are those of ||p p - p||_F,
+        ||p - p*||_F and ||p||_F."""
         h, root = self.h.data, np.sqrt(self.group.order)
         scale = root * np.linalg.norm(h)
-        if not within_tol(root * np.linalg.norm(self.apply(h) - h), tol, scale):
+        if not within_tol(root * np.linalg.norm((self.apply(h) if ph is None else ph) - h), tol, scale):
             raise NotInvariant("projection is not idempotent")
         if not within_tol(root * np.linalg.norm(h - involution(self.h).data), tol, scale):
             raise NotInvariant("projection is not Hermitian")
@@ -150,15 +151,17 @@ def projection_from_spanning(group: FiniteGroup, vectors) -> InvariantProjection
     return InvariantProjection(GroupVector(group, q @ q[group.identity].conj()), q)  # (q q*) delta_e
 
 
-def admissibility_defect(p: InvariantProjection, eta, psi) -> np.ndarray:
+def admissibility_defect(p: InvariantProjection, eta, psi, projected: np.ndarray | None = None) -> np.ndarray:
     """The function d = c - h on G with V_psi^* V_eta - p = R_d, for eta, psi projected to range(p).
 
     R_f is right convolution, entry [x, y] = f(y^-1 x).  Both operators commute with left
     translation, so V_psi^* V_eta = R_c with c = eta* * psi, and p = R_h with h = p delta_e.
-    O(|G|^2), with no compression to range(p) and no dense R_h.
+    O(|G|^2), with no compression to range(p) and no dense R_h.  ``projected``, when the caller has
+    it, is p [eta, psi] as a (|G|, 2) array (``InvariantProjection.apply`` of both columns).
     """
-    eta, psi = p.apply(np.column_stack([as_vector(eta), as_vector(psi)])).T  # one stacked p v
-    return star_convolve(p.group, eta, psi) - p.h.data  # c - h
+    if projected is None:
+        projected = p.apply(np.column_stack([as_vector(eta), as_vector(psi)]))  # one stacked p v
+    return star_convolve(p.group, projected[:, 0], projected[:, 1]) - p.h.data  # c - h
 
 
 def admissible_check(group: FiniteGroup, d: np.ndarray, tol: float) -> CheckResult:

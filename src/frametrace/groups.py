@@ -9,7 +9,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,6 +36,7 @@ class FiniteGroup:
     inverses: np.ndarray
     generators: tuple  # indices whose left-bracketed words (...((e s1) s2)...) reach every element
     label: str = ""
+    factors: tuple = ()  # the (family, n) factors of a builtin group, as builtin_group parsed them
 
     def mul(self, x: int, y: int) -> int:
         return int(self.cayley[x, y])
@@ -54,7 +55,7 @@ class FiniteGroup:
         )
 
     def __hash__(self):
-        # Consistent with __eq__, which compares the table and ignores label and generators.
+        # Consistent with __eq__, which compares the table and ignores label, generators and factors.
         return hash((self.order, np.asarray(self.cayley, dtype=np.int64).tobytes()))
 
 
@@ -190,7 +191,7 @@ def builtin_group(spec: str) -> FiniteGroup:
     """
     factors = _parse_spec(spec)
     label = " x ".join(f"{family}:{n}" for family, n in factors)
-    return group_from_cayley(_spec_table(factors), label=label)
+    return replace(group_from_cayley(_spec_table(factors), label=label), factors=tuple(factors))
 
 
 @dataclass(frozen=True)

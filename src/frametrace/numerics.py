@@ -83,37 +83,43 @@ def eig_hermitian(a) -> HermEig:
     return HermEig(eigenvalues=w, eigenvectors=q)
 
 
-def _psd_spectrum(a) -> HermEig:
-    """Hermitian eigendecomposition; raises :class:`NotInvertible`, carrying the ratio min/max,
-    when the smallest eigenvalue is at or below ``EIG_FLOOR`` times the largest."""
-    dec = eig_hermitian(a)
-    w = dec.eigenvalues
+def _psd_spectrum(*stacks) -> list[HermEig]:
+    """Hermitian eigendecompositions of matrices or stacks; raises :class:`NotInvertible`, carrying the
+    ratio min/max, when the smallest eigenvalue of them all is at or below ``EIG_FLOOR`` times the largest."""
+    decs = [eig_hermitian(a) for a in stacks]
+    w = np.concatenate([dec.eigenvalues.reshape(-1) for dec in decs]) if decs else np.zeros(0)
     low, top = (float(w.min()), float(w.max())) if w.size else (0.0, 0.0)
     if top <= 0.0 or low <= EIG_FLOOR * top:
         raise NotInvertible(
             f"eigenvalue floor violated: min={low:.3e}, max={top:.3e}, floor={EIG_FLOOR:.1e}",
             ratio=low / top if top > 0.0 else 0.0,
         )
-    return dec
+    return decs
+
+
+def psd_inverses(stacks, sqrt: bool = False) -> list[np.ndarray]:
+    """A^-1 (A^-1/2 with ``sqrt``) of each Hermitian positive definite matrix or stack in ``stacks``.
+
+    The stacks are the blocks of one block-diagonal operator: one ``EIG_FLOOR`` decision is taken over
+    the union of their spectra, and :class:`NotInvertible` is raised when it fails, which is how a
+    failed frame property surfaces numerically.
+    """
+    out = []
+    for dec in _psd_spectrum(*stacks):
+        q, w = dec.eigenvectors, dec.eigenvalues
+        out.append((q / (np.sqrt(w) if sqrt else w)[..., None, :]) @ q.conj().swapaxes(-1, -2))
+    return out
 
 
 def inv_psd(a) -> np.ndarray:
-    """Inverse of a Hermitian positive definite matrix.
-
-    Raises :class:`NotInvertible` when the smallest eigenvalue falls at or
-    below ``EIG_FLOOR`` times the largest, which is how a failed frame property
-    surfaces numerically.  A stack gives the stack of inverses.
-    """
-    dec = _psd_spectrum(a)
-    q = dec.eigenvectors
-    return (q / dec.eigenvalues[..., None, :]) @ q.conj().swapaxes(-1, -2)
+    """Inverse of a Hermitian positive definite matrix, or the stack of inverses of a stack
+    (:func:`psd_inverses` of one operator)."""
+    return psd_inverses([a])[0]
 
 
 def inv_sqrt_psd(a) -> np.ndarray:
     """Inverse square root A^(-1/2) of a Hermitian positive definite matrix (or stack)."""
-    dec = _psd_spectrum(a)
-    q = dec.eigenvectors
-    return (q / np.sqrt(dec.eigenvalues[..., None, :])) @ q.conj().swapaxes(-1, -2)
+    return psd_inverses([a], sqrt=True)[0]
 
 
 def orthonormal_columns(vectors, rel_cutoff: float = RANK_CUTOFF) -> np.ndarray:

@@ -38,7 +38,15 @@ from .errors import (
 )
 from .frames import InvariantProjection
 from .groups import FiniteGroup, GroupVector, Rep, _parse_spec, _spec_table, convolve
-from .numerics import DEFAULT_TOL, PLANCHEREL_TOL_FLOOR, PROJECTION_RANK_CUT, _unit_roots, within_tol
+from .numerics import (
+    DEFAULT_TOL,
+    PLANCHEREL_TOL_FLOOR,
+    PROJECTION_RANK_CUT,
+    RANK_CUTOFF,
+    _unit_roots,
+    psd_inverses,
+    within_tol,
+)
 from .reporting import CheckResult
 
 
@@ -183,16 +191,19 @@ def builtin_irreps(group: FiniteGroup) -> IrrepTable:
     """Irreducible representations for the builtin group families.
 
     Supports cyclic:n, dihedral:n, heisenberg:p (p prime) and their direct
-    products, as tensor products of the factors' irreps; other groups raise
-    :class:`UnsupportedGroup` and require a user-supplied table, and so does a
-    table that differs from the one its label names.
+    products, as tensor products of the factors' irreps, built from the factor
+    list :func:`~frametrace.groups.builtin_group` recorded.  A group without one,
+    such as a loaded file, gets them when its table is the one its label names;
+    other groups raise :class:`UnsupportedGroup` and require a user-supplied table.
     """
-    try:
-        factors = _parse_spec(group.label)
-    except NotAGroup:
-        raise UnsupportedGroup(f"no builtin irreps for group {group.label!r}") from None
-    if not np.array_equal(group.cayley, _spec_table(factors)):  # shapes first, then entries
-        raise UnsupportedGroup(f"group table does not match its label {group.label!r}")
+    factors = group.factors  # recorded by builtin_group; a loaded table is matched against its label
+    if not factors:
+        try:
+            factors = _parse_spec(group.label)
+        except NotAGroup:
+            raise UnsupportedGroup(f"no builtin irreps for group {group.label!r}") from None
+        if not np.array_equal(group.cayley, _spec_table(factors)):  # shapes first, then entries
+            raise UnsupportedGroup(f"group table does not match its label {group.label!r}")
     labels, dims, kernel = functools.reduce(_tensor_product, (_FAMILY_IRREPS[f](n) for f, n in factors))
     return IrrepTable(group, tuple(labels), tuple(dims), kernel)
 
@@ -262,6 +273,11 @@ def _coefficients(table: IrrepTable, data: np.ndarray) -> np.ndarray:
     return (data.conj() @ table.kernel).conj()
 
 
+def _synthesis(table: IrrepTable, flat: np.ndarray) -> np.ndarray:
+    """The samples of flat coefficients: M (w c)."""
+    return table.kernel @ (_weights(table) * flat)
+
+
 def _blocks(table: IrrepTable, flat: np.ndarray) -> tuple:
     """Split (..., sum d^2) flat coefficients into the (..., d_sigma, d_sigma) blocks, as views."""
     ends = np.cumsum(np.square(table.degrees))
@@ -278,7 +294,7 @@ def inverse_plancherel(coeffs: PlancherelCoefficients) -> GroupVector:
     """f(x) = sum_sigma (d_sigma/|G|) trace(sigma(x) fhat(sigma))."""
     table = coeffs.table
     flat = np.concatenate([np.asarray(b, dtype=complex).reshape(-1) for b in coeffs.blocks])
-    return GroupVector(table.group, table.kernel @ (_weights(table) * flat))
+    return GroupVector(table.group, _synthesis(table, flat))
 
 
 def parseval_residual(table: IrrepTable, f):
@@ -306,12 +322,13 @@ def convolution_to_product_check(
 # Fiber projections and the type-I admissibility criterion
 
 
-def _fibers(table: IrrepTable, p: InvariantProjection, tol: float, *vectors):
+def _fibers(table: IrrepTable, p: InvariantProjection, tol: float, *vectors, ph=None):
     """The fiber field of p and the flat coefficients of [h, *vectors], from one transform; names the
-    first irrep whose block of h is not idempotent, or else not Hermitian, one test per dimension class."""
+    first irrep whose block of h is not idempotent, or else not Hermitian, one test per dimension class.
+    ``ph`` is p h for ``InvariantProjection.validate``, when the caller has it."""
     if p.group != table.group:
         raise DimensionMismatch("projection and table belong to different groups")
-    p.validate(tol=tol)
+    p.validate(tol=tol, ph=ph)
     flat = _coefficients(table, np.stack([_samples(table, v) for v in (p.h, *vectors)]))
     loose = max(tol, PLANCHEREL_TOL_FLOOR)
     bad = np.zeros((len(table.degrees), 2), dtype=bool)  # not idempotent, not Hermitian
@@ -348,23 +365,87 @@ def projection_from_fibers(table: IrrepTable, projections) -> InvariantProjectio
     return InvariantProjection(inverse_plancherel(PlancherelCoefficients(table=table, blocks=tuple(blocks))))
 
 
+@dataclass(frozen=True)
+class FiberSubspace:
+    """An invariant subspace of l2(G) held on the Plancherel fibers: P_sigma = u u*, with ``ranges``
+    holding, per (dimension, rank) class of the irreps where P_sigma is not 0, their (m, d^2) kernel
+    columns and an (m, d, r) stack u of orthonormal columns.  An operator that commutes with left
+    translation acts on every block by left multiplication, so the frame operator, its inverse and
+    its inverse root on the subspace are small stacked products, never a |G| x |G| matrix."""
+
+    table: IrrepTable
+    ranges: tuple = field(repr=False)
+
+    def projection(self) -> InvariantProjection:
+        """The invariant projection p = R_h onto the subspace: hhat(sigma) = P_sigma."""
+        flat = np.zeros(self.table.kernel.shape[1], dtype=complex)
+        for cols, u in self.ranges:
+            flat[cols] = (u @ u.conj().swapaxes(-1, -2)).reshape(cols.shape)
+        return InvariantProjection(GroupVector(self.table.group, _synthesis(self.table, flat)))
+
+    def frame_solve(self, eta, sqrt: bool = False) -> np.ndarray:
+        """S^-1 eta (S^-1/2 eta with ``sqrt``) on the subspace, for S the frame operator of eta projected
+        to it.  S acts on fiber sigma as left multiplication by chat = P etahat etahat* P, so in the
+        coordinates u, with b = u* etahat, psihat = u (b b*)^-1 b (or (b b*)^-1/2 b).  One ``EIG_FLOOR``
+        decision covers every b b*, whose eigenvalues are those of S on the subspace without their
+        multiplicities d_sigma; a failed one raises :class:`NotInvertible`."""
+        flat = _coefficients(self.table, _samples(self.table, eta))
+        bs = [u.conj().swapaxes(-1, -2) @ flat[cols].reshape(*u.shape[:2], -1) for cols, u in self.ranges]
+        inverses = psd_inverses([b @ b.conj().swapaxes(-1, -2) for b in bs], sqrt=sqrt)
+        out = np.zeros_like(flat)
+        for (cols, u), b, inv in zip(self.ranges, bs, inverses):
+            out[cols] = (u @ inv @ b).reshape(cols.shape)
+        return _synthesis(self.table, out)
+
+
+def fiber_subspace(table: IrrepTable, vectors=None) -> FiberSubspace:
+    """The span of the left-translation orbits of ``vectors`` in l2(G) (all of l2(G) for None).
+
+    Left translation multiplies each block on the right, so the orbits of v_1..v_k span the f with
+    fhat(sigma) in the column span of the d x kd block [v_1hat(sigma) ... v_khat(sigma)].  Its singular
+    values are those of the orbit matrix [R_v1 ... R_vk], each d_sigma times, so its rank counts the
+    singular values above ``RANK_CUTOFF`` times the largest over all sigma, as ``orthonormal_columns``
+    does for the orbit matrix.  One transform and one stacked SVD per dimension class.
+    """
+    if vectors is None:
+        return FiberSubspace(table, tuple((cols, np.broadcast_to(np.eye(d), (len(members), d, d)))
+                                          for d, members, cols in table.classes))
+    if len(vectors) == 0:
+        return FiberSubspace(table, ())
+    flat = _coefficients(table, np.stack([_samples(table, v) for v in vectors]))
+    svds = []  # (d, cols, u, s) per dimension class; block [v_1hat ... v_khat] is (m, d, k d)
+    for d, members, cols in table.classes:
+        blocks = flat[:, cols].reshape(-1, len(members), d, d).transpose(1, 2, 0, 3)
+        svds.append((d, cols, *np.linalg.svd(blocks.reshape(len(members), d, -1), full_matrices=False)[:2]))
+    cut = RANK_CUTOFF * max(float(s.max()) for *_, s in svds)
+    ranges = []
+    for d, cols, u, s in svds:
+        ranks = np.sum(s > cut, axis=-1)
+        ranges += [(cols[ranks == r], u[ranks == r, :, :r]) for r in range(1, d + 1) if np.any(ranks == r)]
+    return FiberSubspace(table, tuple(ranges))
+
+
 def fiber_admissibility_check(
     table: IrrepTable,
     p: InvariantProjection,
     eta: GroupVector,
     psi: GroupVector,
     tol: float = DEFAULT_TOL,
+    applied: np.ndarray | None = None,
 ) -> CheckResult:
     """Fiberwise admissibility: psihat(sigma) etahat(sigma)^* = P_sigma, all sigma.
 
     eta and psi must lie in range(p).  Equivalent to admissibility of
-    (eta, psi) for left translation restricted to range(p).
+    (eta, psi) for left translation restricted to range(p).  ``applied`` is p [eta, psi, h] as a
+    (|G|, 3) array, when the caller has it: the range test and the validation of p read it.
     """
-    vs = np.column_stack([eta.data, psi.data])
-    for name, v, leak in zip(("eta", "psi"), vs.T, np.linalg.norm(p.apply(vs) - vs, axis=0)):
+    vs = np.column_stack([eta.data, psi.data, p.h.data])
+    if applied is None:
+        applied = p.apply(vs)  # one stacked gather of h for all three
+    for name, v, leak in zip(("eta", "psi"), vs.T, np.linalg.norm(applied[:, :2] - vs[:, :2], axis=0)):
         if not within_tol(leak, max(tol, PLANCHEREL_TOL_FLOOR), v):
             raise NotInRange(f"{name} is not in the range of the projection")
-    _, flat = _fibers(table, p, tol, eta, psi)
+    _, flat = _fibers(table, p, tol, eta, psi, ph=applied[:, 2])
     residual = max(  # one stacked product per dimension class
         float(np.max(np.linalg.norm(bp @ be.conj().swapaxes(-1, -2) - pb, axis=(1, 2))))
         for d, _, cols in table.classes for pb, be, bp in [flat[:, cols].reshape(3, -1, d, d)]

@@ -154,6 +154,15 @@ def group_from_cayley_by_word_length(table, label: str = "") -> FiniteGroup:
     return FiniteGroup(n, cayley, identity, inverses, tuple(gens), label)
 
 
+def relabelled(group: FiniteGroup, perm, label: str = "relabelled") -> FiniteGroup:
+    """``group`` with element x renamed perm[x], validated as a table under a label that no builtin
+    spec names: a ``frame`` job on it has no builtin irreps and takes the dense path (one ``eigh`` of
+    S = R_c, the orbit SVD of ``--subspace``).  A vector f on ``group`` is f[argsort(perm)] on it."""
+    perm = np.asarray(perm)
+    inv = np.argsort(perm)
+    return group_from_cayley(perm[group.cayley[np.ix_(inv, inv)]], label=label)
+
+
 def element_orders(group: FiniteGroup) -> list[int]:
     orders = []
     for x in group.elements():

@@ -31,7 +31,7 @@ from frametrace.groups import GroupVector, builtin_group, delta, left_regular_re
 from frametrace.plancherel import IrrepTable, builtin_irreps, validate_irreps
 from frametrace.reporting import CheckResult, RunReport, digest_text, report_dumps
 
-from oracles import coset_average, regular_coefficient_matrix
+from oracles import coset_average, regular_coefficient_matrix, relabelled
 
 
 def run(args, capsys=None):
@@ -768,8 +768,8 @@ def test_io_window_roundtrip(tmp_path):
 @pytest.mark.parametrize("spec", ["dihedral:8", "heisenberg:3"])
 @pytest.mark.parametrize("action, solve", [("dual", canonical_dual), ("tighten", tighten)])
 def test_subspace_outputs_agree_with_an_eigh_basis_oracle(tmp_path, spec, action, solve):
-    # The CLI inverts the frame operator in the coordinates of the SVD basis that
-    # projection_from_spanning carries; the eigenvectors of p give the same vector.
+    # The CLI inverts the frame operator fiber by fiber on the orbit span of the subspace
+    # vectors; the eigenvectors of p, as an orthonormal basis of that span, give the same vector.
     g = builtin_group(spec)
     rng = np.random.default_rng(31)
     s, powers = g.generators[-1], [g.identity]
@@ -793,23 +793,35 @@ def test_subspace_outputs_agree_with_an_eigh_basis_oracle(tmp_path, spec, action
 
 
 @pytest.mark.parametrize("subspace", [False, True], ids=["full", "subspace"])
-@pytest.mark.parametrize("action, dense", [("dual", 1), ("tighten", 1), ("check", 0), ("decompose", 0)])
-def test_frame_builds_a_dense_right_convolution_only_to_decompose_it(tmp_path, monkeypatch, action, dense,
-                                                                       subspace):
-    # p acts as v * h, so the only dense R_f of a job are S = R_(eta* * eta) of dual and tighten and,
-    # with --subspace, one orbit block R_v per spanning vector (k = 1 here).
+@pytest.mark.parametrize("source, action, dense", [
+    ("builtin", "dual", 0), ("builtin", "tighten", 0), ("builtin", "check", 0), ("builtin", "decompose", 0),
+    ("file", "dual", 1), ("file", "tighten", 1), ("file", "check", 0),
+])
+def test_frame_builds_a_dense_right_convolution_only_to_decompose_it(tmp_path, monkeypatch, source, action,
+                                                                       dense, subspace):
+    # p acts as v * h.  With builtin irreps, dual, tighten and the --subspace projection work on the
+    # fibers and build no dense R_f.  The same group relabelled as a file group has no irreps; there the
+    # only dense R_f of a job are S = R_(eta* * eta) of dual and tighten and, with --subspace, one orbit
+    # block R_v per spanning vector (k = 1 here).
     monkeypatch.chdir(tmp_path)
     g = builtin_group("dihedral:8")
     rng = np.random.default_rng(41)
     window = rng.standard_normal(g.order) + 1j * rng.standard_normal(g.order)
-    sub = []
     if subspace:
         window = coset_average(g, window)  # its orbit spans a proper invariant subspace
-        spanning = {"group": "dihedral:8", "vectors": [ftio.complex_to_json(window)]}
+    flag = []
+    if source == "file":
+        perm = rng.permutation(g.order)
+        g, window = relabelled(g, perm), window[np.argsort(perm)]
+        ftio.save_group(g, "g.json")
+        flag = ["--group-file", "g.json"]
+    sub = []
+    if subspace:
+        spanning = {"group": g.label, "vectors": [ftio.complex_to_json(window)]}
         (tmp_path / "sub.json").write_text(json.dumps(spanning))
         sub = ["--subspace", "sub.json"]
     ftio.save_vector(GroupVector(g, window), "eta.json")
-    argv = ["frame", "dual", "--window", "eta.json", *sub, "--out-vector", "psi.json", "--out", "d.json"]
+    argv = ["frame", "dual", "--window", "eta.json", *flag, *sub, "--out-vector", "psi.json", "--out", "d.json"]
     assert run(argv) == 0
     orig, calls = groups.convolution_operator, []
 
@@ -824,8 +836,37 @@ def test_frame_builds_a_dense_right_convolution_only_to_decompose_it(tmp_path, m
                     monkeypatch.setattr(mod, key, counting)
     extra = {"dual": ["--out-vector", "out.json"], "tighten": ["--out-vector", "out.json"],
              "check": ["--pair", "eta.json", "psi.json"], "decompose": []}[action]
-    assert run(["frame", action, "--window", "eta.json", *sub, *extra, "--out", "r.json"]) == 0
-    assert len(calls) == dense + subspace
+    assert run(["frame", action, "--window", "eta.json", *flag, *sub, *extra, "--out", "r.json"]) == 0
+    assert len(calls) == (dense + subspace if source == "file" else 0)
+
+
+@pytest.mark.parametrize("subspace", [False, True], ids=["full", "subspace"])
+def test_frame_check_applies_the_projection_once(tmp_path, monkeypatch, subspace):
+    # p [eta, psi, h] in one stacked gather of h feeds the defect, the range test and the validation of p.
+    monkeypatch.chdir(tmp_path)
+    g = builtin_group("dihedral:8")
+    rng = np.random.default_rng(43)
+    window = rng.standard_normal(g.order) + 1j * rng.standard_normal(g.order)
+    sub = []
+    if subspace:
+        window = coset_average(g, window)  # its orbit spans a proper invariant subspace
+        spanning = {"group": g.label, "vectors": [ftio.complex_to_json(window)]}
+        (tmp_path / "sub.json").write_text(json.dumps(spanning))
+        sub = ["--subspace", "sub.json"]
+    ftio.save_vector(GroupVector(g, window), "eta.json")
+    assert run(["frame", "dual", "--window", "eta.json", *sub, "--out-vector", "psi.json", "--out", "d.json"]) == 0
+    orig, columns = InvariantProjection.apply, []
+
+    def counting(self, v):
+        columns.append(1 if v.ndim == 1 else v.shape[1])
+        return orig(self, v)
+
+    monkeypatch.setattr(InvariantProjection, "apply", counting)
+    assert run(["frame", "check", "--window", "eta.json", *sub, "--pair", "eta.json", "psi.json",
+                "--out", "r.json"]) == 0
+    assert columns == [3]
+    assert [c["name"] for c in read_report(tmp_path / "r.json")["checks"]] == [
+        "admissible_pair", "tracial_pair", "fiber_admissibility"]
 
 
 @pytest.mark.parametrize("group_flag", [[], ["--builtin", "dihedral:3"], ["--group-file", "g.json"]])

@@ -1,0 +1,219 @@
+"""``frame dual|tighten`` on the Plancherel fibers, against the dense path as oracle.
+
+A group with builtin irreps inverts its frame operator fiber by fiber
+(``plancherel.FiberSubspace``).  The same table under a label that no builtin spec
+names (``oracles.relabelled``) has no irreps, so the CLI takes the dense path on it:
+one ``eigh`` of the |G| x |G| frame operator S = R_c and, with ``--subspace``, one
+SVD of the orbit matrix.  Each job runs on both twins through ``cli.main``.
+"""
+import json
+
+import numpy as np
+import pytest
+
+from frametrace import io as ftio
+from frametrace.cli import main
+from frametrace.frames import projection_from_spanning
+from frametrace.groups import GroupVector, builtin_group
+from frametrace.numerics import EIG_FLOOR
+from frametrace.plancherel import (
+    PlancherelCoefficients,
+    builtin_irreps,
+    fiber_subspace,
+    inverse_plancherel,
+    plancherel_transform,
+)
+
+from oracles import regular_coefficient_matrix, relabelled
+
+EPS = np.finfo(float).eps
+ACCEPTANCE_SPECS = ["cyclic:12", "dihedral:4", "heisenberg:3"]
+
+#: The written vectors of the two paths agree to VECTOR_C * kappa(S) * eps, relative, with kappa(S)
+#: the condition number of S on range(p).  The largest ratio over the 360 jobs of each run was 3.6.
+VECTOR_C = 20
+
+#: The fiber path's residual is at most RESIDUAL_F times the dense path's, or than |G| eps where both
+#: are rounding in the residual itself.  The largest ratio seen was 2.5 (tighten on dihedral:8).
+RESIDUAL_F = 8
+
+
+def cnormal(rng, n):
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def subgroup_average(group, u):
+    """u averaged over the right cosets of <s>, s an element of least order > 1: its left-translation
+    orbit spans a proper invariant subspace (heisenberg:3 has no involution for ``coset_average``)."""
+    def powers(s):
+        out = [group.identity]
+        while group.mul(out[-1], s) != group.identity:
+            out.append(group.mul(out[-1], s))
+        return out
+
+    cycle = min((powers(s) for s in group.elements() if s != group.identity), key=len)
+    return sum(u[group.cayley[:, t]] for t in cycle) / len(cycle)
+
+
+def run_twins(tmp_path, group, action, window, span=None, seed=0):
+    """``frame ACTION`` on ``group`` (the fibers) and on a relabelled twin (the dense path).
+    Per path: (exit code, check name, residual, written vector on ``group``'s indices or None)."""
+    perm = np.random.default_rng(seed).permutation(group.order)
+    twin = relabelled(group, perm)
+    ftio.save_group(twin, tmp_path / "twin.json")
+    results = {}
+    for path, g, idx, extra in (("fiber", group, np.arange(group.order), []),
+                                ("dense", twin, np.argsort(perm), ["--group-file", str(tmp_path / "twin.json")])):
+        eta, sub, psi, report = (tmp_path / f"{path}-{k}.json" for k in ("eta", "sub", "psi", "report"))
+        psi.unlink(missing_ok=True)
+        ftio.save_vector(GroupVector(g, window[idx]), eta)
+        argv = ["frame", action, "--window", str(eta), *extra, "--out-vector", str(psi), "--out", str(report)]
+        if span is not None:
+            sub.write_text(json.dumps({"group": g.label, "vectors": [ftio.complex_to_json(span[idx])]}))
+            argv += ["--subspace", str(sub)]
+        code = main(argv)
+        (check,) = json.loads(report.read_text())["checks"]
+        vector = ftio.load_vector(psi, g).data[np.argsort(idx)] if psi.exists() else None
+        results[path] = (code, check["name"], check["residual"], vector)
+    return results
+
+
+def restricted_spectrum(group, window, span=None):
+    """Eigenvalues of the frame operator S = V_eta^* V_eta on range(p), from numpy alone."""
+    q = np.eye(group.order)
+    if span is not None:
+        u, s, _ = np.linalg.svd(regular_coefficient_matrix(group, span).conj().T)
+        q = u[:, s > 1e-9 * s[0]]
+    v = regular_coefficient_matrix(group, window) @ q
+    return np.linalg.eigvalsh(v.conj().T @ v)
+
+
+@pytest.mark.parametrize("spec", [*ACCEPTANCE_SPECS, "cyclic:2 x dihedral:3"])
+def test_fiber_projection_matches_the_orbit_svd(spec):
+    # The range projectors of the stacked fiber blocks against orthonormal_columns of the orbit
+    # matrix: the same h to rounding, and the same rank, sum_sigma d_sigma rank(P_sigma).
+    group = builtin_group(spec)
+    table = builtin_irreps(group)
+    rng = np.random.default_rng(7)
+    v, w = (subgroup_average(group, cnormal(rng, group.order)) for _ in range(2))
+    for vectors in ([v], [v, 2j * v], [v, w], [v, cnormal(rng, group.order)]):
+        dense = projection_from_spanning(group, vectors)
+        fibers = fiber_subspace(table, vectors)
+        assert np.linalg.norm(fibers.projection().h.data - dense.h.data) <= 1e-13 * group.order
+        rank = sum(np.prod(u.shape) for _, u in fibers.ranges)  # (m, d, r): m irreps of rank r, each d times
+        assert rank == dense.basis.shape[1]
+    for empty in ([], [np.zeros(group.order)]):
+        fibers = fiber_subspace(table, empty)
+        assert fibers.ranges == () and not np.any(fibers.projection().h.data)
+
+
+@pytest.mark.parametrize("spec", ACCEPTANCE_SPECS)
+def test_fiber_vectors_and_residuals_match_the_dense_oracle(tmp_path, spec):
+    group = builtin_group(spec)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        span = subgroup_average(group, cnormal(rng, group.order))
+        windows = {"full": (cnormal(rng, group.order), None),
+                   "inside": (subgroup_average(group, cnormal(rng, group.order)), span),
+                   "outside": (cnormal(rng, group.order), span)}  # --subspace projects it first
+        for mode, (window, sub) in windows.items():
+            lam = restricted_spectrum(group, window, sub)
+            if sub is not None:
+                assert 0 < lam.size < group.order
+            kappa = lam.max() / lam.min()
+            for action in ("dual", "tighten"):
+                got = run_twins(tmp_path, group, action, window, sub, seed)
+                (fcode, fname, fres, fvec), (dcode, dname, dres, dvec) = got["fiber"], got["dense"]
+                case = (seed, mode, action, kappa)
+                assert fcode == dcode == 0 and fname == dname == f"{action}_reconstruction", case
+                rel = np.linalg.norm(fvec - dvec) / np.linalg.norm(dvec)
+                assert rel <= VECTOR_C * kappa * EPS, (case, rel)
+                assert fres <= RESIDUAL_F * max(dres, group.order * EPS), (case, fres, dres)
+
+
+def window_with_ratio(table, rng, ratio, full):
+    """A window and a spanning vector for its subspace (None with ``full``): the frame operator of the
+    window on that subspace has its eigenvalues in [1, 2] but one, ratio times the largest.  Per
+    fiber, etahat(sigma) = u diag(sqrt(lam)) v* and spanhat(sigma) = u diag(s) w*, both on the first
+    r columns of a unitary u: r = d_sigma on the full space, else a random rank 0 <= r <= d_sigma."""
+    fibers = []
+    for d in table.degrees:
+        r = d if full else int(rng.integers(0, d + 1))
+        u, v, w = (np.linalg.qr(cnormal(rng, d * d).reshape(d, d))[0][:, :r] for _ in range(3))
+        fibers.append((u, v, w, 1.0 + rng.random(r), 1.0 + rng.random(r)))
+    lam = [f[3] for f in fibers]
+    k = max(range(len(lam)), key=lambda i: lam[i].size)  # a fiber of positive rank
+    lam[k][0] = 0.0
+    lam[k][0] = ratio * max(float(x.max()) for x in lam if x.size)
+    window = [(u * np.sqrt(x)) @ v.conj().T for u, v, _, x, _ in fibers]
+    span = [(u * s) @ w.conj().T for u, _, w, _, s in fibers]
+
+    def synthesize(blocks):
+        return inverse_plancherel(PlancherelCoefficients(table, tuple(blocks))).data
+
+    return synthesize(window), None if full else synthesize(span)
+
+
+@pytest.mark.parametrize("spec", ACCEPTANCE_SPECS)
+@pytest.mark.parametrize("ratio", [1e-11, 1e-13])
+@pytest.mark.parametrize("full", [True, False], ids=["full", "subspace"])
+def test_not_a_frame_verdicts_match_the_dense_oracle(tmp_path, spec, ratio, full):
+    # EIG_FLOOR = 1e-12 lies between the two ratios: both paths raise NotInvertible below it only.
+    group = builtin_group(spec)
+    table = builtin_irreps(group)
+    for seed in range(4):
+        window, span = window_with_ratio(table, np.random.default_rng(seed), ratio, full)
+        lam = restricted_spectrum(group, window, span)
+        assert lam.min() / lam.max() == pytest.approx(ratio, rel=1e-2)
+        for action in ("dual", "tighten"):
+            got = run_twins(tmp_path, group, action, window, span, seed)
+            expect = f"{action}_not_a_frame" if ratio < EIG_FLOOR else f"{action}_reconstruction"
+            assert got["fiber"][1] == got["dense"][1] == expect, (seed, action)
+
+
+# ---------------------------------------------------------------------------
+# A correct dual near the floor.  Shrinking the trivial-irrep component of a random window on
+# dihedral:256 by eps takes its frame-bounds ratio from about 4e-4 (eps = 0.1) to 4e-8 (eps = 1e-3),
+# four decades above EIG_FLOOR.  The dense eigh of S loses about kappa(S) eps_mach ||p||_F in the
+# dual's residual, enough to fail the default --tol at eps = 1e-3 (3.7e-9 against 1e-9); the
+# fibers invert the trivial irrep's 1 x 1 block on its own and read 8.2e-13.
+
+
+def shrunk_window(eps):
+    group = builtin_group("dihedral:256")
+    w = cnormal(np.random.default_rng(11), group.order)  # ratio 3.9e-4 at eps = 0.1
+    return group, w - (1.0 - eps) * w.mean()  # the mean is the trivial-irrep component
+
+
+def frame_report(tmp_path, action, group, window, extra=()):
+    eta, report = tmp_path / "eta.json", tmp_path / "r.json"
+    ftio.save_vector(GroupVector(group, window), eta)
+    code = main(["frame", action, "--window", str(eta), *extra, "--out", str(report)])
+    (check,) = json.loads(report.read_text())["checks"]
+    return code, check
+
+
+@pytest.mark.parametrize("action", ["dual", "tighten"])
+@pytest.mark.parametrize("eps, ratio", [(1e-1, 3.9e-4), (1e-2, 3.9e-6), (1e-3, 3.9e-8)])
+def test_dual_and_tighten_near_the_floor_pass_on_the_fibers(tmp_path, eps, ratio, action):
+    # Before the fibers, dihedral:256 took the dense path: at eps = 1e-3 dual read 4.1e-9 and
+    # tighten 2.3e-9, and both exited 1.
+    group, window = shrunk_window(eps)
+    blocks = plancherel_transform(builtin_irreps(group), GroupVector(group, window)).blocks
+    lam = np.concatenate([np.linalg.eigvalsh(b @ b.conj().T) for b in blocks])
+    assert lam.min() / lam.max() == pytest.approx(ratio, rel=0.1)
+    code, check = frame_report(tmp_path, action, group, window)
+    assert (code, check["name"]) == (0, f"{action}_reconstruction")
+    assert check["residual"] <= 1e-11
+
+
+@pytest.mark.xfail(strict=True, reason="the dense eigh of S fails its own correct dual at ratio 3.9e-8")
+def test_dual_near_the_floor_on_the_dense_path(tmp_path):
+    group, window = shrunk_window(1e-3)
+    perm = np.random.default_rng(1).permutation(group.order)
+    twin = relabelled(group, perm)
+    ftio.save_group(twin, tmp_path / "twin.json")
+    code, check = frame_report(tmp_path, "dual", twin, window[np.argsort(perm)],
+                               ["--group-file", str(tmp_path / "twin.json")])
+    assert (code, check["name"]) == (0, "dual_reconstruction")
+    assert check["residual"] <= 1e-11

@@ -351,6 +351,8 @@ def test_equal_groups_hash_alike():
     # The generators are derived data: a group naming other ones is the same group.
     other = dataclasses.replace(g, generators=tuple(range(g.order)))
     assert other == g and hash(other) == hash(g)
+    # So are the factors builtin_group parsed: a loaded copy of the table records none.
+    assert g.factors == (("cyclic", 4),) and same.factors == ()
 
 
 def test_a_group_equals_itself_without_comparing_its_table(monkeypatch):

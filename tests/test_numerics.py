@@ -13,6 +13,7 @@ from frametrace.numerics import (
     inv_psd,
     inv_sqrt_psd,
     orthonormal_columns,
+    psd_inverses,
     within_tol,
 )
 
@@ -91,6 +92,24 @@ def test_stack_is_one_operator_for_the_floor():
         eig_hermitian(np.zeros((3, 2, 4)))
 
 
+def test_stacks_of_different_shapes_share_one_floor():
+    # The blocks of one operator in stacks of 1 x 1 and 2 x 2 blocks: each stack alone is well
+    # conditioned, together min/max = 1e-13 <= EIG_FLOOR; the ratio is that of the union.
+    small, large = np.full((3, 1, 1), 1e-13), np.array([np.eye(2), 2 * np.eye(2)])
+    assert np.allclose(psd_inverses([small])[0], 1e13)
+    with pytest.raises(NotInvertible) as exc:
+        psd_inverses([small, large])
+    assert exc.value.ratio == pytest.approx(0.5e-13)
+    with pytest.raises(NotInvertible):
+        psd_inverses([])
+    inv, root = psd_inverses([100 * small, large]), psd_inverses([100 * small, large], sqrt=True)
+    assert [x.shape for x in inv] == [x.shape for x in root] == [(3, 1, 1), (2, 2, 2)]
+    assert np.allclose(inv[0], 1e11) and np.allclose(root[1][1], np.eye(2) / np.sqrt(2))
+    # inv_psd and inv_sqrt_psd are the one-stack case, bit for bit.
+    assert inv_psd(large).tobytes() == psd_inverses([large])[0].tobytes()
+    assert inv_sqrt_psd(large).tobytes() == psd_inverses([large], sqrt=True)[0].tobytes()
+
+
 def test_stack_agrees_with_block_diagonal():
     rng = np.random.default_rng(11)
     b = rand_c(rng, 4, 3, 3)
@@ -139,7 +158,7 @@ def test_orthonormal_columns():
     assert np.linalg.norm(q.conj().T @ q - np.eye(2)) < 1e-10
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, derandomize=True)
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=10**6))
 def test_eig_reconstruction_property(n, seed):
     rng = np.random.default_rng(seed)
@@ -150,7 +169,7 @@ def test_eig_reconstruction_property(n, seed):
     assert np.all(np.diff(dec.eigenvalues) >= -1e-12)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, derandomize=True)
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=10**6))
 def test_inv_sqrt_property(n, seed):
     rng = np.random.default_rng(seed)

@@ -83,6 +83,23 @@ def test_builtin_product_table():
     assert sum(d * d for d in table.degrees) == g.order
 
 
+@pytest.mark.parametrize("spec", ["dihedral:4", "heisenberg:3", "cyclic:2 x dihedral:3"])
+def test_builtin_irreps_build_from_the_recorded_factors(monkeypatch, spec):
+    # A builtin group carries the factors builtin_group parsed: no label parse, no second table.
+    import frametrace.plancherel as plancherel
+
+    group = builtin_group(spec)
+    expect = builtin_irreps(group)
+
+    def refused(*args):
+        raise AssertionError("label parsed or table rebuilt")
+
+    monkeypatch.setattr(plancherel, "_parse_spec", refused)
+    monkeypatch.setattr(plancherel, "_spec_table", refused)
+    table = builtin_irreps(group)
+    assert table.labels == expect.labels and table.kernel.tobytes() == expect.kernel.tobytes()
+
+
 def test_builtin_rejects_unknown_label():
     from frametrace.groups import group_from_cayley
 
