@@ -80,7 +80,6 @@ from .numerics import (
     psd_inverses,
 )
 from .plancherel import (
-    FiberProjectionField,
     FiberSubspace,
     Irrep,
     IrrepTable,

@@ -125,17 +125,17 @@ def cmd_group(args) -> int:
 
 def _frame_context(args, report: RunReport, read):
     """Resolve the group (by default the spec the window file names), the window vector, the builtin
-    irreps (None without them, with the reason) and the subspace: on the fibers with irreps, else the
-    projection onto the orbit span of the vectors."""
+    irreps (None without them) and the subspace: on the fibers with irreps, else the projection onto
+    the orbit span of the vectors."""
     spec = args.builtin
     if not spec and not args.group_file:
         spec = ftio.load_label(read("window", args.window))
     group = _resolve_group(report, read, spec, args.group_file)
     window = ftio.load_vector(read("window", args.window), group)
     try:
-        table, missing = builtin_irreps(group), None
-    except UnsupportedGroup as exc:
-        table, missing = None, exc
+        table = builtin_irreps(group)
+    except UnsupportedGroup:
+        table = None
     vectors = None
     if args.subspace:
         vectors = [v.data for v in ftio.load_vectors(read("subspace", args.subspace), group)]
@@ -146,7 +146,7 @@ def _frame_context(args, report: RunReport, read):
         proj = fibers.projection()
     else:
         proj = projection_from_spanning(group, vectors)
-    return group, window, table, missing, fibers, proj
+    return group, window, table, fibers, proj
 
 
 def _dense_frame_solve(proj: InvariantProjection, eta: np.ndarray, sqrt: bool) -> np.ndarray:
@@ -165,7 +165,7 @@ def cmd_frame(args) -> int:
     tol = _resolve_tol(args)
     report = RunReport(seed=args.seed)
     read = _reader(report)
-    group, window, table, missing, fibers, proj = _frame_context(args, report, read)
+    group, window, table, fibers, proj = _frame_context(args, report, read)
     report.metadata["group"] = group.label
     report.metadata["subcommand"] = args.action
 
@@ -197,9 +197,9 @@ def cmd_frame(args) -> int:
             except NotInRange as exc:
                 report.add(CheckResult(name="fiber_admissibility_in_range", residual=1.0, tol=0.0))
                 report.metadata["fiber_check"] = str(exc)
+    elif args.action == "decompose" and table is None:
+        report.metadata["fiber_ranks"] = "skipped: no irreps available"
     elif args.action == "decompose":
-        if table is None:
-            raise missing
         field = fiber_projections(table, proj, tol=tol)
         nu = rank_measure(field)
         report.metadata["fiber_ranks"] = dict(zip(table.labels, field.ranks))
@@ -225,7 +225,6 @@ def cmd_gabor(args) -> int:
     report.inputs["lattice"] = digest_text(f"L={length},a={a},b={b}")
     report.metadata["lattice"] = {"L": length, "a": a, "b": b}
     report.metadata["subcommand"] = args.action
-    rng = np.random.default_rng(args.seed)
     read = _reader(report)
 
     def load_sys(path, key):
@@ -264,6 +263,7 @@ def cmd_gabor(args) -> int:
         report.metadata["wh_order"] = wh.order
         report.metadata["wh_central_order"] = wh.q
         report.add(CheckResult(name="wh_group_axioms", residual=wh.law_residual(), tol=tol))
+        rng = np.random.default_rng(args.seed)
         def window_or_draw(path, key):  # f is drawn before g
             return (load_sys(path, key).window if path
                     else rng.standard_normal(length) + 1j * rng.standard_normal(length))

@@ -90,20 +90,26 @@ def _classes(degrees) -> tuple:
 
 @dataclass(frozen=True)
 class PlancherelCoefficients:
-    table: IrrepTable
-    blocks: tuple = field(repr=False)  # one d_sigma x d_sigma array per irrep
-
-
-@dataclass(frozen=True)
-class FiberProjectionField:
-    """The fiber projections P_sigma = hhat(sigma) of an invariant projection, as flat coefficients."""
+    """Blocks fhat(sigma) in the table's kernel layout: ``flat`` is (sum d^2,), every block flattened
+    row-major in table order, or a (..., sum d^2) stack of such rows; ``blocks`` are (..., d, d) views
+    of it.  For an invariant projection p and h = p delta_e, the blocks are the fiber projections
+    P_sigma and ``ranks`` their ranks."""
 
     table: IrrepTable
     flat: np.ndarray = field(repr=False)
 
-    @functools.cached_property
-    def projections(self) -> tuple:
-        return _blocks(self.table, self.flat)
+    @classmethod
+    def from_blocks(cls, table: IrrepTable, blocks) -> "PlancherelCoefficients":
+        """One d_sigma x d_sigma block per irrep, in table order, laid out flat."""
+        rows = []
+        for label, d, b in zip(table.labels, table.degrees, blocks):
+            b = np.asarray(b, dtype=complex)
+            if b.shape != (d, d):
+                raise DimensionMismatch(f"fiber block at {label!r} has wrong shape")
+            rows.append(b.reshape(-1))
+        return cls(table, np.concatenate(rows))
+
+    blocks = functools.cached_property(lambda self: _blocks(self.table, self.flat))
 
     @functools.cached_property
     def ranks(self) -> tuple[int, ...]:
@@ -286,15 +292,12 @@ def _blocks(table: IrrepTable, flat: np.ndarray) -> tuple:
 
 def plancherel_transform(table: IrrepTable, f: GroupVector) -> PlancherelCoefficients:
     """Blocks fhat(sigma) = sum_x f(x) sigma(x)^*."""
-    flat = _coefficients(table, _samples(table, f))
-    return PlancherelCoefficients(table=table, blocks=_blocks(table, flat))
+    return PlancherelCoefficients(table, _coefficients(table, _samples(table, f)))
 
 
 def inverse_plancherel(coeffs: PlancherelCoefficients) -> GroupVector:
     """f(x) = sum_sigma (d_sigma/|G|) trace(sigma(x) fhat(sigma))."""
-    table = coeffs.table
-    flat = np.concatenate([np.asarray(b, dtype=complex).reshape(-1) for b in coeffs.blocks])
-    return GroupVector(table.group, _synthesis(table, flat))
+    return GroupVector(coeffs.table.group, _synthesis(coeffs.table, coeffs.flat))
 
 
 def parseval_residual(table: IrrepTable, f):
@@ -311,9 +314,9 @@ def convolution_to_product_check(
 ) -> CheckResult:
     """Pin the convolution transport: (f * g)^(sigma) = ghat(sigma) fhat(sigma)."""
     flat = _coefficients(table, np.stack([_samples(table, v) for v in (convolve(f, g), f, g)]))
-    fg, fhat, ghat = (_blocks(table, row) for row in flat)
-    residual = max(
-        float(np.linalg.norm(c - bg @ bf)) for c, bf, bg in zip(fg, fhat, ghat)
+    residual = max(  # one stacked product per dimension class
+        float(np.max(np.linalg.norm(c - bg @ bf, axis=(1, 2))))
+        for d, _, cols in table.classes for c, bf, bg in [flat[:, cols].reshape(3, -1, d, d)]
     )
     return CheckResult(name="convolution_to_product", residual=residual, tol=tol)
 
@@ -323,9 +326,9 @@ def convolution_to_product_check(
 
 
 def _fibers(table: IrrepTable, p: InvariantProjection, tol: float, *vectors, ph=None):
-    """The fiber field of p and the flat coefficients of [h, *vectors], from one transform; names the
-    first irrep whose block of h is not idempotent, or else not Hermitian, one test per dimension class.
-    ``ph`` is p h for ``InvariantProjection.validate``, when the caller has it."""
+    """The coefficients of h = p delta_e, or with ``vectors`` of the stack [h, *vectors], from one
+    transform; names the first irrep whose block of h is not idempotent, or else not Hermitian, one
+    test per dimension class.  ``ph`` is p h for ``InvariantProjection.validate``, when the caller has it."""
     if p.group != table.group:
         raise DimensionMismatch("projection and table belong to different groups")
     p.validate(tol=tol, ph=ph)
@@ -340,29 +343,23 @@ def _fibers(table: IrrepTable, p: InvariantProjection, tol: float, *vectors, ph=
     if bad.any():
         i, k = np.argwhere(bad)[0]
         raise NotInvariant(f"fiber block at {table.labels[i]!r} is not {('idempotent', 'Hermitian')[k]}")
-    return FiberProjectionField(table=table, flat=flat[0]), flat
+    return PlancherelCoefficients(table, flat if vectors else flat[0])
 
 
 def fiber_projections(
     table: IrrepTable, p: InvariantProjection, tol: float = DEFAULT_TOL
-) -> FiberProjectionField:
+) -> PlancherelCoefficients:
     """Per-irrep projections carrying p to a direct sum of 1 (x) P_sigma.
 
     The blocks are the transform of h = p delta_e; invariance of p makes each
     block Hermitian idempotent, which is verified.
     """
-    return _fibers(table, p, tol)[0]
+    return _fibers(table, p, tol)
 
 
 def projection_from_fibers(table: IrrepTable, projections) -> InvariantProjection:
     """Synthesize the invariant projection with prescribed fiber projections."""
-    blocks = []
-    for label, d, b in zip(table.labels, table.degrees, projections):
-        b = np.asarray(b, dtype=complex)
-        if b.shape != (d, d):
-            raise DimensionMismatch(f"fiber block at {label!r} has wrong shape")
-        blocks.append(b)
-    return InvariantProjection(inverse_plancherel(PlancherelCoefficients(table=table, blocks=tuple(blocks))))
+    return InvariantProjection(inverse_plancherel(PlancherelCoefficients.from_blocks(table, projections)))
 
 
 @dataclass(frozen=True)
@@ -381,7 +378,7 @@ class FiberSubspace:
         flat = np.zeros(self.table.kernel.shape[1], dtype=complex)
         for cols, u in self.ranges:
             flat[cols] = (u @ u.conj().swapaxes(-1, -2)).reshape(cols.shape)
-        return InvariantProjection(GroupVector(self.table.group, _synthesis(self.table, flat)))
+        return InvariantProjection(inverse_plancherel(PlancherelCoefficients(self.table, flat)))
 
     def frame_solve(self, eta, sqrt: bool = False) -> np.ndarray:
         """S^-1 eta (S^-1/2 eta with ``sqrt``) on the subspace, for S the frame operator of eta projected
@@ -445,7 +442,7 @@ def fiber_admissibility_check(
     for name, v, leak in zip(("eta", "psi"), vs.T, np.linalg.norm(applied[:, :2] - vs[:, :2], axis=0)):
         if not within_tol(leak, max(tol, PLANCHEREL_TOL_FLOOR), v):
             raise NotInRange(f"{name} is not in the range of the projection")
-    _, flat = _fibers(table, p, tol, eta, psi, ph=applied[:, 2])
+    flat = _fibers(table, p, tol, eta, psi, ph=applied[:, 2]).flat
     residual = max(  # one stacked product per dimension class
         float(np.max(np.linalg.norm(bp @ be.conj().swapaxes(-1, -2) - pb, axis=(1, 2))))
         for d, _, cols in table.classes for pb, be, bp in [flat[:, cols].reshape(3, -1, d, d)]
@@ -453,7 +450,7 @@ def fiber_admissibility_check(
     return CheckResult(name="fiber_admissibility", residual=residual, tol=tol)
 
 
-def rank_measure(field: FiberProjectionField) -> float:
+def rank_measure(field: PlancherelCoefficients) -> float:
     """nu_H = sum_sigma (d_sigma/|G|) rank(P_sigma), ranks by the 1/2 threshold."""
     return sum(d * r for d, r in zip(field.table.degrees, field.ranks)) / field.table.group.order
 

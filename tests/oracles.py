@@ -20,6 +20,7 @@ from frametrace.groups import (
     GroupVector,
     Rep,
     convolution_operator,
+    convolve,
     group_from_cayley,
     star_convolve,
 )
@@ -384,7 +385,7 @@ def fibers_by_irrep(table, p: InvariantProjection, tol: float = DEFAULT_TOL, *ve
 
 
 def fiber_ranks_by_irrep(projections) -> tuple[int, ...]:
-    """The former ``FiberProjectionField.ranks``: one ``eigvalsh`` per irrep."""
+    """``PlancherelCoefficients.ranks`` one irrep at a time: one ``eigvalsh`` per block."""
     return tuple(
         int(np.sum(np.linalg.eigvalsh(0.5 * (b + b.conj().T)) > PROJECTION_RANK_CUT)) for b in projections
     )
@@ -395,3 +396,10 @@ def fiber_admissibility_residual_by_irrep(table, p, eta, psi, tol: float = DEFAU
     ||psihat etahat^* - P_sigma||_F, one product per irrep."""
     hhat, (etahat, psihat) = fibers_by_irrep(table, p, tol, eta, psi)
     return max(float(np.linalg.norm(bp @ be.conj().T - pb)) for be, bp, pb in zip(etahat, psihat, hhat))
+
+
+def convolution_to_product_residual_by_irrep(table, f, g) -> float:
+    """The former ``convolution_to_product_check`` residual: max over irreps of
+    ||(f * g)^(sigma) - ghat(sigma) fhat(sigma)||_F, one product per irrep."""
+    fg, fhat, ghat = (plancherel_transform(table, v).blocks for v in (convolve(f, g), f, g))
+    return max(float(np.linalg.norm(c - bg @ bf)) for c, bf, bg in zip(fg, fhat, ghat))

@@ -676,16 +676,30 @@ def test_memory_error_while_validating_irreps_exits_2(tmp_path, monkeypatch, cap
     assert capsys.readouterr().err.startswith("error: out of memory")
 
 
-def test_frame_decompose_without_builtin_irreps_names_the_group(tmp_path, capsys):
-    # dihedral:3 with its elements relabelled: a valid group file that no builtin spec names.
-    perm = np.array([0, 2, 1, 4, 3, 5])
-    inv = np.argsort(perm)
-    table = perm[builtin_group("dihedral:3").cayley[inv][:, inv]]
-    group_file, window = tmp_path / "g.json", tmp_path / "w.json"
-    group_file.write_text(json.dumps({"label": "relabelled", "order": 6, "cayley": table.tolist()}))
-    window.write_text(json.dumps({"group": "relabelled", "data": [[1.0, 0.0]] * 6}))
-    assert run(["frame", "decompose", "--window", str(window), "--group-file", str(group_file)]) == 2
-    assert capsys.readouterr().err == "error: no builtin irreps for group 'relabelled'\n"
+@pytest.mark.parametrize("source", ["relabelled", "heisenberg:8"])
+def test_frame_decompose_without_builtin_irreps_skips_the_fibers(tmp_path, capsys, source):
+    # Two valid groups without builtin irreps: dihedral:3 with its elements relabelled, a group file
+    # that no builtin spec names, and heisenberg:8, whose modulus is not prime.  As frame check and
+    # group analyze do, decompose reports the skip and exits 0.
+    window, out = tmp_path / "w.json", tmp_path / "r.json"
+    if source == "relabelled":
+        perm = np.array([0, 2, 1, 4, 3, 5])
+        inv = np.argsort(perm)
+        table = perm[builtin_group("dihedral:3").cayley[inv][:, inv]]
+        group_file = tmp_path / "g.json"
+        group_file.write_text(json.dumps({"label": "relabelled", "order": 6, "cayley": table.tolist()}))
+        window.write_text(json.dumps({"group": "relabelled", "data": [[1.0, 0.0]] * 6}))
+        flag = ["--group-file", str(group_file)]
+    else:
+        g = builtin_group(source)
+        ftio.save_vector(delta(g, g.identity), window)
+        flag = ["--builtin", source]
+    assert run(["frame", "decompose", "--window", str(window), *flag, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rep = read_report(out)
+    assert rep["metadata"]["fiber_ranks"] == "skipped: no irreps available"
+    assert "rank_measure" not in rep["metadata"]
+    assert rep["checks"] == [] and rep["overall_pass"] is True
 
 
 def test_report_overall_pass_logic():

@@ -149,7 +149,7 @@ def window_with_ratio(table, rng, ratio, full):
     span = [(u * s) @ w.conj().T for u, _, w, _, s in fibers]
 
     def synthesize(blocks):
-        return inverse_plancherel(PlancherelCoefficients(table, tuple(blocks))).data
+        return inverse_plancherel(PlancherelCoefficients.from_blocks(table, tuple(blocks))).data
 
     return synthesize(window), None if full else synthesize(span)
 

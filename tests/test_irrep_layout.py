@@ -7,11 +7,12 @@ one ``(order, d, d)`` stack per irrep and one einsum per pair of factor irreps,
 stay in ``oracles.builtin_irreps_by_pairs``: labels, their order, dims and
 matrices must be bitwise equal.
 
-The fiber tests (``_fibers``, ``FiberProjectionField.ranks`` and the
-``fiber_admissibility_check`` residual) make one stacked call per dimension
-class.  The former per-irrep loops stay in ``oracles``: ranks must be equal,
-residuals within 1e-12 relative, and a corrupted fiber block must raise the
-same message, naming the first bad irrep in table order.
+The fiber tests (``_fibers``, ``PlancherelCoefficients.ranks`` and the
+``fiber_admissibility_check`` residual) and the ``convolution_to_product_check``
+residual make one stacked call per dimension class.  The former per-irrep loops
+stay in ``oracles``: ranks must be equal, residuals within 1e-12 relative, and a
+corrupted fiber block must raise the same message, naming the first bad irrep in
+table order.  ``PlancherelCoefficients`` holds its blocks as views of ``flat``.
 """
 import numpy as np
 import pytest
@@ -19,9 +20,13 @@ import pytest
 from frametrace.errors import NotInvariant
 from frametrace.groups import GroupVector, builtin_group, convolution_operator
 from frametrace.plancherel import (
+    IrrepTable,
+    PlancherelCoefficients,
     builtin_irreps,
+    convolution_to_product_check,
     fiber_admissibility_check,
     fiber_projections,
+    plancherel_transform,
     projection_from_fibers,
     random_invariant_projection,
     validate_irreps,
@@ -29,6 +34,7 @@ from frametrace.plancherel import (
 
 from oracles import (
     builtin_irreps_by_pairs,
+    convolution_to_product_residual_by_irrep,
     fiber_admissibility_residual_by_irrep,
     fiber_ranks_by_irrep,
     fibers_by_irrep,
@@ -108,12 +114,68 @@ def test_fibers_match_the_per_irrep_loops(spec):
         field = fiber_projections(table, p)
         hhat, _ = fibers_by_irrep(table, p)
         assert field.ranks == fiber_ranks_by_irrep(hhat)
-        for new, old in zip(field.projections, hhat):
+        for new, old in zip(field.blocks, hhat):
             assert new.tobytes() == old.tobytes()
         eta, psi = _in_range(p, rng), _in_range(p, rng)
         new = fiber_admissibility_check(table, p, eta, psi).residual
         old = fiber_admissibility_residual_by_irrep(table, p, eta, psi)
         assert abs(new - old) <= 1e-12 * old
+
+
+ACCEPTANCE_SPECS = ["cyclic:12", "dihedral:4", "heisenberg:3"]
+
+
+@pytest.mark.parametrize("spec", [*ACCEPTANCE_SPECS, "cyclic:2 x dihedral:3"])
+def test_blocks_are_views_of_flat(spec):
+    rng = np.random.default_rng(133)
+    table = builtin_irreps(builtin_group(spec))
+    p = random_invariant_projection(table, rng)
+    f = rng.standard_normal((2, table.group.order))
+    made = [plancherel_transform(table, p.h), plancherel_transform(table, f), fiber_projections(table, p),
+            PlancherelCoefficients.from_blocks(table, [np.eye(d) for d in table.degrees])]
+    for coeffs in made:
+        assert len(coeffs.blocks) == len(table.labels)
+        for d, b in zip(table.degrees, coeffs.blocks):
+            assert b.shape == coeffs.flat.shape[:-1] + (d, d)
+            assert np.shares_memory(b, coeffs.flat)
+    assert np.array_equal(np.concatenate([b.reshape(2, -1) for b in made[1].blocks], axis=1), made[1].flat)
+
+
+@pytest.mark.parametrize("spec", ACCEPTANCE_SPECS)
+def test_fiber_projections_are_the_transform_of_h(spec):
+    rng = np.random.default_rng(134)
+    table = builtin_irreps(builtin_group(spec))
+    for _ in range(8):
+        p = random_invariant_projection(table, rng)
+        fibers = fiber_projections(table, p)
+        assert fibers.flat.shape == (table.kernel.shape[1],)
+        assert np.abs(fibers.flat - plancherel_transform(table, p.h).flat).max() <= 1e-12
+        assert fibers.ranks == fiber_ranks_by_irrep(fibers.blocks)
+
+
+def _transposed_block(table, i):
+    """The table with irrep i's kernel block holding sigma(x), not sigma(x)^T: for d > 1 an
+    anti-homomorphism, so the convolution transport fails on that one block."""
+    d, start = table.degrees[i], sum(k * k for k in table.degrees[:i])
+    kernel = table.kernel.copy()
+    block = kernel[:, start:start + d * d].reshape(-1, d, d)
+    kernel[:, start:start + d * d] = block.transpose(0, 2, 1).reshape(-1, d * d)
+    return IrrepTable(table.group, table.labels, table.degrees, kernel)
+
+
+@pytest.mark.parametrize("spec", [*ACCEPTANCE_SPECS, "dihedral:16", "cyclic:3 x dihedral:4", "cyclic:512"])
+def test_convolution_to_product_check_matches_the_per_irrep_loop(spec):
+    rng = np.random.default_rng(135)
+    table = builtin_irreps(builtin_group(spec))
+    n = table.group.order
+    tables = [table] + [_transposed_block(table, i) for i in np.flatnonzero(np.array(table.degrees) > 1)[-1:]]
+    for t in tables:  # unit vectors: the residuals are rounding of products of size about 1, not |G|
+        f, g = (GroupVector(t.group, v / np.linalg.norm(v)) for v in rng.standard_normal((2, n, 2)) @ [1, 1j])
+        new = convolution_to_product_check(t, f, g).residual
+        old = convolution_to_product_residual_by_irrep(t, f, g)
+        assert abs(new - old) <= 1e-12 * max(1.0, old)
+    if len(tables) > 1:
+        assert old > 1e-3  # the transposed block breaks the transport
 
 
 def _message(fn):

@@ -233,12 +233,12 @@ def test_roundtrip():
     back = inverse_plancherel(plancherel_transform(table, f))
     assert np.linalg.norm(back.data - f.data) <= 1e-10
     # zero blocks and identity blocks
-    zero = PlancherelCoefficients(
-        table=table, blocks=tuple(np.zeros((s.dim, s.dim)) for s in table.irreps)
+    zero = PlancherelCoefficients.from_blocks(
+        table, tuple(np.zeros((s.dim, s.dim)) for s in table.irreps)
     )
     assert np.allclose(inverse_plancherel(zero).data, 0.0)
-    eye = PlancherelCoefficients(
-        table=table, blocks=tuple(np.eye(s.dim) for s in table.irreps)
+    eye = PlancherelCoefficients.from_blocks(
+        table, tuple(np.eye(s.dim) for s in table.irreps)
     )
     assert np.allclose(inverse_plancherel(eye).data, delta(g, g.identity).data)
 
@@ -270,7 +270,7 @@ def test_fiber_projections_identity():
 
     p = InvariantProjection(delta(g, g.identity))
     field = fiber_projections(table, p)
-    for s, b in zip(table.irreps, field.projections):
+    for s, b in zip(table.irreps, field.blocks):
         assert np.allclose(b, np.eye(s.dim))
     assert rank_measure(field) == pytest.approx(1.0)
 
@@ -282,7 +282,7 @@ def test_fiber_projections_cyclic2_halfspace():
 
     p = InvariantProjection(GroupVector(g, [0.5, 0.5]))
     field = fiber_projections(table, p)
-    vals = {s.label: complex(b[0, 0]) for s, b in zip(table.irreps, field.projections)}
+    vals = {s.label: complex(b[0, 0]) for s, b in zip(table.irreps, field.blocks)}
     assert abs(vals["chi0"] - 1.0) < 1e-12
     assert abs(vals["chi1"]) < 1e-12
     assert rank_measure(field) == pytest.approx(0.5)
@@ -350,7 +350,7 @@ def test_fiber_criterion_orientation_discriminates():
     ph = plancherel_transform(table, psi).blocks
     wrong = max(
         np.linalg.norm(bp.conj().T @ be - pb)
-        for be, bp, pb in zip(eh, ph, field.projections)
+        for be, bp, pb in zip(eh, ph, field.blocks)
     )
     assert wrong > 1e-3
 

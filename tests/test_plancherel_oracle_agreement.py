@@ -63,7 +63,7 @@ def test_transform_inverse_and_parseval_match_einsum_loops(spec):
         assert b.shape == o.shape == (s.dim, s.dim)
         assert np.abs(b - o).max() <= 1e-12 * scale, s.label
 
-    back = inverse_plancherel(PlancherelCoefficients(table=table, blocks=blocks)).data
+    back = inverse_plancherel(PlancherelCoefficients.from_blocks(table, blocks)).data
     assert np.abs(back - einsum_inverse(table, oracle)).max() <= 1e-12 * np.abs(f).max()
     assert np.abs(back - f).max() <= 1e-12 * np.abs(f).max()
 
