@@ -7,7 +7,10 @@ identical inputs and seed give byte-identical report files.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import functools
+import os
 import sys
 
 import numpy as np
@@ -46,6 +49,45 @@ from .reporting import CheckResult, RunReport, digest_text, report_dumps
 
 class _CliInputError(Exception):
     pass
+
+
+#: (get, set) thread-count symbols of numpy's OpenBLAS: scipy-openblas wheels first, then plain builds.
+_OPENBLAS_CALLS = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+                   ("openblas_get_num_threads", "openblas_set_num_threads"))
+
+
+@functools.cache
+def _openblas():
+    """``(get, set, start)``: the thread-count calls of the OpenBLAS in numpy's wheel (numpy.libs,
+    numpy/.dylibs) and its thread count at the first job; None without one."""
+    pkg = os.path.dirname(np.__file__)
+    for libdir in (pkg + ".libs", os.path.join(pkg, ".dylibs")):
+        names = sorted(os.listdir(libdir)) if os.path.isdir(libdir) else []
+        for lib in (ctypes.CDLL(os.path.join(libdir, n)) for n in names if "openblas" in n):
+            for get, set_ in _OPENBLAS_CALLS:
+                if hasattr(lib, get) and hasattr(lib, set_):
+                    get, set_ = getattr(lib, get), getattr(lib, set_)
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    return get, set_, get()
+    return None
+
+
+@contextlib.contextmanager
+def _blas_threads(n: int | None = None):
+    """Run the block with OpenBLAS on ``n`` threads (None: as many as at the first job), then restore
+    the count it had; without OpenBLAS, run it as it is."""
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, set_, start = blas
+    before = get()
+    set_(start if n is None else n)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 def _resolve_tol(args) -> float:
@@ -114,7 +156,10 @@ def cmd_group(args) -> int:
         report.metadata["irrep_dims"] = sorted(table.degrees)
         z = np.random.default_rng(args.seed).standard_normal((20, 2, group.order))
         f = z[:, 0] + 1j * z[:, 1]
-        worst = np.max(parseval_residual(table, f) / (1.0 + np.linalg.norm(f, axis=1) ** 2))
+        # A 20 x |G| x |G| product that two threads speed up (0.27 vs 0.40 ms at order 256); with it on
+        # one thread too, a closed loop of group analyze jobs ran 19-33% slower per pass (2 vCPUs).
+        with _blas_threads():
+            worst = np.max(parseval_residual(table, f) / (1.0 + np.linalg.norm(f, axis=1) ** 2))
         report.add(CheckResult(name="parseval_sampled", residual=float(worst), tol=tol))
     return _finish(report, args)
 
@@ -145,20 +190,23 @@ def _frame_context(args, report: RunReport, read):
     elif fibers is not None:
         proj = fibers.projection()
     else:
-        proj = projection_from_spanning(group, vectors)
+        with _blas_threads():  # the dense |G| x |G| path, see _dense_frame_solve
+            proj = projection_from_spanning(group, vectors)
     return group, window, table, fibers, proj
 
 
 def _dense_frame_solve(proj: InvariantProjection, eta: np.ndarray, sqrt: bool) -> np.ndarray:
     """S^-1 eta (S^-1/2 eta with ``sqrt``) on range(p) from one eigh of the dense S = R_(eta* * eta),
     compressed to the coordinates q of range(p) that ``projection_from_spanning`` carries: the path of
-    a group without builtin irreps."""
+    a group without builtin irreps. It keeps the BLAS threads that ``main`` pins to one per job: its
+    order-512 eigh took 114-132 ms on two threads and 165-211 ms on one (2 vCPUs)."""
     q, group = proj.basis, proj.group  # q None: all of l2(G)
-    s = convolution_operator(GroupVector(group, star_convolve(group, eta, eta)))
-    if q is not None:
-        s, eta = q.conj().T @ s @ q, q.conj().T @ eta
-    out = (inv_sqrt_psd if sqrt else inv_psd)(s) @ eta
-    return out if q is None else q @ out
+    with _blas_threads():
+        s = convolution_operator(GroupVector(group, star_convolve(group, eta, eta)))
+        if q is not None:
+            s, eta = q.conj().T @ s @ q, q.conj().T @ eta
+        out = (inv_sqrt_psd if sqrt else inv_psd)(s) @ eta
+        return out if q is None else q @ out
 
 
 def cmd_frame(args) -> int:
@@ -333,7 +381,10 @@ def main(argv=None) -> int:
     # Looked up per call, so a replaced cmd_* function is the one that runs.
     commands = {"group": cmd_group, "frame": cmd_frame, "gabor": cmd_gabor}
     try:
-        return commands[args.command](args)
+        # One BLAS thread: the jobs' products are small, and an idle OpenBLAS helper thread costs
+        # 11-16 ms to wake for the next threaded call and spins about 50 ms of CPU after it.
+        with _blas_threads(1):
+            return commands[args.command](args)
     except (_CliInputError, FrametraceError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
