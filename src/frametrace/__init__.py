@@ -95,6 +95,7 @@ from .plancherel import (
     projection_from_fibers,
     random_invariant_projection,
     rank_measure,
+    table_irreps,
     validate_irreps,
 )
 from .reporting import CheckResult, RunReport

@@ -18,13 +18,7 @@ import numpy as np
 from . import io as ftio
 from .commutant import tracial_check
 from .errors import FrametraceError, NotAFrame, NotInRange, NotInvertible, UnsupportedGroup
-from .frames import (
-    InvariantProjection,
-    admissibility_defect,
-    admissible_check,
-    projection_from_spanning,
-    trace_of_projection,
-)
+from .frames import InvariantProjection, admissibility_defect, admissible_check, trace_of_projection
 from .gabor import (
     GaborSystem,
     gabor_canonical_dual,
@@ -34,8 +28,8 @@ from .gabor import (
     wh_bridge_check,
     wh_group_build,
 )
-from .groups import GroupVector, builtin_group, convolution_operator, delta, star_convolve
-from .numerics import DEFAULT_TOL, inv_psd, inv_sqrt_psd
+from .groups import GroupVector, builtin_group, delta
+from .numerics import DEFAULT_TOL
 from .plancherel import (
     builtin_irreps,
     fiber_admissibility_check,
@@ -43,6 +37,7 @@ from .plancherel import (
     fiber_subspace,
     parseval_residual,
     rank_measure,
+    table_irreps,
 )
 from .reporting import CheckResult, RunReport, digest_text, report_dumps
 
@@ -169,9 +164,8 @@ def cmd_group(args) -> int:
 
 
 def _frame_context(args, report: RunReport, read):
-    """Resolve the group (by default the spec the window file names), the window vector, the builtin
-    irreps (None without them) and the subspace: on the fibers with irreps, else the projection onto
-    the orbit span of the vectors."""
+    """Resolve the group (by default the spec the window file names), the window vector, its irreps
+    (the builtin ones, else those read off the Cayley table) and the subspace on their fibers."""
     spec = args.builtin
     if not spec and not args.group_file:
         spec = ftio.load_label(read("window", args.window))
@@ -180,33 +174,16 @@ def _frame_context(args, report: RunReport, read):
     try:
         table = builtin_irreps(group)
     except UnsupportedGroup:
-        table = None
+        # The |G| x |G| eigh of table_irreps keeps the BLAS threads that main pins to one per job: at
+        # order 512 it is the one dense decomposition of a frame job.
+        with _blas_threads():
+            table = table_irreps(group)
     vectors = None
     if args.subspace:
         vectors = [v.data for v in ftio.load_vectors(read("subspace", args.subspace), group)]
-    fibers = fiber_subspace(table, vectors) if table is not None else None
-    if vectors is None:
-        proj = InvariantProjection(delta(group, group.identity))  # the identity, no basis carried
-    elif fibers is not None:
-        proj = fibers.projection()
-    else:
-        with _blas_threads():  # the dense |G| x |G| path, see _dense_frame_solve
-            proj = projection_from_spanning(group, vectors)
+    fibers = fiber_subspace(table, vectors)
+    proj = InvariantProjection(delta(group, group.identity)) if vectors is None else fibers.projection()
     return group, window, table, fibers, proj
-
-
-def _dense_frame_solve(proj: InvariantProjection, eta: np.ndarray, sqrt: bool) -> np.ndarray:
-    """S^-1 eta (S^-1/2 eta with ``sqrt``) on range(p) from one eigh of the dense S = R_(eta* * eta),
-    compressed to the coordinates q of range(p) that ``projection_from_spanning`` carries: the path of
-    a group without builtin irreps. It keeps the BLAS threads that ``main`` pins to one per job: its
-    order-512 eigh took 114-132 ms on two threads and 165-211 ms on one (2 vCPUs)."""
-    q, group = proj.basis, proj.group  # q None: all of l2(G)
-    with _blas_threads():
-        s = convolution_operator(GroupVector(group, star_convolve(group, eta, eta)))
-        if q is not None:
-            s, eta = q.conj().T @ s @ q, q.conj().T @ eta
-        out = (inv_sqrt_psd if sqrt else inv_psd)(s) @ eta
-        return out if q is None else q @ out
 
 
 def cmd_frame(args) -> int:
@@ -220,8 +197,7 @@ def cmd_frame(args) -> int:
     if args.action in ("dual", "tighten"):
         sqrt = args.action == "tighten"
         try:
-            out = (fibers.frame_solve(window.data, sqrt) if fibers is not None
-                   else _dense_frame_solve(proj, window.data, sqrt))
+            out = fibers.frame_solve(window.data, sqrt)
         except NotInvertible:
             report.add(CheckResult(name=f"{args.action}_not_a_frame", residual=1.0, tol=0.0))
             return _finish(report, args)
@@ -237,16 +213,11 @@ def cmd_frame(args) -> int:
         d = admissibility_defect(proj, eta.data, psi.data, projected=applied)  # one defect for both residuals
         report.add(admissible_check(group, d, tol))
         report.add(tracial_check(group, d, tol))
-        if table is None:
-            report.metadata["fiber_check"] = "skipped: no irreps available"
-        else:
-            try:
-                report.add(fiber_admissibility_check(table, proj, eta, psi, tol=tol, applied=applied))
-            except NotInRange as exc:
-                report.add(CheckResult(name="fiber_admissibility_in_range", residual=1.0, tol=0.0))
-                report.metadata["fiber_check"] = str(exc)
-    elif args.action == "decompose" and table is None:
-        report.metadata["fiber_ranks"] = "skipped: no irreps available"
+        try:
+            report.add(fiber_admissibility_check(table, proj, eta, psi, tol=tol, applied=applied))
+        except NotInRange as exc:
+            report.add(CheckResult(name="fiber_admissibility_in_range", residual=1.0, tol=0.0))
+            report.metadata["fiber_check"] = str(exc)
     elif args.action == "decompose":
         field = fiber_projections(table, proj, tol=tol)
         nu = rank_measure(field)

@@ -101,8 +101,6 @@ class InvariantProjection:
     p is the right convolution R_h by a self-adjoint idempotent h = h * h = h* of the group algebra."""
 
     h: GroupVector
-    #: Orthonormal columns spanning range(R_h), when the builder already has them.
-    basis: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.h, GroupVector):
@@ -134,9 +132,7 @@ class InvariantProjection:
         return self.range_basis().shape[1]
 
     def range_basis(self) -> np.ndarray:
-        """The carried basis; without one, the eigenvectors of R_h above ``PROJECTION_RANK_CUT``."""
-        if self.basis is not None:
-            return self.basis
+        """Orthonormal columns spanning range(p): the eigenvectors of R_h above ``PROJECTION_RANK_CUT``."""
         dec = eig_hermitian(convolution_operator(self.h))
         return dec.eigenvectors[:, dec.eigenvalues > PROJECTION_RANK_CUT]
 
@@ -148,7 +144,7 @@ def projection_from_spanning(group: FiniteGroup, vectors) -> InvariantProjection
     """
     cols = [convolution_operator(GroupVector(group, v)) for v in vectors]
     q = orthonormal_columns(np.hstack(cols)) if cols else np.zeros((group.order, 0), dtype=complex)
-    return InvariantProjection(GroupVector(group, q @ q[group.identity].conj()), q)  # (q q*) delta_e
+    return InvariantProjection(GroupVector(group, q @ q[group.identity].conj()))  # (q q*) delta_e
 
 
 def admissibility_defect(p: InvariantProjection, eta, psi, projected: np.ndarray | None = None) -> np.ndarray:

@@ -37,7 +37,7 @@ from .errors import (
     UnsupportedGroup,
 )
 from .frames import InvariantProjection
-from .groups import FiniteGroup, GroupVector, Rep, _parse_spec, _spec_table, convolve
+from .groups import FiniteGroup, GroupVector, Rep, _parse_spec, _spec_table, convolution_operator, convolve
 from .numerics import (
     DEFAULT_TOL,
     PLANCHEREL_TOL_FLOOR,
@@ -212,6 +212,128 @@ def builtin_irreps(group: FiniteGroup) -> IrrepTable:
             raise UnsupportedGroup(f"group table does not match its label {group.label!r}")
     labels, dims, kernel = functools.reduce(_tensor_product, (_FAMILY_IRREPS[f](n) for f, n in factors))
     return IrrepTable(group, tuple(labels), tuple(dims), kernel)
+
+
+# ---------------------------------------------------------------------------
+# Irreps of any group from its Cayley table: Dixon's split of l2(G) by one Hermitian
+# element of the commutant (Dixon 1970, "Computing irreducible representations of groups").
+
+
+def table_irreps(group: FiniteGroup) -> IrrepTable:
+    """Irreducible representations of any finite group, read off its Cayley table.
+
+    For a = a* in the group algebra, the right convolution R_a is Hermitian and commutes with left
+    translation; for a generic a, each eigenspace of R_a is an irreducible left-invariant subspace Q,
+    of dimension d_sigma, and sigma(x) = Q* lambda(x) Q.  The eigenvalues are clustered at
+    ``RANK_CUTOFF`` times the largest, and one eigenspace is kept per character.  a is drawn from a
+    fixed seed; a draw that leaves a cluster reducible or an irrep out fails the count of irreps
+    (one per conjugacy class) or of sum d^2 = |G|, and the next fixed seed is drawn.  The irreps are
+    named and ordered by their dimensions and characters alone, so the draw changes no label.
+    """
+    for seed in range(3):
+        table = _dixon_split(group, np.random.default_rng(seed))
+        if table is not None:
+            return table
+    raise NotComplete(f"no draw split the regular representation of group {group.label!r}")
+
+
+def _class_labels(group: FiniteGroup) -> np.ndarray:
+    """The least element of each element's conjugacy class: entry [x, y] of the gather is x y x^-1."""
+    return group.cayley[group.cayley, group.inverses[:, None]].min(axis=0)
+
+
+def _closure_plan(group: FiniteGroup) -> list:
+    """(z, x, y) index arrays with z = x y, one triple per round, reaching each element but e and the
+    generators once: Light's doubling closure R <- R R from {e} and the generators, about log2 |G| + 1
+    rounds, so a product of generator matrices along it is at most that many levels deep."""
+    known = np.zeros(group.order, dtype=bool)
+    known[[group.identity, *group.generators]] = True
+    plan = []
+    while not known.all():
+        r, z = np.flatnonzero(known), np.flatnonzero(~known)
+        y = group.cayley[group.inverses[r][:, None], z]  # y = x^-1 z: z is in R R where some y is in R
+        hit = known[y]
+        cols = np.flatnonzero(hit.any(axis=0))
+        rows = hit[:, cols].argmax(axis=0)  # the first x of R that reaches z
+        plan.append((z[cols], r[rows], y[rows, cols]))
+        known[z[cols]] = True
+    return plan
+
+
+def _character_order(chi: np.ndarray, tol: float) -> np.ndarray:
+    """The order of the columns of ``chi`` (classes x irreps), lexicographic in the rows -Re, -Im of
+    each class in turn, values within ``tol`` of the next smaller one counted equal.  Distinct
+    characters differ at some class, so the refinement stops once every irrep is told apart."""
+    m = chi.shape[1]
+    rank, distinct = np.zeros(m, dtype=np.int64), 1
+    for row in np.stack([-chi.real, -chi.imag], axis=1).reshape(-1, m):
+        if distinct == m:
+            break
+        if np.ptp(row) <= tol:  # a row that tells no two irreps apart
+            continue
+        order = np.argsort(row)
+        ties = np.empty(m, dtype=np.int64)
+        ties[order] = np.cumsum(np.diff(row[order], prepend=row[order[0]]) > tol)
+        values, rank = np.unique(rank * m + ties, return_inverse=True)
+        distinct = values.size
+    return np.argsort(rank, kind="stable")
+
+
+def _stacked_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over stacks of small d x d matrices, as d broadcast products: numpy's matmul pays a fixed
+    cost per matrix, several times the arithmetic of a 2 x 2 product."""
+    return sum(a[..., :, j, None] * b[..., None, j, :] for j in range(a.shape[-1]))
+
+
+def _dixon_split(group: FiniteGroup, rng: np.random.Generator) -> IrrepTable | None:
+    """:func:`table_irreps` from one draw of a; None when the draw does not split l2(G) cleanly."""
+    n, e = group.order, group.identity
+    z = rng.standard_normal((2, n))
+    a = z[0] + 1j * z[1]
+    a = GroupVector(group, a + a[group.inverses].conj())  # a = a*: R_a is Hermitian, bit for bit
+    w, q = np.linalg.eigh(convolution_operator(a))
+    starts = np.flatnonzero(np.diff(w, prepend=-np.inf) > RANK_CUTOFF * np.abs(w).max())
+    dims = np.diff(starts, append=n)
+    # The character of a cluster Q: chi(x) = tr(lambda(x) Q Q*) = (|G| / |C|) sum_(z in C) h(z), with
+    # h = (Q Q*) delta_e and C the class of x^-1; one reduceat over the clusters, one over the classes.
+    reps, cls, sizes = np.unique(_class_labels(group), return_inverse=True, return_counts=True)
+    h = np.add.reduceat(q * q[e].conj(), starts, axis=1)
+    sums = np.add.reduceat(h[np.argsort(cls, kind="stable")], np.cumsum(sizes) - sizes, axis=0)
+    chars = (n / sizes)[:, None] * sums[cls[group.inverses[reps]]]  # (classes, clusters)
+    weighted = sizes[:, None] * chars.conj() / n  # <chi_i, chi_j> = chars[:, i] . weighted[:, j]
+    # Character inner products are multiplicities, integers: the cluster is irreducible at 1, and two
+    # clusters are copies of one irrep at 1.  A 1-dimensional irrep has one eigenspace, so only the
+    # clusters of d >= 2 are compared, within their dimension.
+    irreducible = np.rint(np.einsum("kc,kc->c", chars, weighted).real) == 1
+    kept = []
+    for d in map(int, np.unique(dims)):
+        c = np.flatnonzero(irreducible & (dims == d))
+        if d > 1:
+            c = c[~np.tril(np.rint(np.abs(chars[:, c].T @ weighted[:, c])) > 0, -1).any(axis=1)]
+        if c.size:
+            kept.append((d, c))
+    degrees = [d for d, c in kept for _ in c]
+    if len(degrees) != reps.size or sum(d * d for d in degrees) != n:
+        return None
+    # sigma(s) = Q* lambda(s) Q at the generators, (lambda(s) Q)[y] = Q[s^-1 y]; every other element by
+    # stacked products along the closure, one stack per dimension class.
+    plan = _closure_plan(group)
+    blocks = []
+    for d, c in kept:
+        u = q[:, starts[c][:, None] + np.arange(d)]  # (|G|, m, d)
+        uh = u.transpose(1, 2, 0).conj()  # (m, d, |G|)
+        mats = np.empty((n, c.size, d, d), dtype=complex)
+        mats[e] = np.eye(d)
+        for s in group.generators:  # at most log2 |G| of them
+            v, _, wh = np.linalg.svd(uh @ u[group.cayley[group.inverses[s]]].swapaxes(0, 1))
+            mats[s] = v @ wh  # the polar factor: unitary, and the first-order error of Q* Q - I cancels
+        for zs, xs, ys in plan:
+            mats[zs] = _stacked_products(mats[xs], mats[ys])
+        # Order by the characters at the classes, largest real part first (the trivial irrep leads).
+        order = _character_order(np.trace(mats[reps], axis1=-2, axis2=-1), PLANCHEREL_TOL_FLOOR)
+        blocks.append(mats[:, order].swapaxes(-1, -2).reshape(n, -1))  # row x: each sigma(x)^T, flat
+    labels = tuple(f"sigma{i}" for i in range(len(degrees)))
+    return IrrepTable(group, labels, tuple(degrees), np.hstack(blocks))
 
 
 def validate_irreps(group: FiniteGroup, supplied, tol: float = DEFAULT_TOL) -> IrrepTable:

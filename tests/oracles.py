@@ -11,8 +11,13 @@ import json
 import numpy as np
 
 from frametrace.commutant import commutant_of_matrices
-from frametrace.errors import DimensionMismatch, NotAGroup, NotInvariant
-from frametrace.frames import InvariantProjection
+from frametrace.errors import DimensionMismatch, NotAGroup, NotInvariant, NotInvertible
+from frametrace.frames import (
+    InvariantProjection,
+    admissibility_defect,
+    admissible_check,
+    projection_from_spanning,
+)
 from frametrace.gabor import GaborSystem, WHGroup, _walnut_blocks, gabor_coefficient_map
 from frametrace.groups import (
     MAX_ORDER,
@@ -21,6 +26,7 @@ from frametrace.groups import (
     Rep,
     convolution_operator,
     convolve,
+    delta,
     group_from_cayley,
     star_convolve,
 )
@@ -31,6 +37,9 @@ from frametrace.numerics import (
     _unit_roots,
     as_vector,
     eig_hermitian,
+    inv_psd,
+    inv_sqrt_psd,
+    orthonormal_columns,
     within_tol,
 )
 from frametrace.plancherel import plancherel_transform
@@ -91,6 +100,35 @@ def admissibility_defect_dense(p: InvariantProjection, eta, psi) -> np.ndarray:
     one matrix-vector product each, then d = eta* * psi - h."""
     m = convolution_operator(p.h)
     return star_convolve(p.group, m @ as_vector(eta), m @ as_vector(psi)) - p.h.data
+
+
+def dense_frame_solve(group: FiniteGroup, eta: np.ndarray, vectors, sqrt: bool) -> np.ndarray:
+    """The former ``cli._dense_frame_solve``, the ``frame dual|tighten`` path of a group without builtin
+    irreps: S^-1 eta (S^-1/2 eta with ``sqrt``) on the orbit span of ``vectors`` (all of l2(G) for None)
+    from one eigh of the dense S = R_(eta* * eta), compressed to the SVD columns q of the orbit matrix
+    [R_v1 ... R_vk] that the former ``projection_from_spanning`` carried."""
+    s = convolution_operator(GroupVector(group, star_convolve(group, eta, eta)))
+    inverse = inv_sqrt_psd if sqrt else inv_psd
+    if vectors is None:
+        return inverse(s) @ eta
+    q = orthonormal_columns(np.hstack([convolution_operator(GroupVector(group, v)) for v in vectors]))
+    return q @ (inverse(q.conj().T @ s @ q) @ (q.conj().T @ eta))
+
+
+def dense_frame_job(group: FiniteGroup, action: str, window: np.ndarray, span=None, tol: float = DEFAULT_TOL):
+    """``frame dual|tighten`` as the dense path ran it, on the orbit span of ``span`` (all of l2(G) for
+    None): (check name, residual, written vector or None), the residual against the orbit projection."""
+    vectors = None if span is None else [span]
+    p = InvariantProjection(delta(group, group.identity))
+    if vectors is not None:
+        p = projection_from_spanning(group, vectors)
+    sqrt = action == "tighten"
+    try:
+        out = dense_frame_solve(group, window, vectors, sqrt)
+    except NotInvertible:
+        return f"{action}_not_a_frame", 1.0, None
+    check = admissible_check(group, admissibility_defect(p, out if sqrt else window, out), tol)
+    return f"{action}_reconstruction", check.residual, out
 
 
 def regular_coefficient_matrix(group: FiniteGroup, eta) -> np.ndarray:
@@ -157,8 +195,8 @@ def group_from_cayley_by_word_length(table, label: str = "") -> FiniteGroup:
 
 def relabelled(group: FiniteGroup, perm, label: str = "relabelled") -> FiniteGroup:
     """``group`` with element x renamed perm[x], validated as a table under a label that no builtin
-    spec names: a ``frame`` job on it has no builtin irreps and takes the dense path (one ``eigh`` of
-    S = R_c, the orbit SVD of ``--subspace``).  A vector f on ``group`` is f[argsort(perm)] on it."""
+    spec names: a ``frame`` job on it has no builtin irreps and reads them off the table
+    (``plancherel.table_irreps``).  A vector f on ``group`` is f[argsort(perm)] on it."""
     perm = np.asarray(perm)
     inv = np.argsort(perm)
     return group_from_cayley(perm[group.cayley[np.ix_(inv, inv)]], label=label)

@@ -2,9 +2,10 @@
 
 The jobs' products are small (b x b Walnut blocks, d x d Plancherel fibers, |G| x |G| gathers), and
 an idle OpenBLAS helper thread costs milliseconds to wake.  Two kinds of product keep the count at
-the first job: the dense path of a group without builtin irreps (``_dense_frame_solve`` and the
-orbit projection of ``--subspace``) and the sampled Parseval transform of ``group analyze``.  The pin
-changes no output: reports and written files are byte-identical with and without it.
+the first job: the irreps a ``frame`` job reads off the Cayley table of a group without builtin ones
+(``plancherel.table_irreps``, one |G| x |G| ``eigh``) and the sampled Parseval transform of
+``group analyze``.  The pin changes no output: reports and written files are byte-identical with and
+without it.
 """
 import json
 
@@ -101,9 +102,9 @@ def test_group_analyze_samples_parseval_on_the_starting_thread_count(blas_get, m
 
 
 @pytest.mark.parametrize("subspace", [False, True], ids=["full", "subspace"])
-def test_the_dense_path_keeps_the_starting_thread_count(blas_get, monkeypatch, tmp_path, subspace):
-    # dihedral:8 relabelled as a file group has no builtin irreps: dual solves one eigh of the dense S
-    # and --subspace builds its projection from the orbit matrix.  Both run on the starting count.
+def test_table_irreps_keep_the_starting_thread_count(blas_get, monkeypatch, tmp_path, subspace):
+    # dihedral:8 relabelled as a file group has no builtin irreps: the job reads them off its table,
+    # whose eigh of R_a runs on the starting count; the fiber solve and --subspace run on one thread.
     monkeypatch.chdir(tmp_path)
     rng = np.random.default_rng(41)
     g = builtin_group("dihedral:8")
@@ -119,11 +120,10 @@ def test_the_dense_path_keeps_the_starting_thread_count(blas_get, monkeypatch, t
         (tmp_path / "sub.json").write_text(
             json.dumps({"group": g.label, "vectors": [ftio.complex_to_json(window)]}))
         sub = ["--subspace", "sub.json"]
-    seen = _record_threads(monkeypatch, blas_get, "inv_psd", "projection_from_spanning")
+    seen = _record_threads(monkeypatch, blas_get, "builtin_irreps", "table_irreps", "fiber_subspace")
     argv = ["frame", "dual", "--window", "eta.json", "--group-file", "g.json", *sub, "--out", "r.json"]
     assert cli.main(argv) == 0
-    expect = [("projection_from_spanning", 2)] if subspace else []
-    assert seen == expect + [("inv_psd", 2)]
+    assert seen == [("builtin_irreps", 1), ("table_irreps", 2), ("fiber_subspace", 1)]
     assert blas_get() == 2
 
 

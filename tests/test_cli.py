@@ -28,7 +28,7 @@ from frametrace.gabor import (
     wr_fundamental_relation_check,
 )
 from frametrace.groups import GroupVector, builtin_group, delta, left_regular_rep
-from frametrace.plancherel import IrrepTable, builtin_irreps, validate_irreps
+from frametrace.plancherel import IrrepTable, builtin_irreps, table_irreps, validate_irreps
 from frametrace.reporting import CheckResult, RunReport, digest_text, report_dumps
 
 from oracles import coset_average, regular_coefficient_matrix, relabelled
@@ -677,10 +677,10 @@ def test_memory_error_while_validating_irreps_exits_2(tmp_path, monkeypatch, cap
 
 
 @pytest.mark.parametrize("source", ["relabelled", "heisenberg:8"])
-def test_frame_decompose_without_builtin_irreps_skips_the_fibers(tmp_path, capsys, source):
+def test_frame_decompose_without_builtin_irreps_reads_them_off_the_table(tmp_path, capsys, source):
     # Two valid groups without builtin irreps: dihedral:3 with its elements relabelled, a group file
-    # that no builtin spec names, and heisenberg:8, whose modulus is not prime.  As frame check and
-    # group analyze do, decompose reports the skip and exits 0.
+    # that no builtin spec names, and heisenberg:8, whose modulus is not prime.  decompose reads the
+    # irreps off the Cayley table: the window delta_e spans all of l2(G), so every fiber has full rank.
     window, out = tmp_path / "w.json", tmp_path / "r.json"
     if source == "relabelled":
         perm = np.array([0, 2, 1, 4, 3, 5])
@@ -697,9 +697,10 @@ def test_frame_decompose_without_builtin_irreps_skips_the_fibers(tmp_path, capsy
     assert run(["frame", "decompose", "--window", str(window), *flag, "--out", str(out)]) == 0
     assert capsys.readouterr().err == ""
     rep = read_report(out)
-    assert rep["metadata"]["fiber_ranks"] == "skipped: no irreps available"
-    assert "rank_measure" not in rep["metadata"]
-    assert rep["checks"] == [] and rep["overall_pass"] is True
+    table = table_irreps(ftio.load_group(group_file) if source == "relabelled" else g)
+    assert rep["metadata"]["fiber_ranks"] == dict(zip(table.labels, table.degrees))
+    assert rep["metadata"]["rank_measure"] == pytest.approx(1.0, abs=1e-12)
+    assert [c["name"] for c in rep["checks"]] == ["rank_measure_vs_trace"] and rep["overall_pass"] is True
 
 
 def test_report_overall_pass_logic():
@@ -799,7 +800,7 @@ def test_subspace_outputs_agree_with_an_eigh_basis_oracle(tmp_path, spec, action
             "--out", str(tmp_path / "r.json")]
     assert run(argv) == 0
     got = ftio.load_vector(out, g).data
-    q = InvariantProjection(projection_from_spanning(g, [span]).h).range_basis()  # eigh path
+    q = projection_from_spanning(g, [span]).range_basis()  # the eigenvectors of R_h
     assert 0 < q.shape[1] < g.order
     v = CoefficientOperator(vector=q.conj().T @ window, matrix=regular_coefficient_matrix(g, window) @ q)
     expect = q @ solve(v)
@@ -809,14 +810,13 @@ def test_subspace_outputs_agree_with_an_eigh_basis_oracle(tmp_path, spec, action
 @pytest.mark.parametrize("subspace", [False, True], ids=["full", "subspace"])
 @pytest.mark.parametrize("source, action, dense", [
     ("builtin", "dual", 0), ("builtin", "tighten", 0), ("builtin", "check", 0), ("builtin", "decompose", 0),
-    ("file", "dual", 1), ("file", "tighten", 1), ("file", "check", 0),
+    ("file", "dual", 1), ("file", "tighten", 1), ("file", "check", 1), ("file", "decompose", 1),
 ])
 def test_frame_builds_a_dense_right_convolution_only_to_decompose_it(tmp_path, monkeypatch, source, action,
                                                                        dense, subspace):
-    # p acts as v * h.  With builtin irreps, dual, tighten and the --subspace projection work on the
-    # fibers and build no dense R_f.  The same group relabelled as a file group has no irreps; there the
-    # only dense R_f of a job are S = R_(eta* * eta) of dual and tighten and, with --subspace, one orbit
-    # block R_v per spanning vector (k = 1 here).
+    # p acts as v * h.  Every action and the --subspace projection work on the fibers.  With builtin
+    # irreps a job builds no dense R_f.  The same group relabelled as a file group has no builtin irreps;
+    # there the one dense R_f of a job is the R_a whose eigh splits l2(G) (plancherel.table_irreps).
     monkeypatch.chdir(tmp_path)
     g = builtin_group("dihedral:8")
     rng = np.random.default_rng(41)
@@ -851,7 +851,7 @@ def test_frame_builds_a_dense_right_convolution_only_to_decompose_it(tmp_path, m
     extra = {"dual": ["--out-vector", "out.json"], "tighten": ["--out-vector", "out.json"],
              "check": ["--pair", "eta.json", "psi.json"], "decompose": []}[action]
     assert run(["frame", action, "--window", "eta.json", *flag, *sub, *extra, "--out", "r.json"]) == 0
-    assert len(calls) == (dense + subspace if source == "file" else 0)
+    assert len(calls) == dense
 
 
 @pytest.mark.parametrize("subspace", [False, True], ids=["full", "subspace"])

@@ -308,9 +308,9 @@ def test_random_invariant_projection_spectral_is_invariant():
     ["dihedral:4", "heisenberg:3", "cyclic:2 x dihedral:3",
      "dihedral:16", "cyclic:3 x dihedral:8", "dihedral:256"],  # the frame-ladder subspace groups, and order 512
 )
-def test_carried_range_basis_matches_the_eigh_path(spec):
-    # projection_from_spanning keeps the SVD columns it builds h from; a projection
-    # without a carried basis falls back to the eigenvectors of R_h above PROJECTION_RANK_CUT.
+def test_range_basis_of_a_spanned_projection(spec):
+    # range_basis is the eigenvectors of R_h above PROJECTION_RANK_CUT: orthonormal, spanning range(p),
+    # as many as the rank of the spanning set and as the fiber ranks count.
     g = builtin_group(spec)
     table = builtin_irreps(g)
     rng = np.random.default_rng(21)
@@ -327,7 +327,6 @@ def test_carried_range_basis_matches_the_eigh_path(spec):
         p = projection_from_spanning(g, vectors)
         q = p.range_basis()
         assert q.shape == (g.order, p.rank())
-        assert p.rank() == InvariantProjection(p.h).rank()
         assert np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1])) <= 1e-12
         assert np.linalg.norm(q @ q.conj().T - convolution_operator(p.h)) <= 1e-12 * np.sqrt(g.order)
         assert abs(rank_measure(fiber_projections(table, p)) - trace_of_projection(p)) <= 1e-12
@@ -337,10 +336,12 @@ def test_carried_range_basis_matches_the_eigh_path(spec):
 
 def test_invariant_projection_rejects_a_matrix_for_h():
     """The former form InvariantProjection(group, matrix) fails at construction, not at a
-    later use of h (rank() used to return |G| from the matrix taken as the carried basis)."""
+    later use of h (rank() used to return |G| from the matrix taken as a carried basis)."""
     g = builtin_group("dihedral:3")
-    with pytest.raises(TypeError, match="GroupVector"):
+    with pytest.raises(TypeError, match="positional argument"):  # h is the one field
         InvariantProjection(g, np.eye(g.order, dtype=complex))
+    with pytest.raises(TypeError, match="GroupVector"):
+        InvariantProjection(g)
     with pytest.raises(TypeError, match="ndarray"):
         InvariantProjection(np.eye(g.order)[:, g.identity])
     assert InvariantProjection(delta(g, g.identity)).rank() == g.order
