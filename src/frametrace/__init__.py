@@ -75,9 +75,9 @@ from .numerics import (
     EIG_FLOOR,
     HermEig,
     eig_hermitian,
+    frame_svds,
     inv_psd,
     inv_sqrt_psd,
-    psd_inverses,
 )
 from .plancherel import (
     FiberSubspace,

@@ -184,19 +184,13 @@ def dual_null_space(rep: Rep, eta) -> np.ndarray:
     """Orthonormal basis (columns) of W = {w : V_w^* V_eta = 0}.
 
     The difference of any two dual vectors of eta lies in W, and the
-    canonical dual is orthogonal to it.
+    canonical dual is orthogonal to it.  W is the null space of the d^2 x d map
+    w -> vec(V_w^* V_eta), entry [(i, j), k] = sum_x rep(x)[i, k] conj (rep(x) eta)_j, from one thin SVD.
     """
-    v_eta = coefficient_operator(rep, eta).matrix
-    d = rep.dim
-    cols = []
-    for j in range(d):
-        e = np.zeros(d, dtype=complex)
-        e[j] = 1.0
-        v_j = coefficient_operator(rep, e).matrix
-        cols.append((v_j.conj().T @ v_eta).reshape(-1))
-    a = np.column_stack(cols)  # maps w -> vec(V_w^* V_eta)
-    _, s, vh = np.linalg.svd(a)
+    v_eta = coefficient_operator(rep, eta).matrix  # row x: conj rep(x) eta
+    a = np.einsum("xik,xj->ijk", rep.matrices, v_eta).reshape(rep.dim ** 2, rep.dim)
+    _, s, vh = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
-        return np.eye(d, dtype=complex)
+        return np.eye(rep.dim, dtype=complex)
     rank = int(np.sum(s > RANK_CUTOFF * s[0]))
     return vh[rank:].conj().T

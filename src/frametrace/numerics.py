@@ -83,43 +83,46 @@ def eig_hermitian(a) -> HermEig:
     return HermEig(eigenvalues=w, eigenvectors=q)
 
 
-def _psd_spectrum(*stacks) -> list[HermEig]:
-    """Hermitian eigendecompositions of matrices or stacks; raises :class:`NotInvertible`, carrying the
-    ratio min/max, when the smallest eigenvalue of them all is at or below ``EIG_FLOOR`` times the largest."""
-    decs = [eig_hermitian(a) for a in stacks]
-    w = np.concatenate([dec.eigenvalues.reshape(-1) for dec in decs]) if decs else np.zeros(0)
+def _floor(w) -> None:
+    """Raise :class:`NotInvertible`, carrying the ratio min/max, when the smallest of the eigenvalues
+    ``w`` (an array of any shape) is at or below ``EIG_FLOOR`` times the largest, or none is positive."""
     low, top = (float(w.min()), float(w.max())) if w.size else (0.0, 0.0)
     if top <= 0.0 or low <= EIG_FLOOR * top:
         raise NotInvertible(
             f"eigenvalue floor violated: min={low:.3e}, max={top:.3e}, floor={EIG_FLOOR:.1e}",
             ratio=low / top if top > 0.0 else 0.0,
         )
-    return decs
 
 
-def psd_inverses(stacks, sqrt: bool = False) -> list[np.ndarray]:
-    """A^-1 (A^-1/2 with ``sqrt``) of each Hermitian positive definite matrix or stack in ``stacks``.
+def _psd_spectrum(a) -> HermEig:
+    """Hermitian eigendecomposition of a matrix or a stack, past the ``EIG_FLOOR`` test of :func:`_floor`."""
+    dec = eig_hermitian(a)
+    _floor(dec.eigenvalues)
+    return dec
 
-    The stacks are the blocks of one block-diagonal operator: one ``EIG_FLOOR`` decision is taken over
-    the union of their spectra, and :class:`NotInvertible` is raised when it fails, which is how a
-    failed frame property surfaces numerically.
-    """
-    out = []
-    for dec in _psd_spectrum(*stacks):
-        q, w = dec.eigenvectors, dec.eigenvalues
-        out.append((q / (np.sqrt(w) if sqrt else w)[..., None, :]) @ q.conj().swapaxes(-1, -2))
-    return out
+
+def frame_svds(stacks) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Thin SVDs (U, s, V*) of each (m, r, d) stack of analysis blocks b = U diag(s) V*, r <= d.  The s^2
+    of all stacks are the eigenvalues of one frame operator: one :func:`_floor` decision covers them, and
+    an empty list raises.  U diag(1/s) V* and U V* give the dual and the tight window with no b b*
+    formed, so their error grows with sqrt(kappa), not kappa (Higham 2002, ch. 20)."""
+    svds = [np.linalg.svd(b, full_matrices=False) for b in stacks]
+    _floor(np.concatenate([np.square(s).ravel() for _, s, _ in svds]) if svds else np.zeros(0))
+    return svds
 
 
 def inv_psd(a) -> np.ndarray:
-    """Inverse of a Hermitian positive definite matrix, or the stack of inverses of a stack
-    (:func:`psd_inverses` of one operator)."""
-    return psd_inverses([a])[0]
+    """Inverse of a Hermitian positive definite matrix, or the stack of inverses of a stack."""
+    dec = _psd_spectrum(a)
+    q = dec.eigenvectors
+    return (q / dec.eigenvalues[..., None, :]) @ q.conj().swapaxes(-1, -2)
 
 
 def inv_sqrt_psd(a) -> np.ndarray:
     """Inverse square root A^(-1/2) of a Hermitian positive definite matrix (or stack)."""
-    return psd_inverses([a], sqrt=True)[0]
+    dec = _psd_spectrum(a)
+    q = dec.eigenvectors
+    return (q / np.sqrt(dec.eigenvalues)[..., None, :]) @ q.conj().swapaxes(-1, -2)
 
 
 def orthonormal_columns(vectors, rel_cutoff: float = RANK_CUTOFF) -> np.ndarray:

@@ -44,7 +44,7 @@ from .numerics import (
     PROJECTION_RANK_CUT,
     RANK_CUTOFF,
     _unit_roots,
-    psd_inverses,
+    frame_svds,
     within_tol,
 )
 from .reporting import CheckResult
@@ -505,15 +505,14 @@ class FiberSubspace:
     def frame_solve(self, eta, sqrt: bool = False) -> np.ndarray:
         """S^-1 eta (S^-1/2 eta with ``sqrt``) on the subspace, for S the frame operator of eta projected
         to it.  S acts on fiber sigma as left multiplication by chat = P etahat etahat* P, so in the
-        coordinates u, with b = u* etahat, psihat = u (b b*)^-1 b (or (b b*)^-1/2 b).  One ``EIG_FLOOR``
-        decision covers every b b*, whose eigenvalues are those of S on the subspace without their
-        multiplicities d_sigma; a failed one raises :class:`NotInvertible`."""
+        coordinates u, with b = u* etahat = U diag(s) V*, psihat = u U diag(1/s) V* (or u U V*, b's polar
+        factor).  ``frame_svds`` takes one ``EIG_FLOOR`` decision over every s^2, the eigenvalues of S on
+        the subspace without their multiplicities d_sigma, and raises :class:`NotInvertible` if it fails."""
         flat = _coefficients(self.table, _samples(self.table, eta))
         bs = [u.conj().swapaxes(-1, -2) @ flat[cols].reshape(*u.shape[:2], -1) for cols, u in self.ranges]
-        inverses = psd_inverses([b @ b.conj().swapaxes(-1, -2) for b in bs], sqrt=sqrt)
         out = np.zeros_like(flat)
-        for (cols, u), b, inv in zip(self.ranges, bs, inverses):
-            out[cols] = (u @ inv @ b).reshape(cols.shape)
+        for (cols, u), (left, s, vh) in zip(self.ranges, frame_svds(bs)):
+            out[cols] = (u @ (left if sqrt else left / s[..., None, :]) @ vh).reshape(cols.shape)
         return _synthesis(self.table, out)
 
 

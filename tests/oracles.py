@@ -16,6 +16,7 @@ from frametrace.frames import (
     InvariantProjection,
     admissibility_defect,
     admissible_check,
+    coefficient_operator,
     projection_from_spanning,
 )
 from frametrace.gabor import GaborSystem, WHGroup, _walnut_blocks, gabor_coefficient_map
@@ -34,6 +35,7 @@ from frametrace.numerics import (
     DEFAULT_TOL,
     PLANCHEREL_TOL_FLOOR,
     PROJECTION_RANK_CUT,
+    RANK_CUTOFF,
     _unit_roots,
     as_vector,
     eig_hermitian,
@@ -77,6 +79,19 @@ def coset_average(group: FiniteGroup, u: np.ndarray) -> np.ndarray:
     subspace window, whose left-translation orbit spans a proper invariant subspace."""
     s = next(x for x in group.elements() if x != group.identity and group.mul(x, x) == group.identity)
     return 0.5 * (u + u[group.cayley[:, s]])
+
+
+def subgroup_average(group: FiniteGroup, u: np.ndarray) -> np.ndarray:
+    """u averaged over the right cosets of <s>, s an element of least order > 1: its left-translation
+    orbit spans a proper invariant subspace (heisenberg:3 has no involution for ``coset_average``)."""
+    def powers(s):
+        out = [group.identity]
+        while group.mul(out[-1], s) != group.identity:
+            out.append(group.mul(out[-1], s))
+        return out
+
+    cycle = min((powers(s) for s in group.elements() if s != group.identity), key=len)
+    return sum(u[group.cayley[:, t]] for t in cycle) / len(cycle)
 
 
 def validate_dense(group: FiniteGroup, p: np.ndarray, tol: float = DEFAULT_TOL) -> None:
@@ -129,6 +144,19 @@ def dense_frame_job(group: FiniteGroup, action: str, window: np.ndarray, span=No
         return f"{action}_not_a_frame", 1.0, None
     check = admissible_check(group, admissibility_defect(p, out if sqrt else window, out), tol)
     return f"{action}_reconstruction", check.residual, out
+
+
+def dual_null_space_by_columns(rep: Rep, eta) -> np.ndarray:
+    """The former ``frames.dual_null_space``: W = {w : V_w^* V_eta = 0} from d ``coefficient_operator``
+    calls, one per basis vector e_j (column j of the map w -> vec(V_w^* V_eta)), and a full SVD."""
+    v_eta = coefficient_operator(rep, eta).matrix
+    d = rep.dim
+    cols = [coefficient_operator(rep, e).matrix.conj().T @ v_eta for e in np.eye(d, dtype=complex)]
+    _, s, vh = np.linalg.svd(np.column_stack([c.reshape(-1) for c in cols]))
+    if s.size == 0 or s[0] == 0.0:
+        return np.eye(d, dtype=complex)
+    rank = int(np.sum(s > RANK_CUTOFF * s[0]))
+    return vh[rank:].conj().T
 
 
 def regular_coefficient_matrix(group: FiniteGroup, eta) -> np.ndarray:

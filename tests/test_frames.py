@@ -29,7 +29,12 @@ from frametrace.groups import (
 )
 from frametrace.plancherel import builtin_irreps, fiber_projections, isotypic_projection, rank_measure
 
-from oracles import coset_average, random_invariant_projection_spectral
+from oracles import (
+    coset_average,
+    dual_null_space_by_columns,
+    random_invariant_projection_spectral,
+    subgroup_average,
+)
 
 
 def rand_vec(group, rng):
@@ -191,6 +196,21 @@ def test_dual_null_space_orthogonality():
         # canonical dual is the minimal-norm dual: orthogonal to the null set
         assert abs(np.vdot(w, psi)) <= 1e-9 * np.linalg.norm(psi) * np.linalg.norm(w)
         assert np.linalg.norm(psi) <= np.linalg.norm(psi + w) + 1e-12
+
+
+@pytest.mark.parametrize("spec", ["dihedral:4", "heisenberg:3", "dihedral:24"])
+def test_dual_null_space_matches_the_column_oracle(spec):
+    # One einsum and one thin SVD against d coefficient_operator calls and a full SVD: the same span
+    # of W (projectors within 1e-9), for random, delta_e and subgroup-averaged windows.
+    g = builtin_group(spec)
+    rep = left_regular_rep(g)
+    rng = np.random.default_rng(8)
+    windows = [rand_vec(g, rng).data, delta(g, g.identity).data, subgroup_average(g, rand_vec(g, rng).data)]
+    for eta in windows:
+        got, want = dual_null_space(rep, eta), dual_null_space_by_columns(rep, eta)
+        assert got.shape == want.shape
+        assert np.linalg.norm(got @ got.conj().T - want @ want.conj().T) <= 1e-9
+    assert np.array_equal(dual_null_space(rep, np.zeros(g.order)), np.eye(g.order))
 
 
 def test_tighten_cases():

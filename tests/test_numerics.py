@@ -9,11 +9,11 @@ from frametrace.numerics import (
     _unit_roots,
     as_vector,
     eig_hermitian,
+    frame_svds,
     frob_norm,
     inv_psd,
     inv_sqrt_psd,
     orthonormal_columns,
-    psd_inverses,
     within_tol,
 )
 
@@ -92,22 +92,34 @@ def test_stack_is_one_operator_for_the_floor():
         eig_hermitian(np.zeros((3, 2, 4)))
 
 
-def test_stacks_of_different_shapes_share_one_floor():
-    # The blocks of one operator in stacks of 1 x 1 and 2 x 2 blocks: each stack alone is well
-    # conditioned, together min/max = 1e-13 <= EIG_FLOOR; the ratio is that of the union.
-    small, large = np.full((3, 1, 1), 1e-13), np.array([np.eye(2), 2 * np.eye(2)])
-    assert np.allclose(psd_inverses([small])[0], 1e13)
+def test_frame_svds_share_one_floor_across_stacks():
+    # Analysis blocks of one operator in stacks of 1 x 1 and 2 x 2 blocks: each stack alone is well
+    # conditioned, together the s^2 have min/max = 1e-13 <= EIG_FLOOR; the ratio is that of the union.
+    small, large = np.full((3, 1, 1), np.sqrt(1e-13)), np.array([np.eye(2), np.sqrt(2) * np.eye(2)])
+    ((_, s, _),) = frame_svds([small])
+    assert np.allclose(s ** 2, 1e-13)
     with pytest.raises(NotInvertible) as exc:
-        psd_inverses([small, large])
+        frame_svds([small, large])
     assert exc.value.ratio == pytest.approx(0.5e-13)
+    with pytest.raises(NotInvertible) as exc:
+        frame_svds([])
+    assert exc.value.ratio == 0.0
     with pytest.raises(NotInvertible):
-        psd_inverses([])
-    inv, root = psd_inverses([100 * small, large]), psd_inverses([100 * small, large], sqrt=True)
-    assert [x.shape for x in inv] == [x.shape for x in root] == [(3, 1, 1), (2, 2, 2)]
-    assert np.allclose(inv[0], 1e11) and np.allclose(root[1][1], np.eye(2) / np.sqrt(2))
-    # inv_psd and inv_sqrt_psd are the one-stack case, bit for bit.
-    assert inv_psd(large).tobytes() == psd_inverses([large])[0].tobytes()
-    assert inv_sqrt_psd(large).tobytes() == psd_inverses([large], sqrt=True)[0].tobytes()
+        frame_svds([np.zeros((2, 1, 3))])
+    svds = frame_svds([10 * small, large])
+    assert [(u.shape, s.shape, vh.shape) for u, s, vh in svds] == [
+        ((3, 1, 1), (3, 1), (3, 1, 1)), ((2, 2, 2), (2, 2), (2, 2, 2))
+    ]
+
+
+def test_frame_svds_give_the_dual_and_tight_blocks():
+    # b = U diag(s) V*: U diag(1/s) V* = (b b*)^-1 b and U V* = (b b*)^-1/2 b, for r x d blocks, r <= d.
+    rng = np.random.default_rng(4)
+    stacks = [rand_c(rng, 5, 1, 3), rand_c(rng, 2, 2, 3), rand_c(rng, 4, 3, 3)]
+    for b, (u, s, vh) in zip(stacks, frame_svds(stacks)):
+        gram = b @ b.conj().swapaxes(-1, -2)
+        assert np.allclose((u / s[..., None, :]) @ vh, inv_psd(gram) @ b, atol=1e-12)
+        assert np.allclose(u @ vh, inv_sqrt_psd(gram) @ b, atol=1e-12)
 
 
 def test_stack_agrees_with_block_diagonal():
