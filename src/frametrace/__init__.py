@@ -93,7 +93,6 @@ from .plancherel import (
     isotypic_projection,
     plancherel_transform,
     projection_from_fibers,
-    random_invariant_projection,
     rank_measure,
     table_irreps,
     validate_irreps,

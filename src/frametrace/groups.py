@@ -9,14 +9,14 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatch, NotAGroup, NotInvariant
 from .numerics import DEFAULT_TOL, as_vector, within_tol
 
-#: Largest order for which exhaustive table validation is attempted.
+#: Largest group order supported, for builtin and loaded groups alike.
 MAX_ORDER = 512
 
 
@@ -146,13 +146,14 @@ def _product_table(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     return (t1[:, None, :, None] * len(t2) + t2[None, :, None, :]).reshape(n, n)
 
 
-_SPEC_RE = re.compile(r"^(cyclic|dihedral|heisenberg):(\d+)$")
+_SPEC_RE = re.compile(r"(cyclic|dihedral|heisenberg):([0-9]+)")
 
-#: Group order and Cayley table of each builtin family, by its parameter n.
+#: Group order, Cayley table and generators of each builtin family, by its parameter n.  The
+#: generators are r of Z_n, r and s of D_n, and the elementary matrices z, y, x of the Heisenberg group.
 _FAMILIES = {
-    "cyclic": (lambda n: n, _cyclic_table),
-    "dihedral": (lambda n: 2 * n, _dihedral_table),
-    "heisenberg": (lambda n: n ** 3, _heisenberg_table),
+    "cyclic": (lambda n: n, _cyclic_table, lambda n: (1,)),
+    "dihedral": (lambda n: 2 * n, _dihedral_table, lambda n: (1, n)),
+    "heisenberg": (lambda n: n ** 3, _heisenberg_table, lambda n: (1, n, n * n)),
 }
 
 
@@ -161,12 +162,12 @@ def _parse_spec(spec: str) -> list[tuple[str, int]]:
 
     Refuses a spec whose order exceeds :data:`MAX_ORDER` (:func:`check_order`) before any table exists.
     """
-    parts = [p.strip() for p in re.split(r"\s*x\s*", spec.strip()) if p.strip()]
-    if not parts:
-        raise NotAGroup(f"empty group spec {spec!r}")
+    parts = [p.strip() for p in spec.split("x")]
+    if not all(parts):
+        raise NotAGroup(f"empty factor in group spec {spec!r}")
     factors = []
     for part in parts:
-        m = _SPEC_RE.match(part)
+        m = _SPEC_RE.fullmatch(part)
         if not m:
             raise NotAGroup(f"unknown group spec {part!r}")
         family, n = m.group(1), int(m.group(2))
@@ -187,11 +188,20 @@ def builtin_group(spec: str) -> FiniteGroup:
 
     Supported specs: ``cyclic:n``, ``dihedral:n`` (order 2n), ``heisenberg:n``
     (order n^3), and direct products joined with ``x``, for example
-    ``cyclic:2 x dihedral:3``.
+    ``cyclic:2 x dihedral:3``.  The table, identity (index 0), inverses and generators come from
+    the family formulas, unvalidated: they are the ones :func:`group_from_cayley` finds.
     """
     factors = _parse_spec(spec)
+    cayley, gens, order = _spec_table(factors), [], 1
+    for family, n in reversed(factors):  # the last factor is innermost: it holds the lowest indices
+        size, _, words = _FAMILIES[family]
+        gens += [order * s for s in dict.fromkeys(words(n)) if s < size(n)]
+        order *= size(n)
+    inverses = np.argmax(cayley == 0, axis=1)
+    cayley.setflags(write=False)
+    inverses.setflags(write=False)
     label = " x ".join(f"{family}:{n}" for family, n in factors)
-    return replace(group_from_cayley(_spec_table(factors), label=label), factors=tuple(factors))
+    return FiniteGroup(order, cayley, 0, inverses, tuple(gens), label, tuple(factors))
 
 
 @dataclass(frozen=True)

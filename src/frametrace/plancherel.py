@@ -154,7 +154,7 @@ def _is_prime(n: int) -> bool:
 
 
 def _heisenberg_irreps(p: int) -> tuple:
-    if not _is_prime(p):
+    if p > 1 and not _is_prime(p):  # heisenberg:1 is the trivial group
         raise UnsupportedGroup(f"builtin Heisenberg irreps require a prime modulus, got {p}")
     e, t = np.arange(p ** 3), np.arange(p)
     x, y, z = e // (p * p), (e // p) % p, e % p  # element (x, y, z) has index x p^2 + y p + z
@@ -196,7 +196,7 @@ def _tensor_product(left: tuple, right: tuple) -> tuple:
 def builtin_irreps(group: FiniteGroup) -> IrrepTable:
     """Irreducible representations for the builtin group families.
 
-    Supports cyclic:n, dihedral:n, heisenberg:p (p prime) and their direct
+    Supports cyclic:n, dihedral:n, heisenberg:p (p prime or 1) and their direct
     products, as tensor products of the factors' irreps, built from the factor
     list :func:`~frametrace.groups.builtin_group` recorded.  A group without one,
     such as a loaded file, gets them when its table is the one its label names;
@@ -583,16 +583,3 @@ def isotypic_projection(table: IrrepTable, label: str) -> InvariantProjection:
     return projection_from_fibers(
         table, [np.eye(d, dtype=complex) * (s == label) for s, d in zip(table.labels, table.degrees)]
     )
-
-
-def random_invariant_projection(
-    table: IrrepTable, rng: np.random.Generator
-) -> InvariantProjection:
-    """Random invariant projection from random fiber ranks and frames."""
-    blocks = []
-    for d in table.degrees:
-        m = int(rng.integers(0, d + 1))  # m = 0 draws no normals and gives the zero block
-        a = rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))
-        q, _ = np.linalg.qr(a)
-        blocks.append(q @ q.conj().T)
-    return projection_from_fibers(table, blocks)

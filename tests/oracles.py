@@ -44,11 +44,22 @@ from frametrace.numerics import (
     orthonormal_columns,
     within_tol,
 )
-from frametrace.plancherel import plancherel_transform
+from frametrace.plancherel import IrrepTable, plancherel_transform, projection_from_fibers
 
 #: Smallest spectral gap, relative to the spread of the spectrum, at which
 #: :func:`random_invariant_projection_spectral` may cut.
 SPECTRAL_GAP = 1e-6
+
+
+def random_invariant_projection(table: IrrepTable, rng: np.random.Generator) -> InvariantProjection:
+    """Random invariant projection from random fiber ranks and frames."""
+    blocks = []
+    for d in table.degrees:
+        m = int(rng.integers(0, d + 1))  # m = 0 draws no normals and gives the zero block
+        a = rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))
+        q, _ = np.linalg.qr(a)
+        blocks.append(q @ q.conj().T)
+    return projection_from_fibers(table, blocks)
 
 
 def random_invariant_projection_spectral(

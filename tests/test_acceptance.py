@@ -56,12 +56,11 @@ from frametrace.plancherel import (
     parseval_residual,
     plancherel_transform,
     projection_from_fibers,
-    random_invariant_projection,
     rank_measure,
 )
 from frametrace import io as ftio
 
-from oracles import random_invariant_projection_spectral
+from oracles import random_invariant_projection, random_invariant_projection_spectral
 
 BUILTIN_SPECS = ["cyclic:12", "dihedral:4", "heisenberg:3"]
 

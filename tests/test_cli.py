@@ -54,6 +54,24 @@ def test_group_analyze_builtin(tmp_path):
     assert all(c["pass"] for c in rep["checks"])
 
 
+@pytest.mark.parametrize("spec", ["cyclic:2x", "xcyclic:2", "cyclic:\u0663"])
+def test_group_analyze_malformed_spec_exits_2(tmp_path, capsys, spec):
+    # Each used to run as cyclic:2 or cyclic:3 and exit 0.
+    out = tmp_path / "r.json"
+    assert run(["group", "analyze", "--builtin", spec, "--out", str(out)]) == 2
+    assert "group spec" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_group_analyze_heisenberg_1_has_builtin_irreps(tmp_path):
+    # heisenberg:1 is the trivial group; it used to report "irreps": "unavailable" and no checks.
+    out = tmp_path / "r.json"
+    assert run(["group", "analyze", "--builtin", "heisenberg:1", "--out", str(out)]) == 0
+    rep = read_report(out)
+    assert rep["metadata"]["irreps"] == 1 and rep["metadata"]["irrep_dims"] == [1]
+    assert [c["name"] for c in rep["checks"]] == ["parseval_sampled"]
+
+
 def test_group_analyze_cyclic6_characters(tmp_path):
     out = tmp_path / "r.json"
     assert run(["group", "analyze", "--builtin", "cyclic:6", "--out", str(out)]) == 0

@@ -7,6 +7,7 @@ import pytest
 
 from frametrace.errors import NotAGroup, NotInvariant
 from frametrace.groups import (
+    MAX_ORDER,
     GroupVector,
     _parse_spec,
     _spec_table,
@@ -379,16 +380,39 @@ def test_generators_of_builtin_groups():
         assert right_closure(g).all(), spec
 
 
+@pytest.mark.parametrize("specs", [
+    [f"cyclic:{n}" for n in range(1, MAX_ORDER + 1)],
+    [f"dihedral:{n}" for n in range(1, MAX_ORDER // 2 + 1)],
+    [f"heisenberg:{n}" for n in range(1, round(MAX_ORDER ** (1 / 3)) + 1)],
+    ["cyclic:1 x dihedral:2 x cyclic:1", "dihedral:1 x dihedral:1 x dihedral:1", "heisenberg:2 x dihedral:1",
+     "cyclic:2 x dihedral:128", "cyclic:3 x cyclic:2 x dihedral:4", "dihedral:3 x heisenberg:3", "cyclic:1 x cyclic:1",
+     "heisenberg:1 x cyclic:5 x dihedral:2", "cyclic:4 x cyclic:6"],
+], ids=["cyclic", "dihedral", "heisenberg", "products"])
+def test_builtin_group_is_the_validated_table(specs):
+    # builtin_group takes identity, inverses and generators from the family formulas; group_from_cayley
+    # proves the same table a group and finds them by search and Light's greedy loop.
+    for spec in specs:
+        g, oracle = builtin_group(spec), group_from_cayley(_spec_table(_parse_spec(spec)))
+        assert g.order == oracle.order and g.identity == oracle.identity == 0, spec
+        assert np.array_equal(g.cayley, oracle.cayley) and g.cayley.dtype == oracle.cayley.dtype, spec
+        assert np.array_equal(g.inverses, oracle.inverses) and g.inverses.dtype == oracle.inverses.dtype, spec
+        assert g.generators == oracle.generators, spec
+        assert not g.cayley.flags.writeable and not g.inverses.flags.writeable, spec
+
+
 def test_direct_product_spec():
     g = builtin_group("cyclic:2 x cyclic:3")
     assert g.order == 6
     assert is_abelian(g)
     assert max(element_orders(g)) == 6  # Z2 x Z3 = Z6
+    assert builtin_group("cyclic:2xcyclic:3").label == g.label  # spaces around x are optional
 
 
-def test_bad_spec_rejected():
+@pytest.mark.parametrize("spec", ["quaternion:2", "cyclic:2x", "xcyclic:2", "cyclic:2 x x cyclic:3", "", " ",
+                                  "cyclic:\u0663", "cyclic:0", "cyclic: 2"])
+def test_bad_spec_rejected(spec):
     with pytest.raises(NotAGroup):
-        builtin_group("quaternion:2")
+        builtin_group(spec)
 
 
 def test_builtin_spec_order_refused_before_any_table():

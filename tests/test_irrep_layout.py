@@ -28,7 +28,6 @@ from frametrace.plancherel import (
     fiber_projections,
     plancherel_transform,
     projection_from_fibers,
-    random_invariant_projection,
     validate_irreps,
 )
 
@@ -38,6 +37,7 @@ from oracles import (
     fiber_admissibility_residual_by_irrep,
     fiber_ranks_by_irrep,
     fibers_by_irrep,
+    random_invariant_projection,
 )
 
 PRODUCTS = [

@@ -36,10 +36,16 @@ from frametrace.groups import (
     star_convolve,
 )
 from frametrace.numerics import frob_norm
-from frametrace.plancherel import builtin_irreps, random_invariant_projection
+from frametrace.plancherel import builtin_irreps
 
 import oracles
-from oracles import coset_average, random_invariant_projection_spectral, regular_coefficient_matrix, validate_dense
+from oracles import (
+    coset_average,
+    random_invariant_projection,
+    random_invariant_projection_spectral,
+    regular_coefficient_matrix,
+    validate_dense,
+)
 
 TOL = 1e-9
 

@@ -38,13 +38,12 @@ from frametrace.plancherel import (
     parseval_residual,
     plancherel_transform,
     projection_from_fibers,
-    random_invariant_projection,
     rank_measure,
     validate_irreps,
     PlancherelCoefficients,
 )
 
-from oracles import irreducibility_by_commutant, random_invariant_projection_spectral
+from oracles import irreducibility_by_commutant, random_invariant_projection, random_invariant_projection_spectral
 
 
 def rand_vec(group, rng):
@@ -149,6 +148,14 @@ def test_builtin_heisenberg_requires_prime():
     g = builtin_group("heisenberg:4")
     with pytest.raises(UnsupportedGroup):
         builtin_irreps(g)
+
+
+@pytest.mark.parametrize("spec", ["heisenberg:1", "heisenberg:1 x dihedral:3"])
+def test_builtin_heisenberg_1_is_the_trivial_group(spec):
+    g = builtin_group(spec)
+    table = builtin_irreps(g)
+    assert validate_irreps(g, list(table.irreps)).degrees == table.degrees
+    assert sum(d * d for d in table.degrees) == g.order
 
 
 def test_irrep_dimension_is_its_reps():

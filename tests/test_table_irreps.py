@@ -19,12 +19,16 @@ from frametrace.gabor import wh_group_build
 from frametrace.groups import GroupVector, builtin_group, group_from_cayley
 from frametrace.plancherel import (
     builtin_irreps,
-    random_invariant_projection,
     table_irreps,
     validate_irreps,
 )
 
-from oracles import conjugacy_classes, random_invariant_projection_spectral, relabelled
+from oracles import (
+    conjugacy_classes,
+    random_invariant_projection,
+    random_invariant_projection_spectral,
+    relabelled,
+)
 
 ACCEPTANCE_SPECS = ["cyclic:12", "dihedral:4", "heisenberg:3"]
 FRAME_LADDER_SPECS = ["dihedral:8", "dihedral:16", "dihedral:32", "cyclic:3 x dihedral:8"]
