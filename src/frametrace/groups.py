@@ -68,9 +68,7 @@ def group_from_cayley(table, label: str = "") -> FiniteGroup:
     passes Light's test is a group, hence a Latin square, so the O(n^2 log n)
     Latin sort runs only once a later check has failed, to name the axiom.
     """
-    cayley = np.asarray(table, dtype=np.int64)
-    if not cayley.flags.writeable:  # np.take copies a read-only index array on every gather
-        cayley = cayley.copy()
+    cayley = np.array(table, dtype=np.int64)  # a copy: the caller's array stays as it was
     if cayley.ndim != 2 or cayley.shape[0] != cayley.shape[1]:
         raise NotAGroup("table is not square")
     n = cayley.shape[0]

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +28,8 @@ class MalformedInput(FrametraceError):
 
 @dataclass(frozen=True)
 class Document:
-    """An input file read once, path-like by its path: the sha256 of its bytes and their JSON."""
+    """An input file read once, path-like by its path: the sha256 of its bytes and their JSON,
+    in which a group file's "cayley" table may be an int64 array (:func:`read_document`)."""
 
     path: str
     digest: str
@@ -37,14 +40,105 @@ class Document:
 
 
 def read_document(path) -> Document:
-    """Open ``path`` once; the digest and the JSON parse come from the same bytes."""
+    """Open ``path`` once; the digest and the JSON parse come from the same bytes.
+
+    A group file's Cayley table is read by numpy straight from the text (:func:`_group_json`);
+    any file that reader is not sure of is parsed by :func:`json.loads`, which also words every
+    refusal, so both give the same values and the same errors.
+    """
     try:
         with open(path, "rb") as fh:
             data = fh.read()
-        obj = json.loads(data.decode("utf-8"))
+        obj = _group_json(data) if b'"cayley"' in data else None
+        if obj is None:
+            obj = json.loads(data.decode("utf-8"))
     except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise MalformedInput(f"{path}: {exc}") from exc
     return Document(os.fspath(path), digest_bytes(data), obj)
+
+
+_SPACE = b" \t\n\r"  # JSON's whitespace
+_DIGITS = b"0123456789"
+_TABLE_END = re.compile(rb"\][ \t\n\r]*\]")
+_DECODER = json.JSONDecoder()
+
+
+def _group_json(data: bytes):
+    """The JSON object of ``data`` with its "cayley" value read by :func:`_cayley_array`, or None
+    where :func:`json.loads` must judge: ``data`` is not ASCII, or not one object with one such
+    table.  The walk decodes every other value with ``json``, as :func:`json.loads` would, and only
+    locates the table: from its "[" to the first "]" that only whitespace separates from a "]"."""
+    if not data.isascii():  # also a BOM
+        return None
+    text = data.decode("ascii")  # byte and character offsets agree
+    space = json.decoder.WHITESPACE.match
+    obj, span, pos = {}, None, space(text).end()
+    if not text.startswith("{", pos):
+        return None
+    pos = space(text, pos + 1).end()
+    try:
+        while text.startswith('"', pos):
+            key, pos = json.decoder.scanstring(text, pos + 1)
+            pos = space(text, pos).end()
+            if not text.startswith(":", pos):
+                return None
+            pos = space(text, pos + 1).end()
+            if key != "cayley":
+                obj[key], pos = _DECODER.raw_decode(text, pos)
+            else:
+                end = _TABLE_END.search(data, pos)
+                if span is not None or end is None or not text.startswith("[", pos):
+                    return None
+                obj[key], span, pos = None, (pos, end.end()), end.end()
+            pos = space(text, pos).end()
+            if not text.startswith(",", pos):
+                break
+            pos = space(text, pos + 1).end()
+        else:  # no key where one must be: "{}" or a trailing comma
+            return None
+    except ValueError:  # scanstring and raw_decode raise json.JSONDecodeError
+        return None
+    if span is None or not text.startswith("}", pos) or space(text, pos + 1).end() != len(text):
+        return None
+    del text  # the table's reading needs its room at order 512
+    obj["cayley"] = _cayley_array(data, *span)
+    return obj if obj["cayley"] is not None else None
+
+
+def _digit_runs(data: bytes, start: int, end: int) -> int:
+    """The number of digits in data[start:end] followed by a non-digit there."""
+    digit = np.frombuffer(data, np.uint8, end - start, start) - ord("0") < 10
+    return int(np.count_nonzero(digit[:-1] > digit[1:]))
+
+
+def _cayley_array(data: bytes, start: int, end: int):
+    """The n x n int64 array that numpy reads from the JSON array at data[start:end], or None
+    unless that array holds n rows of n integers in [0, 10^18), each spelled as JSON spells it.
+
+    Deleting digits and whitespace must leave exactly the brackets and commas of an n x n array.
+    numpy then reads the digits and commas alone, which refuses an empty entry; so that deleting
+    whitespace joins no two numbers ("1 2"), the span must hold n^2 runs of digits.  numpy reads
+    "01" as 1 and clamps an overflow to the int64 maximum, so the values must be below 10^18 and
+    spell as many digits as the span holds.
+    """
+    marks = data[start:end].translate(None, _DIGITS + _SPACE)
+    n = marks.find(b"]") - 1
+    if n < 1 or marks != b"[" + b",".join([b"[" + b"," * (n - 1) + b"]"] * n) + b"]":
+        return None
+    if _digit_runs(data, start, end) != n * n:
+        return None
+    numbers = data[start:end].translate(None, b"[]" + _SPACE)  # digits and n^2 - 1 commas
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy < 2 warns at text it cannot read; 2.x raises
+        try:
+            values = np.fromstring(numbers, dtype=np.int64, sep=",")
+        except (ValueError, DeprecationWarning):
+            return None
+    if values.size != n * n or values.max() >= 10**18:
+        return None
+    width = len(str(values.max()))  # one digit per value, and one more per power of ten it reaches
+    spelled = values.size + sum(int(np.count_nonzero(values >= 10**k)) for k in range(1, width))
+    return values.reshape(n, n) if spelled == len(numbers) - (n * n - 1) else None
 
 
 def _load_json(source) -> tuple:

@@ -7,9 +7,11 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 
 import numpy as np
 
+from frametrace import io as ftio
 from frametrace.commutant import commutant_of_matrices
 from frametrace.errors import DimensionMismatch, NotAGroup, NotInvariant, NotInvertible
 from frametrace.frames import (
@@ -45,6 +47,7 @@ from frametrace.numerics import (
     within_tol,
 )
 from frametrace.plancherel import IrrepTable, plancherel_transform, projection_from_fibers
+from frametrace.reporting import digest_bytes
 
 #: Smallest spectral gap, relative to the spread of the spectrum, at which
 #: :func:`random_invariant_projection_spectral` may cut.
@@ -287,6 +290,18 @@ def save_json_indent2(payload: dict, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
+
+
+def load_group_by_json(path) -> FiniteGroup:
+    """``io.load_group`` on a file parsed whole by ``json.loads``, as every group file was read
+    before numpy read Cayley tables from the text: the Cayley table arrives as nested lists."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        obj = json.loads(data.decode("utf-8"))
+    except ValueError as exc:
+        raise ftio.MalformedInput(f"{path}: {exc}") from exc
+    return ftio.load_group(ftio.Document(os.fspath(path), digest_bytes(data), obj))
 
 
 def unit_roots_by_exp(k, n: int) -> np.ndarray:

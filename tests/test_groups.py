@@ -292,6 +292,18 @@ def test_read_only_table_is_gathered_through_a_writeable_copy(spec, monkeypatch)
     assert not again.cayley.flags.writeable and not table.flags.writeable
 
 
+@pytest.mark.parametrize("spec", ["cyclic:2", "dihedral:3", "heisenberg:3"])
+def test_callers_writeable_table_is_copied_not_frozen(spec):
+    table = np.array(builtin_group(spec).cayley)
+    before = table.copy()
+    group = group_from_cayley(table, label=spec)
+    assert table.flags.writeable and np.array_equal(table, before)
+    assert not group.cayley.flags.writeable and not np.shares_memory(group.cayley, table)
+    twin = group_from_cayley(table.copy(), label=spec)
+    assert group == twin and group.identity == twin.identity and group.generators == twin.generators
+    assert np.array_equal(group.inverses, twin.inverses)
+
+
 def test_relabeled_z6_preserves_orders():
     rng = np.random.default_rng(11)
     z6 = builtin_group("cyclic:6")
