@@ -258,7 +258,7 @@ def _wh_operators(wh: WHGroup) -> tuple[np.ndarray, np.ndarray]:
 def wh_rep(wh: WHGroup) -> Rep:
     """pi(m, n, z) = exp(2 pi i z / q) M_(mb) T_(na) on C^L, on the validated Cayley table of the law."""
     table = wh.product(*np.ogrid[: wh.order, : wh.order])
-    group = group_from_cayley(table, label=f"wh:{wh.L}:{wh.a}:{wh.b}")
+    group = group_from_cayley(table, label=f"wh:{wh.L}:{wh.a}:{wh.b}", copy=False)
     return Rep(group=group, dim=wh.L, matrices=_dense(*wh.operators))
 
 

@@ -59,7 +59,7 @@ class FiniteGroup:
         return hash((self.order, np.asarray(self.cayley, dtype=np.int64).tobytes()))
 
 
-def group_from_cayley(table, label: str = "") -> FiniteGroup:
+def group_from_cayley(table, label: str = "", *, copy: bool = True) -> FiniteGroup:
     """Validate a multiplication table and build a :class:`FiniteGroup`.
 
     Checks, in order: shape, Latin-square property, existence of an identity,
@@ -67,8 +67,14 @@ def group_from_cayley(table, label: str = "") -> FiniteGroup:
     first violated axiom.  A table with a two-sided identity and inverses that
     passes Light's test is a group, hence a Latin square, so the O(n^2 log n)
     Latin sort runs only once a later check has failed, to name the axiom.
+
+    A caller's array stays as it was: the group's read-only table is a copy, unless ``copy`` is
+    False, where a writeable int64 array that the caller will not use again is frozen in place.
     """
-    cayley = np.array(table, dtype=np.int64)  # a copy: the caller's array stays as it was
+    cayley = np.asarray(table, dtype=np.int64)
+    shared = copy and isinstance(table, np.ndarray) and np.may_share_memory(cayley, table)
+    if shared or not cayley.flags.writeable:  # np.take copies a read-only index array on every gather
+        cayley = cayley.copy()
     if cayley.ndim != 2 or cayley.shape[0] != cayley.shape[1]:
         raise NotAGroup("table is not square")
     n = cayley.shape[0]

@@ -43,8 +43,8 @@ def read_document(path) -> Document:
     """Open ``path`` once; the digest and the JSON parse come from the same bytes.
 
     A group file's Cayley table is read by numpy straight from the text (:func:`_group_json`);
-    any file that reader is not sure of is parsed by :func:`json.loads`, which also words every
-    refusal, so both give the same values and the same errors.
+    any file that reader is not sure of is parsed whole by :func:`json.loads`, which also words
+    every refusal, so both give the same values and the same errors.
     """
     try:
         with open(path, "rb") as fh:
@@ -59,49 +59,45 @@ def read_document(path) -> Document:
 
 _SPACE = b" \t\n\r"  # JSON's whitespace
 _DIGITS = b"0123456789"
+_TABLE_START = re.compile(rb'"cayley"[ \t\n\r]*:[ \t\n\r]*\[')
 _TABLE_END = re.compile(rb"\][ \t\n\r]*\]")
-_DECODER = json.JSONDecoder()
 
 
 def _group_json(data: bytes):
     """The JSON object of ``data`` with its "cayley" value read by :func:`_cayley_array`, or None
-    where :func:`json.loads` must judge: ``data`` is not ASCII, or not one object with one such
-    table.  The walk decodes every other value with ``json``, as :func:`json.loads` would, and only
-    locates the table: from its "[" to the first "]" that only whitespace separates from a "]"."""
+    where :func:`json.loads` must judge the whole text.
+
+    The table's span runs from the "[" after the first ``"cayley":`` to the first "]" that only
+    whitespace separates from a "]".  ``json`` parses the rest of the text, with ``NaN`` in place
+    of the span; numpy's array becomes the value only where that ``NaN`` is the text's one constant
+    and the value of the object's one top-level "cayley" key (escaped spellings of it included).
+    """
     if not data.isascii():  # also a BOM
         return None
-    text = data.decode("ascii")  # byte and character offsets agree
-    space = json.decoder.WHITESPACE.match
-    obj, span, pos = {}, None, space(text).end()
-    if not text.startswith("{", pos):
+    key = _TABLE_START.search(data)
+    end = key and _TABLE_END.search(data, key.end())
+    if not end:
         return None
-    pos = space(text, pos + 1).end()
+    placeholder, constants, objects = object(), [], []
+
+    def constant(name):  # NaN, Infinity or -Infinity
+        constants.append(name)
+        return placeholder
+
+    def pairs(items):  # the top-level object is the last one to close
+        objects.append(items)
+        return dict(items)
+
+    rest = data[: key.end() - 1] + b"NaN" + data[end.end():]
     try:
-        while text.startswith('"', pos):
-            key, pos = json.decoder.scanstring(text, pos + 1)
-            pos = space(text, pos).end()
-            if not text.startswith(":", pos):
-                return None
-            pos = space(text, pos + 1).end()
-            if key != "cayley":
-                obj[key], pos = _DECODER.raw_decode(text, pos)
-            else:
-                end = _TABLE_END.search(data, pos)
-                if span is not None or end is None or not text.startswith("[", pos):
-                    return None
-                obj[key], span, pos = None, (pos, end.end()), end.end()
-            pos = space(text, pos).end()
-            if not text.startswith(",", pos):
-                break
-            pos = space(text, pos + 1).end()
-        else:  # no key where one must be: "{}" or a trailing comma
-            return None
-    except ValueError:  # scanstring and raw_decode raise json.JSONDecodeError
+        obj = json.loads(rest.decode("ascii"), object_pairs_hook=pairs, parse_constant=constant)
+    except ValueError:
         return None
-    if span is None or not text.startswith("}", pos) or space(text, pos + 1).end() != len(text):
+    if len(constants) != 1 or not isinstance(obj, dict):
         return None
-    del text  # the table's reading needs its room at order 512
-    obj["cayley"] = _cayley_array(data, *span)
+    if [value for name, value in objects[-1] if name == "cayley"] != [placeholder]:
+        return None
+    obj["cayley"] = _cayley_array(data, key.end() - 1, end.end())
     return obj if obj["cayley"] is not None else None
 
 
@@ -122,8 +118,8 @@ def _cayley_array(data: bytes, start: int, end: int):
     spell as many digits as the span holds.
     """
     marks = data[start:end].translate(None, _DIGITS + _SPACE)
-    n = marks.find(b"]") - 1
-    if n < 1 or marks != b"[" + b",".join([b"[" + b"," * (n - 1) + b"]"] * n) + b"]":
+    n = marks.find(b"]") - 1  # the first row's width: check the length before building the layout
+    if n < 1 or len(marks) != (n + 1) ** 2 or marks != b"[" + b",".join([b"[" + b"," * (n - 1) + b"]"] * n) + b"]":
         return None
     if _digit_runs(data, start, end) != n * n:
         return None
@@ -239,7 +235,7 @@ def load_group(source) -> FiniteGroup:
     order = _require_int(obj, "order", path)
     cayley = _number_array(_require(obj, "cayley", path), "iu", "Cayley table", path)
     try:
-        group = group_from_cayley(cayley, label=str(label))
+        group = group_from_cayley(cayley, label=str(label), copy=False)  # its own array
     except NotAGroup as exc:  # an integer array: only the group axioms are left to fail
         raise MalformedInput(f"{path}: {exc}") from exc
     if group.order != order:

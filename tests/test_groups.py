@@ -304,6 +304,13 @@ def test_callers_writeable_table_is_copied_not_frozen(spec):
     assert np.array_equal(group.inverses, twin.inverses)
 
 
+def test_copy_false_freezes_the_callers_table_in_place():
+    table = np.array(builtin_group("dihedral:3").cayley)
+    group = group_from_cayley(table, label="d3", copy=False)
+    assert group.cayley is table and not table.flags.writeable
+    assert group == builtin_group("dihedral:3")
+
+
 def test_relabeled_z6_preserves_orders():
     rng = np.random.default_rng(11)
     z6 = builtin_group("cyclic:6")

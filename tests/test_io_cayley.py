@@ -149,6 +149,16 @@ TEXT_MUTATIONS = {
     "duplicate cayley, first not JSON": lambda doc, table: _twice(doc, "[[0 1]]", table),
     "duplicate cayley, first a float": lambda doc, table: _twice(doc, "[[0.5]]", table),
     "escaped key": lambda doc, table: doc.replace('"cayley"', '"c\\u0061yley"').replace("@", table),
+    "escaped duplicate key after": lambda doc, table: doc.replace("@", table)[:-1] + ', "cay\\u006cey": [[0]]}',
+    "escaped duplicate key before": lambda doc, table: '{"cay\\u006cey": [[0]], ' + doc.replace("@", table)[1:],
+    "a key ending in cayley first": lambda doc, table: '{"\\"cayley": [[0]], ' + doc.replace("@", table)[1:],
+    "nested cayley first": lambda doc, table: '{"x": {"cayley": [[0]]}, ' + doc.replace("@", table)[1:],
+    "NaN elsewhere": lambda doc, table: '{"x": NaN, ' + doc.replace("@", table)[1:],
+    "-Infinity elsewhere": lambda doc, table: doc.replace("@", table)[:-1] + ', "x": -Infinity}',
+    "NaN for the table": lambda doc, table: doc.replace("@", "NaN"),
+    "a key ending in cayley, then NaN for the table":
+        lambda doc, table: '{"\\"cayley": [[0]], ' + doc.replace("@", "NaN")[1:],
+    "a value after the table": lambda doc, table: doc.replace("@", table + " 0"),
     "BOM": lambda doc, table: "\ufeff" + doc.replace("@", table),
     "trailing comma in the object": lambda doc, table: doc.replace("@", table)[:-1] + ",}",
     "extra data": lambda doc, table: doc.replace("@", table) + " 0",
@@ -226,22 +236,16 @@ def test_json_never_decodes_the_table(spec, layout, tmp_path, monkeypatch):
     """On the layouts that writers produce, the table must not fall back to ``json``."""
     path = tmp_path / "g.json"
     group = _group_file(spec, layout, path)
-    decoded = []
-    raw_decode = ftio._DECODER.raw_decode
+    texts, loads = [], json.loads
 
-    def recording(text, pos):
-        value, end = raw_decode(text, pos)
-        decoded.append(value)
-        return value, end
+    def recording(text, **kwargs):
+        texts.append(text)
+        return loads(text, **kwargs)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("json.loads parsed a group file")
-
-    monkeypatch.setattr(ftio._DECODER, "raw_decode", recording)
-    monkeypatch.setattr(json, "loads", refuse)
+    monkeypatch.setattr(json, "loads", recording)
     doc = ftio.read_document(path)
     assert type(doc.obj["cayley"]) is np.ndarray and doc.obj["cayley"].dtype == np.int64
-    assert sorted(map(type, decoded), key=str) == [int, str]
+    assert len(texts) == 1 and "[" not in texts[0] and len(texts[0]) < 100
     assert ftio.load_group(doc) == group
 
 
@@ -259,6 +263,17 @@ def test_order_512_peak_memory_at_most_the_json_path(layout, tmp_path):
     path = tmp_path / "g.json"
     _group_file("dihedral:256", layout, path)
     assert _peak(lambda: ftio.load_group(path)) <= _peak(lambda: load_group_by_json(path))
+
+
+def test_a_long_first_row_is_refused_in_little_memory(tmp_path):
+    """A 1 x 100000 table: the reader must not build the layout of a 100000 x 100000 one."""
+    path = tmp_path / "g.json"
+    path.write_text('{"label": "x", "order": 1, "cayley": [[' + ",".join(["0"] * 100_000) + "]]}")
+    peak = _peak(lambda: pytest.raises(ftio.MalformedInput, ftio.load_group, path))
+    assert peak < 64 * 2**20
+    _same_outcome(path)
+    with pytest.raises(ftio.MalformedInput, match="table is not square"):
+        ftio.load_group(path)
 
 
 def test_files_without_a_table_go_straight_to_json(tmp_path, monkeypatch):
