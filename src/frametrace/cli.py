@@ -42,10 +42,6 @@ from .plancherel import (
 from .reporting import CheckResult, RunReport, digest_text, report_dumps
 
 
-class _CliInputError(Exception):
-    pass
-
-
 #: (get, set) thread-count symbols of numpy's OpenBLAS: scipy-openblas wheels first, then plain builds.
 _OPENBLAS_CALLS = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
                    ("openblas_get_num_threads", "openblas_set_num_threads"))
@@ -53,8 +49,8 @@ _OPENBLAS_CALLS = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num
 
 @functools.cache
 def _openblas():
-    """``(get, set, start)``: the thread-count calls of the OpenBLAS in numpy's wheel (numpy.libs,
-    numpy/.dylibs) and its thread count at the first job; None without one."""
+    """``(get, set)``: the thread-count calls of the OpenBLAS in numpy's wheel (numpy.libs,
+    numpy/.dylibs); None without one."""
     pkg = os.path.dirname(np.__file__)
     for libdir in (pkg + ".libs", os.path.join(pkg, ".dylibs")):
         names = sorted(os.listdir(libdir)) if os.path.isdir(libdir) else []
@@ -64,21 +60,21 @@ def _openblas():
                     get, set_ = getattr(lib, get), getattr(lib, set_)
                     get.argtypes, get.restype = [], ctypes.c_int
                     set_.argtypes, set_.restype = [ctypes.c_int], None
-                    return get, set_, get()
+                    return get, set_
     return None
 
 
 @contextlib.contextmanager
-def _blas_threads(n: int | None = None):
-    """Run the block with OpenBLAS on ``n`` threads (None: as many as at the first job), then restore
-    the count it had; without OpenBLAS, run it as it is."""
+def _blas_threads():
+    """Run the block with OpenBLAS on one thread, then restore the count it had; without OpenBLAS,
+    run it as it is."""
     blas = _openblas()
     if blas is None:
         yield
         return
-    get, set_, start = blas
+    get, set_ = blas
     before = get()
-    set_(start if n is None else n)
+    set_(1)
     try:
         yield
     finally:
@@ -87,7 +83,7 @@ def _blas_threads(n: int | None = None):
 
 def _resolve_tol(args) -> float:
     if not (np.isfinite(args.tol) and args.tol > 0.0):
-        raise _CliInputError(f"tolerance must be a finite positive number, got {args.tol!r}")
+        raise ValueError(f"tolerance must be a finite positive number, got {args.tol!r}")
     return args.tol
 
 
@@ -109,7 +105,7 @@ def _resolve_group(report: RunReport, read, spec, path):
     if not spec and path:
         return ftio.load_group(read("group", path))
     if spec is None:
-        raise _CliInputError("one of --builtin or --file is required")
+        raise ValueError("one of --builtin or --file is required")
     report.inputs["group"] = digest_text(spec)
     return builtin_group(spec)
 
@@ -151,10 +147,7 @@ def cmd_group(args) -> int:
         report.metadata["irrep_dims"] = sorted(table.degrees)
         z = np.random.default_rng(args.seed).standard_normal((20, 2, group.order))
         f = z[:, 0] + 1j * z[:, 1]
-        # A 20 x |G| x |G| product that two threads speed up (0.27 vs 0.40 ms at order 256); with it on
-        # one thread too, a closed loop of group analyze jobs ran 19-33% slower per pass (2 vCPUs).
-        with _blas_threads():
-            worst = np.max(parseval_residual(table, f) / (1.0 + np.linalg.norm(f, axis=1) ** 2))
+        worst = np.max(parseval_residual(table, f) / (1.0 + np.linalg.norm(f, axis=1) ** 2))
         report.add(CheckResult(name="parseval_sampled", residual=float(worst), tol=tol))
     return _finish(report, args)
 
@@ -174,10 +167,7 @@ def _frame_context(args, report: RunReport, read):
     try:
         table = builtin_irreps(group)
     except UnsupportedGroup:
-        # The |G| x |G| eigh of table_irreps keeps the BLAS threads that main pins to one per job: at
-        # order 512 it is the one dense decomposition of a frame job.
-        with _blas_threads():
-            table = table_irreps(group)
+        table = table_irreps(group)
     vectors = None
     if args.subspace:
         vectors = [v.data for v in ftio.load_vectors(read("subspace", args.subspace), group)]
@@ -351,12 +341,15 @@ def main(argv=None) -> int:
         return 2
     # Looked up per call, so a replaced cmd_* function is the one that runs.
     commands = {"group": cmd_group, "frame": cmd_frame, "gabor": cmd_gabor}
+    # frame and gabor jobs run on one BLAS thread: their products are small, and an idle OpenBLAS
+    # helper thread costs 11-16 ms to wake for the next threaded call and spins about 50 ms of CPU
+    # after it.  A group job keeps the process's count for its 20 x |G| x |G| Parseval product: on
+    # one thread, a closed loop of group analyze jobs ran 19-33% slower per pass (2 vCPUs).
+    pin = contextlib.nullcontext() if args.command == "group" else _blas_threads()
     try:
-        # One BLAS thread: the jobs' products are small, and an idle OpenBLAS helper thread costs
-        # 11-16 ms to wake for the next threaded call and spins about 50 ms of CPU after it.
-        with _blas_threads(1):
+        with pin:
             return commands[args.command](args)
-    except (_CliInputError, FrametraceError, OSError, ValueError) as exc:
+    except (FrametraceError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -70,7 +70,8 @@ def _group_json(data: bytes):
     The table's span runs from the "[" after the first ``"cayley":`` to the first "]" that only
     whitespace separates from a "]".  ``json`` parses the rest of the text, with ``NaN`` in place
     of the span; numpy's array becomes the value only where that ``NaN`` is the text's one constant
-    and the value of the object's one top-level "cayley" key (escaped spellings of it included).
+    and the value ``json`` gives the top-level "cayley" key, which is its last one (escaped
+    spellings of it included).
     """
     if not data.isascii():  # also a BOM
         return None
@@ -78,24 +79,18 @@ def _group_json(data: bytes):
     end = key and _TABLE_END.search(data, key.end())
     if not end:
         return None
-    placeholder, constants, objects = object(), [], []
+    placeholder, constants = object(), []
 
     def constant(name):  # NaN, Infinity or -Infinity
         constants.append(name)
         return placeholder
 
-    def pairs(items):  # the top-level object is the last one to close
-        objects.append(items)
-        return dict(items)
-
     rest = data[: key.end() - 1] + b"NaN" + data[end.end():]
     try:
-        obj = json.loads(rest.decode("ascii"), object_pairs_hook=pairs, parse_constant=constant)
+        obj = json.loads(rest.decode("ascii"), parse_constant=constant)
     except ValueError:
         return None
-    if len(constants) != 1 or not isinstance(obj, dict):
-        return None
-    if [value for name, value in objects[-1] if name == "cayley"] != [placeholder]:
+    if len(constants) != 1 or not isinstance(obj, dict) or obj.get("cayley") is not placeholder:
         return None
     obj["cayley"] = _cayley_array(data, key.end() - 1, end.end())
     return obj if obj["cayley"] is not None else None

@@ -1,11 +1,12 @@
-"""``cli.main`` runs each job with OpenBLAS on one thread and restores the count it found.
+"""``cli.main`` runs each ``frame`` and ``gabor`` job with OpenBLAS on one thread and restores the
+count it found; a ``group`` job keeps the process's count and never changes it.
 
-The jobs' products are small (b x b Walnut blocks, d x d Plancherel fibers, |G| x |G| gathers), and
-an idle OpenBLAS helper thread costs milliseconds to wake.  Two kinds of product keep the count at
-the first job: the irreps a ``frame`` job reads off the Cayley table of a group without builtin ones
-(``plancherel.table_irreps``, one |G| x |G| ``eigh``) and the sampled Parseval transform of
-``group analyze``.  The pin changes no output: reports and written files are byte-identical with and
-without it.
+The frame and gabor products are small (b x b Walnut blocks, d x d Plancherel fibers, |G| x |G|
+gathers), and an idle OpenBLAS helper thread costs milliseconds to wake.  The sampled Parseval
+transform of ``group analyze`` is the one product that two threads speed up.  Reports and written
+files are byte-identical whatever thread count the process starts with, also for a group without
+builtin irreps, whose ``frame`` jobs read them off its Cayley table (``plancherel.table_irreps``,
+one |G| x |G| ``eigh``, on one thread like the rest of the job).
 """
 import json
 
@@ -22,23 +23,20 @@ from oracles import coset_average, relabelled
 
 @pytest.fixture
 def blas_get():
-    """OpenBLAS on two threads for the test, read back as its count at the first job; the thread-count
-    getter.  The count and the lookup are restored afterwards."""
-    lookup = cli._openblas
-    found = lookup()
+    """OpenBLAS on two threads for the test; the thread-count getter.  The count is restored
+    afterwards."""
+    found = cli._openblas()
     if found is None:
         pytest.skip("no OpenBLAS in numpy's wheel: main runs its jobs without a pin")
-    get, set_, _ = found
+    get, set_ = found
     before = get()
     set_(2)  # two threads, so that a pinned job reads differently from an unpinned one
-    lookup.cache_clear()
     try:
         if get() != 2:
             pytest.skip(f"OpenBLAS kept {get()} threads when asked for 2")
         yield get
     finally:
         set_(before)
-        lookup.cache_clear()
 
 
 def _save_eta(g, path, rng):
@@ -93,18 +91,34 @@ def _record_threads(monkeypatch, get, *names):
     return seen
 
 
-def test_group_analyze_samples_parseval_on_the_starting_thread_count(blas_get, monkeypatch, tmp_path):
-    # Its 20 x |G| x |G| transform is the one product of a builtin-group job that two threads speed up.
+def _record_sets(monkeypatch):
+    """Make ``cli._openblas`` hand out a setter that records each count it is asked for."""
+    get, set_ = cli._openblas()
+    sets = []
+
+    def recording_set(n):
+        sets.append(n)
+        set_(n)
+
+    monkeypatch.setattr(cli, "_openblas", lambda: (get, recording_set))
+    return sets
+
+
+def test_group_analyze_never_changes_the_thread_count(blas_get, monkeypatch, tmp_path):
+    # Its 20 x |G| x |G| Parseval transform is the one product of a group job that two threads
+    # speed up; builtin_irreps builds its kernel elementwise.
+    sets = _record_sets(monkeypatch)
     seen = _record_threads(monkeypatch, blas_get, "parseval_residual", "builtin_irreps")
     assert cli.main(["group", "analyze", "--builtin", "dihedral:8", "--out", str(tmp_path / "r.json")]) == 0
-    assert seen == [("builtin_irreps", 1), ("parseval_residual", 2)]
+    assert seen == [("builtin_irreps", 2), ("parseval_residual", 2)]
+    assert sets == []
     assert blas_get() == 2
 
 
 @pytest.mark.parametrize("subspace", [False, True], ids=["full", "subspace"])
-def test_table_irreps_keep_the_starting_thread_count(blas_get, monkeypatch, tmp_path, subspace):
+def test_table_irreps_run_on_one_thread(blas_get, monkeypatch, tmp_path, subspace):
     # dihedral:8 relabelled as a file group has no builtin irreps: the job reads them off its table,
-    # whose eigh of R_a runs on the starting count; the fiber solve and --subspace run on one thread.
+    # and their eigh of R_a runs on one thread like the fiber solve and --subspace.
     monkeypatch.chdir(tmp_path)
     rng = np.random.default_rng(41)
     g = builtin_group("dihedral:8")
@@ -120,10 +134,12 @@ def test_table_irreps_keep_the_starting_thread_count(blas_get, monkeypatch, tmp_
         (tmp_path / "sub.json").write_text(
             json.dumps({"group": g.label, "vectors": [ftio.complex_to_json(window)]}))
         sub = ["--subspace", "sub.json"]
+    sets = _record_sets(monkeypatch)
     seen = _record_threads(monkeypatch, blas_get, "builtin_irreps", "table_irreps", "fiber_subspace")
     argv = ["frame", "dual", "--window", "eta.json", "--group-file", "g.json", *sub, "--out", "r.json"]
     assert cli.main(argv) == 0
-    assert seen == [("builtin_irreps", 1), ("table_irreps", 2), ("fiber_subspace", 1)]
+    assert seen == [("builtin_irreps", 1), ("table_irreps", 1), ("fiber_subspace", 1)]
+    assert sets == [1, 2]
     assert blas_get() == 2
 
 
@@ -148,6 +164,16 @@ def _determinism_inputs():
                      "g256.json")
     with open("g256.json", "rb") as fh:
         files["g256.json"] = fh.read()
+    # Order 256, where the table_irreps kernels on one and on two threads first differ in their bits.
+    g256 = relabelled(builtin_group("dihedral:128"), rng.permutation(256))
+    ftio.save_group(g256, "file256.json")
+    with open("file256.json", "rb") as fh:
+        files["file256.json"] = fh.read()
+    vector("eta256.json", g256, rng.standard_normal(256) + 1j * rng.standard_normal(256))
+    eta256s = coset_average(g256, rng.standard_normal(256) + 1j * rng.standard_normal(256))
+    vector("eta256s.json", g256, eta256s)
+    files["sub256.json"] = json.dumps(
+        {"group": g256.label, "vectors": [ftio.complex_to_json(eta256s)]}).encode()
     return files
 
 
@@ -165,26 +191,37 @@ DETERMINISM_JOBS = [
       "--out-window", "gamma256.json", "--out", "gdual.json"], ["gamma256.json", "gdual.json"]),
     (["gabor", "bridge", "--L", "48", "--a", "4", "--b", "4", "--seed", "7", "--out", "bridge.json"],
      ["bridge.json"]),
+    (["frame", "dual", "--window", "eta256.json", "--group-file", "file256.json",
+      "--out-vector", "psi256.json", "--out", "dual256.json"], ["psi256.json", "dual256.json"]),
+    (["frame", "tighten", "--window", "eta256.json", "--group-file", "file256.json",
+      "--out-vector", "tight256.json", "--out", "tighten256.json"], ["tight256.json", "tighten256.json"]),
+    (["frame", "dual", "--window", "eta256s.json", "--group-file", "file256.json", "--subspace",
+      "sub256.json", "--out-vector", "psi256s.json", "--out", "dual256s.json"],
+     ["psi256s.json", "dual256s.json"]),
+    (["frame", "decompose", "--window", "eta256s.json", "--group-file", "file256.json", "--subspace",
+      "sub256.json", "--out", "decompose256s.json"], ["decompose256s.json"]),
 ]
 
 
-def test_the_pin_changes_no_output(blas_get, monkeypatch, tmp_path):
+def test_reports_do_not_depend_on_the_starting_thread_count(blas_get, monkeypatch, tmp_path):
     (tmp_path / "inputs").mkdir()
     monkeypatch.chdir(tmp_path / "inputs")
     inputs = _determinism_inputs()
+    set_ = cli._openblas()[1]
     outputs = {}
-    for pinned in (True, False):
-        if not pinned:
-            monkeypatch.setattr(cli, "_openblas", lambda: None)
-        run_dir = tmp_path / ("pinned" if pinned else "unpinned")
+    for start in (1, 2):
+        set_(start)
+        cli._openblas.cache_clear()  # so that no lookup holds a count from before
+        assert blas_get() == start
+        run_dir = tmp_path / f"start{start}"
         run_dir.mkdir()
         monkeypatch.chdir(run_dir)
         for name, data in inputs.items():
             (run_dir / name).write_bytes(data)
         for argv, written in DETERMINISM_JOBS:
             assert cli.main(argv) == 0, argv
+            assert blas_get() == start, argv
             for name in written:
                 outputs.setdefault(name, []).append((run_dir / name).read_bytes())
-    assert blas_get() == 2
-    for name, (pinned, unpinned) in outputs.items():
-        assert pinned == unpinned, name
+    for name, (one, two) in outputs.items():
+        assert one == two, name
