@@ -76,8 +76,6 @@ from .numerics import (
     HermEig,
     eig_hermitian,
     frame_svds,
-    inv_psd,
-    inv_sqrt_psd,
 )
 from .plancherel import (
     FiberSubspace,

@@ -1,14 +1,14 @@
 """Coefficient operators, frame operators, dual vectors and the natural trace.
 
-The analysis map of a window eta under a representation pi is
-(V_eta phi)(x) = <phi, pi(x) eta>, a |G| x d matrix with rows indexed by group
-elements.  Admissibility of a pair (eta, psi) means V_psi^* V_eta = Id, and
-the natural trace on the right group von Neumann algebra is matrix-trace/|G|.
+The analysis map of a window eta under a representation pi is (V_eta phi)(x) = <phi, pi(x) eta>, a |G| x d
+matrix with rows indexed by group elements.  Admissibility of a pair (eta, psi) means V_psi^* V_eta = Id, and
+the natural trace on the right group von Neumann algebra is matrix-trace/|G|.  The frame operator
+S = V_eta^* V_eta is never inverted: the dual and the tight window come from the SVD of V_eta^*
+(``numerics.frame_svds``, as on the Plancherel fibers), whose s^2 are the eigenvalues of S.
 
-For left translation on l2(G), V_eta = R_eta^*, with R_f the right convolution
-by f, so V_psi^* V_eta = R_c lies in the commuting algebra, with c = eta* * psi
-(``groups.star_convolve``), and the frame operator is S = R_(eta* * eta).  An invariant projection
-p = R_h is its element h = p delta_e alone: it acts as v -> v * h by the same product, with no R_h.
+For left translation on l2(G), V_eta = R_eta^*, with R_f the right convolution by f, so V_psi^* V_eta = R_c
+lies in the commuting algebra, with c = eta* * psi (``groups.star_convolve``), and S = R_(eta* * eta).  A
+projection p = R_h is its element h = p delta_e alone: it acts as v -> v * h by that product, with no R_h.
 """
 from __future__ import annotations
 
@@ -22,11 +22,9 @@ from .numerics import (
     DEFAULT_TOL,
     PROJECTION_RANK_CUT,
     RANK_CUTOFF,
-    _psd_spectrum,
     as_vector,
     eig_hermitian,
-    inv_psd,
-    inv_sqrt_psd,
+    frame_svds,
     orthonormal_columns,
     within_tol,
 )
@@ -35,10 +33,11 @@ from .reporting import CheckResult
 
 @dataclass(frozen=True)
 class CoefficientOperator:
-    """Analysis operator V_eta of a window under a representation."""
+    """Analysis operator V_eta of a window under a representation; its row ``identity`` is conj eta."""
 
     vector: np.ndarray = field(repr=False)
     matrix: np.ndarray = field(repr=False)  # |G| x dim
+    identity: int
 
 
 def coefficient_operator(rep: Rep, eta) -> CoefficientOperator:
@@ -47,7 +46,7 @@ def coefficient_operator(rep: Rep, eta) -> CoefficientOperator:
     if eta.shape[0] != rep.dim:
         raise DimensionMismatch(f"window length {eta.shape[0]} != rep dim {rep.dim}")
     orbit = np.einsum("xij,j->xi", rep.matrices, eta)
-    return CoefficientOperator(vector=eta, matrix=orbit.conj())
+    return CoefficientOperator(vector=eta, matrix=orbit.conj(), identity=rep.group.identity)
 
 
 def frame_operator(v: CoefficientOperator) -> np.ndarray:
@@ -57,31 +56,30 @@ def frame_operator(v: CoefficientOperator) -> np.ndarray:
 
 
 def is_frame_vector(v: CoefficientOperator) -> bool:
-    """True iff the frame operator is invertible above the eigenvalue floor."""
+    """True iff the frame operator is invertible above the eigenvalue floor (``frame_svds`` of V^*)."""
     try:
-        _psd_spectrum(frame_operator(v))
+        return bool(frame_svds([v.matrix.conj().T]))
     except NotInvertible:
         return False
-    return True
 
 
 def canonical_dual(v: CoefficientOperator) -> np.ndarray:
-    """Minimal-norm dual window S^-1 eta; raises NotInvertible for non-frames."""
-    return inv_psd(frame_operator(v)) @ v.vector
+    """Minimal-norm dual window S^-1 eta = W diag(1/s) U^*[:, e] from the SVD V^* = W diag(s) U^*, whose
+    column e is eta and whose s^2 are the eigenvalues of S = V^* V; raises NotInvertible for non-frames."""
+    ((w, s, uh),) = frame_svds([v.matrix.conj().T])
+    return w @ (uh[:, v.identity] / s)
 
 
 def tighten(v: CoefficientOperator) -> np.ndarray:
-    """Self-dual window S^-1/2 eta."""
-    return inv_sqrt_psd(frame_operator(v)) @ v.vector
+    """Self-dual window S^-1/2 eta = W U^*[:, e], column e of the polar factor of V^*."""
+    ((w, _, uh),) = frame_svds([v.matrix.conj().T])
+    return w @ uh[:, v.identity]
 
 
 def is_admissible_pair(rep: Rep, eta, psi, tol: float = DEFAULT_TOL) -> CheckResult:
     """Check V_psi^* V_eta = Id and report the Frobenius residual."""
-    v_eta = coefficient_operator(rep, eta)
-    v_psi = coefficient_operator(rep, psi)
-    residual = float(
-        np.linalg.norm(v_psi.matrix.conj().T @ v_eta.matrix - np.eye(rep.dim))
-    )
+    v_eta, v_psi = coefficient_operator(rep, eta), coefficient_operator(rep, psi)
+    residual = float(np.linalg.norm(v_psi.matrix.conj().T @ v_eta.matrix - np.eye(rep.dim)))
     return CheckResult(name="admissible_pair", residual=residual, tol=tol)
 
 
@@ -89,9 +87,7 @@ def natural_trace(t, group: FiniteGroup) -> complex:
     """The natural trace on VN_r(G): matrix trace divided by |G|."""
     t = np.asarray(t, dtype=complex)
     if t.shape != (group.order, group.order):
-        raise DimensionMismatch(
-            f"operator shape {t.shape} does not act on l2 of a group of order {group.order}"
-        )
+        raise DimensionMismatch(f"operator shape {t.shape} does not act on l2 of a group of order {group.order}")
     return complex(np.trace(t)) / group.order
 
 
@@ -166,9 +162,7 @@ def admissible_check(group: FiniteGroup, d: np.ndarray, tol: float) -> CheckResu
     return CheckResult(name="admissible_pair", residual=residual, tol=tol)
 
 
-def admissible_vector_for_projection(
-    p: InvariantProjection, tol: float = DEFAULT_TOL
-) -> GroupVector:
+def admissible_vector_for_projection(p: InvariantProjection, tol: float = DEFAULT_TOL) -> GroupVector:
     """Admissible vector for the restriction of left translation to range(p): v = p h* = h* * h
     for h = p delta_e, which is h itself when h * h = h = h*; it satisfies V_v^* V_v = R_(v* * v) = p."""
     p.validate(tol=tol)

@@ -1,17 +1,16 @@
 """Finite Weyl-Heisenberg (Gabor) systems on C^L.
 
-Dictionary from the continuous picture: modulation step b and time step a on
-Z_L play the roles of the lattice parameters, with density ab/L in place of
-the product of the continuous steps.  The adjoint (commuting) lattice has
-time step L/b and frequency step L/a; its operators commute with every
-lattice operator exactly and span the commutant of the system.
+Dictionary from the continuous picture: modulation step b and time step a on Z_L play the roles of the
+lattice parameters, with density ab/L in place of the product of the continuous steps.  The adjoint
+(commuting) lattice has time step L/b and frequency step L/a; its operators commute with every lattice
+operator exactly and span the commutant of the system.
 
-Every lattice operator is a cyclic shift times a phase, built once by
-:func:`_tf_shifts`, so the kernels work on index arithmetic: V_gamma^* V_g
-vanishes off the residue classes mod L/b (Walnut), leaving L/b blocks of size b
-read from the b x a correlation array whose DFT holds the Wexler-Raz sums
-(Janssen).  ``lattice_ops``, ``adjoint_lattice_ops`` and ``wh_rep`` are dense
-views of the same (phase, shift) arrays.
+Every lattice operator is a cyclic shift times a phase, built once by :func:`_tf_shifts`, so the kernels
+work on index arithmetic: V_gamma^* V_g vanishes off the residue classes mod L/b (Walnut), leaving L/b blocks
+of size b read from the b x a correlation array whose DFT holds the Wexler-Raz sums (Janssen).  Block r of
+the frame operator S is G_r G_r^* for a b x L/a Walnut factor (Zibulski-Zeevi): the canonical dual and the
+frame bounds come from its QR and SVD (``numerics.frame_svds``), with no S formed.  ``lattice_ops``,
+``adjoint_lattice_ops`` and ``wh_rep`` are dense views of the same (phase, shift) arrays.
 """
 from __future__ import annotations
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotAFrame, NotInvertible
 from .groups import Rep, check_order, group_from_cayley
-from .numerics import DEFAULT_TOL, _unit_roots, as_vector, eig_hermitian, inv_psd
+from .numerics import DEFAULT_TOL, _unit_roots, as_vector, frame_svds
 from .reporting import CheckResult
 
 
@@ -99,37 +98,48 @@ def _apply_blocks(blocks: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("rij,jr->ir", blocks, v.reshape(blocks.shape[1], -1)).ravel()
 
 
-def _frame_blocks(sys: GaborSystem) -> np.ndarray:
-    """The min(a, L/b) distinct Walnut blocks of S = V_g^* V_g (block r is block r mod a), symmetrised."""
-    s = _walnut_blocks(sys.L, sys.a, sys.b, sys.window, sys.window)[: sys.a]
-    return 0.5 * (s + s.conj().swapaxes(1, 2))
+def _walnut_factors(sys: GaborSystem) -> tuple[np.ndarray, np.ndarray]:
+    """(F, Q) from the QR G_r^* = Q_r F_r^* of the b x L/a Walnut factor G_r[i, n] = sqrt(L/b) g(r + i L/b - n a)
+    of each of the min(a, L/b) distinct classes r: block r of S is G_r G_r^* = F_r F_r^* (Zibulski-Zeevi), the
+    class r + q a rolls G_r's columns by q, and the SVD of F_r (b x min(b, L/a)) costs less than that of G_r."""
+    p = sys.L // sys.b
+    r, n, i = np.ogrid[: min(sys.a, p), : sys.L // sys.a, : sys.b]
+    q, t = np.linalg.qr(np.sqrt(p) * sys.window[(r + p * i - sys.a * n) % sys.L].conj())
+    return t.conj().swapaxes(1, 2), q
 
 
 def gabor_frame_operator(sys: GaborSystem) -> np.ndarray:
-    """The dense L x L frame operator S, its Walnut blocks scattered on the classes mod L/b."""
+    """The dense L x L frame operator S, its Walnut blocks F_r F_r^* scattered on the classes mod L/b."""
     p = sys.L // sys.b
     idx = np.arange(p)[:, None] + p * np.arange(sys.b)  # row r: the class of r mod L/b
+    f = _walnut_factors(sys)[0][np.arange(p) % sys.a]
     out = np.zeros((sys.L, sys.L), dtype=complex)
-    out[idx[:, :, None], idx[:, None, :]] = _frame_blocks(sys)[np.arange(p) % sys.a]
+    out[idx[:, :, None], idx[:, None, :]] = f @ f.conj().swapaxes(1, 2)
     return out
 
 
 def gabor_canonical_dual(sys: GaborSystem) -> np.ndarray:
-    """Canonical dual window S^-1 g, block by block; raises :class:`NotAFrame`
-    when the spectrum of S (all blocks together) falls to the floor, carrying
-    that spectrum's :func:`frame_bounds_ratio` as ``ratio``."""
+    """Canonical dual S^-1 g from the SVDs F_r = U diag(s) W^* of :func:`_walnut_factors`: g on class r + q a is
+    column -q mod L/a of G_r / sqrt(L/b) = U diag(s) (Q_r W)^* / sqrt(L/b), so S^-1 g is that of U diag(1/s)
+    (Q_r W)^* / sqrt(L/b).  At the floor, raises :class:`NotAFrame` with ``ratio`` = :func:`frame_bounds_ratio`."""
+    f, basis = _walnut_factors(sys)
     try:
-        s_inv = inv_psd(_frame_blocks(sys))
+        ((u, s, wh),) = frame_svds([f])
     except NotInvertible as exc:
         raise NotAFrame(str(exc), ratio=exc.ratio) from exc
-    return _apply_blocks(s_inv[np.arange(sys.L // sys.b) % sys.a], sys.window)
+    q, r = np.divmod(np.arange(sys.L // sys.b), sys.a)
+    dual = ((u / s[:, None, :]) @ wh @ basis.conj().swapaxes(1, 2))[r, :, -q % (sys.L // sys.a)]  # row r + q a
+    return dual.T.ravel() / np.sqrt(sys.L // sys.b)
 
 
 def frame_bounds_ratio(sys: GaborSystem) -> float:
-    """lambda_min / lambda_max of the frame operator (0 for the zero window)."""
-    w = eig_hermitian(_frame_blocks(sys)).eigenvalues
-    top = float(w.max())
-    return float(w.min()) / top if top > 0.0 else 0.0
+    """lambda_min / lambda_max of the frame operator: the s^2 of :func:`_walnut_factors`, read as
+    :func:`gabor_canonical_dual` reads them (0 for the zero window and for ab > L)."""
+    try:
+        ((_, s, _),) = frame_svds([_walnut_factors(sys)[0]])
+    except NotInvertible as exc:
+        return exc.ratio
+    return float(np.square(s.min()) / np.square(s.max()))  # as numerics._floor reads the s^2
 
 
 def gabor_reconstruction_check(sys: GaborSystem, gamma, tol: float) -> CheckResult:
@@ -181,9 +191,7 @@ def wexler_raz_check(sys: GaborSystem, gamma, tol: float = DEFAULT_TOL) -> Check
     return CheckResult(name="wexler_raz", residual=float(np.abs(values).max()), tol=tol)
 
 
-def wr_fundamental_relation_check(
-    length: int, a: int, b: int, f, g, h, tol: float = DEFAULT_TOL
-) -> CheckResult:
+def wr_fundamental_relation_check(length: int, a: int, b: int, f, g, h, tol: float = DEFAULT_TOL) -> CheckResult:
     """Lattice-swap identity relating analysis/synthesis across the two lattices:
 
     T*_f T_g h = (L/ab) T*_h' T_g' f, where the primed maps use the adjoint

@@ -310,11 +310,11 @@ class Rep:
         return float(np.linalg.norm(self.matrices[self.group.identity] - np.eye(self.dim)))
 
     def validate(self, tol: float = DEFAULT_TOL) -> None:
-        if self.identity_residual() > tol:
+        if not self.identity_residual() <= tol:  # "not <=": a NaN residual fails
             raise NotInvariant("rep does not map the identity to Id")
-        if self.unitarity_residual() > tol:
+        if not self.unitarity_residual() <= tol:
             raise NotInvariant("rep matrices are not unitary within tolerance")
-        if self.homomorphism_residual() > tol:
+        if not self.homomorphism_residual() <= tol:
             raise NotInvariant("rep is not a homomorphism within tolerance")
 
     def character(self) -> np.ndarray:

@@ -102,27 +102,27 @@ def _psd_spectrum(a) -> HermEig:
 
 
 def frame_svds(stacks) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Thin SVDs (U, s, V*) of each (m, r, d) stack of analysis blocks b = U diag(s) V*, r <= d.  The s^2
-    of all stacks are the eigenvalues of one frame operator: one :func:`_floor` decision covers them, and
-    an empty list raises.  U diag(1/s) V* and U V* give the dual and the tight window with no b b*
-    formed, so their error grows with sqrt(kappa), not kappa (Higham 2002, ch. 20)."""
+    """Thin SVDs (U, s, V*) of each (m, r, d) stack of analysis blocks b = U diag(s) V*, b b* acting on the first
+    axis.  One :func:`_floor` decision covers the s^2 of all stacks (one frame operator's eigenvalues) and the
+    r - d zeros a block with r > d has beyond its thin SVD; an empty list raises.  U diag(1/s) V* and U V* give the
+    dual and tight window with no b b* formed: error sqrt(kappa) eps, not kappa eps (Higham 2002, ch. 20)."""
     svds = [np.linalg.svd(b, full_matrices=False) for b in stacks]
-    _floor(np.concatenate([np.square(s).ravel() for _, s, _ in svds]) if svds else np.zeros(0))
+    tall = any(b.shape[-2] > b.shape[-1] for b in stacks)
+    _floor(np.concatenate([np.square(s).ravel() for _, s, _ in svds] + [np.zeros(int(tall))]))
     return svds
 
 
 def inv_psd(a) -> np.ndarray:
-    """Inverse of a Hermitian positive definite matrix, or the stack of inverses of a stack."""
+    """Inverse of a Hermitian positive definite matrix, or the stack of inverses of a stack, by ``eigh``:
+    the normal-equations reference that the tests hold :func:`frame_svds` to."""
     dec = _psd_spectrum(a)
-    q = dec.eigenvectors
-    return (q / dec.eigenvalues[..., None, :]) @ q.conj().swapaxes(-1, -2)
+    return HermEig(1.0 / dec.eigenvalues, dec.eigenvectors).reconstruct()
 
 
 def inv_sqrt_psd(a) -> np.ndarray:
-    """Inverse square root A^(-1/2) of a Hermitian positive definite matrix (or stack)."""
+    """Inverse square root A^(-1/2) of a Hermitian positive definite matrix (or stack), by ``eigh``."""
     dec = _psd_spectrum(a)
-    q = dec.eigenvectors
-    return (q / np.sqrt(dec.eigenvalues)[..., None, :]) @ q.conj().swapaxes(-1, -2)
+    return HermEig(1.0 / np.sqrt(dec.eigenvalues), dec.eigenvectors).reconstruct()
 
 
 def orthonormal_columns(vectors, rel_cutoff: float = RANK_CUTOFF) -> np.ndarray:

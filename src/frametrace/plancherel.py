@@ -355,11 +355,11 @@ def validate_irreps(group: FiniteGroup, supplied, tol: float = DEFAULT_TOL) -> I
     chars = np.array([s.rep.character() for s in irreps]).reshape(len(irreps), group.order)
     gram = chars @ chars.conj().T / group.order
     loose = max(tol, PLANCHEREL_TOL_FLOOR)
-    bad_norms = np.flatnonzero(np.abs(gram.diagonal().real - 1.0) > loose)
+    bad_norms = np.flatnonzero(~(np.abs(gram.diagonal().real - 1.0) <= loose))  # a NaN norm fails
     if bad_norms.size:
         i = bad_norms[0]
         raise NotIrreducible(f"irrep {irreps[i].label!r} has character norm^2 {gram[i, i].real:.6f}")
-    equivalent = np.argwhere(np.triu(np.abs(gram) > loose, 1))  # pairs i < j, row-major
+    equivalent = np.argwhere(np.triu(~(np.abs(gram) <= loose), 1))  # pairs i < j, row-major; NaN fails
     if equivalent.size:
         i, j = equivalent[0]
         raise NotInequivalent(f"irreps {irreps[i].label!r} and {irreps[j].label!r} are equivalent")

@@ -286,7 +286,7 @@ def test_full_space_frame_vectors_agree_with_the_coefficient_operator_oracle(tmp
         rng = np.random.default_rng(seed)
         eta = rng.standard_normal(g.order) + 1j * rng.standard_normal(g.order)
         eta[g.identity] += 3 * np.sqrt(g.order)  # eta^(sigma) = 3 sqrt|G| Id + noise of about that size
-        v = CoefficientOperator(vector=eta, matrix=regular_coefficient_matrix(g, eta))
+        v = CoefficientOperator(vector=eta, matrix=regular_coefficient_matrix(g, eta), identity=g.identity)
         w = np.linalg.eigvalsh(frame_operator(v))
         assert w[0] >= 1e-3 * w[-1], (seed, w[0] / w[-1])
         ftio.save_vector(GroupVector(g, eta), eta_path)
@@ -453,7 +453,7 @@ def _count_calls(monkeypatch, modules, name):
 
 @pytest.mark.parametrize("lattice, bad", [((4, 2, 4), None), ((32, 4, 4), 0)])
 def test_failed_gabor_dual_builds_one_spectrum(tmp_path, monkeypatch, lattice, bad):
-    """The ratio comes from the spectrum inv_psd already computed: one block build, one eigh."""
+    """The ratio comes from the singular values the dual already computed: one factor build, one SVD."""
     import frametrace.gabor as gabor
     import frametrace.numerics as numerics
 
@@ -463,11 +463,11 @@ def test_failed_gabor_dual_builds_one_spectrum(tmp_path, monkeypatch, lattice, b
     sys_ = GaborSystem(*lattice, window=window)
     w, out = tmp_path / "w.json", tmp_path / "r.json"
     ftio.save_window(sys_, w)
-    blocks = _count_calls(monkeypatch, [gabor], "_frame_blocks")
-    spectra = _count_calls(monkeypatch, [numerics, gabor], "eig_hermitian")
+    factors = _count_calls(monkeypatch, [gabor], "_walnut_factors")
+    svds = _count_calls(monkeypatch, [numerics, gabor], "frame_svds")
     flags = [str(x) for pair in zip(("--L", "--a", "--b"), lattice) for x in pair]
     assert run(["gabor", "dual", *flags, "--window", str(w), "--out", str(out)]) == 1
-    assert len(blocks) == 1 and len(spectra) == 1
+    assert len(factors) == 1 and len(svds) == 1
     monkeypatch.undo()
     rep = read_report(out)
     assert rep["checks"][0]["name"] == "dual_not_a_frame"
@@ -478,8 +478,9 @@ def test_failed_gabor_dual_builds_one_spectrum(tmp_path, monkeypatch, lattice, b
     "lattice, bad, code",
     [((512, 8, 8), None, 0), ((512, 8, 8), 3, 1), ((48, 16, 4), None, 1)],  # ab > L: no frame
 )
-def test_gabor_dual_eigendecomposes_only_the_distinct_blocks(tmp_path, monkeypatch, lattice, bad, code):
-    """Walnut block r of S is block r mod a: one stack of min(a, L/b) blocks, not L/b."""
+def test_gabor_dual_factors_only_the_distinct_classes(tmp_path, monkeypatch, lattice, bad, code):
+    """Walnut factor r + q a is factor r with its columns rolled: one stack of min(a, L/b) factors F_r, each
+    b x min(b, L/a), not L/b of them.  For ab > L each has more rows than columns; ``frame_svds`` refuses it."""
     import frametrace.gabor as gabor
     import frametrace.numerics as numerics
 
@@ -489,10 +490,10 @@ def test_gabor_dual_eigendecomposes_only_the_distinct_blocks(tmp_path, monkeypat
         window[bad::a] = 0.0
     w = tmp_path / "w.json"
     ftio.save_window(GaborSystem(*lattice, window=window), w)
-    spectra = _count_calls(monkeypatch, [numerics, gabor], "eig_hermitian")
+    svds = _count_calls(monkeypatch, [numerics, gabor], "frame_svds")
     flags = [str(x) for pair in zip(("--L", "--a", "--b"), lattice) for x in pair]
     assert run(["gabor", "dual", *flags, "--window", str(w), "--out", str(tmp_path / "r.json")]) == code
-    assert [args[0].shape for args in spectra] == [(min(a, length // b), b, b)]
+    assert [[f.shape for f in args[0]] for args in svds] == [[(min(a, length // b), b, min(b, length // a))]]
 
 
 def test_gabor_bridge_builds_its_operator_arrays_once(tmp_path, monkeypatch):
@@ -820,7 +821,8 @@ def test_subspace_outputs_agree_with_an_eigh_basis_oracle(tmp_path, spec, action
     got = ftio.load_vector(out, g).data
     q = projection_from_spanning(g, [span]).range_basis()  # the eigenvectors of R_h
     assert 0 < q.shape[1] < g.order
-    v = CoefficientOperator(vector=q.conj().T @ window, matrix=regular_coefficient_matrix(g, window) @ q)
+    v = CoefficientOperator(vector=q.conj().T @ window, matrix=regular_coefficient_matrix(g, window) @ q,
+                           identity=g.identity)
     expect = q @ solve(v)
     assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
 

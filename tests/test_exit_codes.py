@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 
 from frametrace import io as ftio
 from frametrace.cli import main
-from frametrace.errors import FrametraceError
+from frametrace.errors import FrametraceError, NotHomomorphism
 from frametrace.gabor import GaborSystem, reference_window
-from frametrace.groups import GroupVector, builtin_group
-from frametrace.plancherel import builtin_irreps
+from frametrace.groups import GroupVector, Rep, builtin_group
+from frametrace.plancherel import Irrep, builtin_irreps, validate_irreps
 
 SPEC = "dihedral:3"
 LATTICE = ["--L", "8", "--a", "2", "--b", "2"]
@@ -181,3 +181,25 @@ def test_a_bool_among_numbers_reads_as_an_integer(tmp_path):
     window = tmp_path / "w.json"
     window.write_text(json.dumps({"L": 2, "a": 1, "b": 2, "window": [[1.0, False], [0, 0.5]]}))
     assert ftio.load_window(window).window.tolist() == [1.0, 0.5j]
+
+
+def test_an_irrep_with_one_nan_entry_is_refused(tmp_path, capsys):
+    """A NaN residual fails the irrep checks, as ``within_tol`` fails a NaN: rho1 of dihedral:4 with one
+    NaN entry at a non-identity element is refused by name, not passed on to a report."""
+    group = builtin_group("dihedral:4")
+    x = (group.identity + 1) % group.order
+    irreps = []
+    for s in builtin_irreps(group).irreps:
+        mats = s.rep.matrices.copy()
+        if s.label == "rho1":
+            mats[x, 0, 1] = complex("nan")
+        irreps.append(Irrep(s.label, Rep(group=group, dim=s.dim, matrices=mats)))
+    with pytest.raises(NotHomomorphism, match="'rho1'"):
+        validate_irreps(group, irreps)
+    path = tmp_path / "irreps.json"
+    path.write_text(json.dumps({"group": group.label, "irreps": [
+        {"label": s.label, "dim": s.dim, "matrices": ftio.complex_to_json(s.rep.matrices)} for s in irreps
+    ]}))
+    assert main(["group", "analyze", "--builtin", "dihedral:4", "--irreps", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: irrep 'rho1': "), err

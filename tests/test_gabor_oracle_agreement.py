@@ -36,7 +36,7 @@ from frametrace.gabor import (
     wh_rep,
     wr_fundamental_relation_check,
 )
-from frametrace.gabor import _apply_blocks, _frame_blocks, _walnut_blocks
+from frametrace.gabor import _apply_blocks, _walnut_blocks, _walnut_factors
 from frametrace.numerics import inv_psd
 from oracles import (
     coefficient_map_by_gathers,
@@ -161,7 +161,13 @@ def test_walnut_blocks_match_the_gather_oracle(lat):
             assert np.abs(got - oracle).max() <= 1e-13 * np.abs(oracle).max()
             for r in range(length // b):
                 assert got[r].tobytes() == got[r % a].tobytes()
-            assert len(_frame_blocks(GaborSystem(length, a, b, g))) == min(a, length // b)
+        f, q = _walnut_factors(GaborSystem(length, a, b, g))  # G_r = F_r Q_r^*, S's blocks F_r F_r^*
+        m, k, p = min(a, length // b), min(b, length // a), length // b
+        assert f.shape == (m, b, k) and q.shape == (m, length // a, k)
+        r, i, n = np.ogrid[:m, :b, : length // a]
+        walnut = np.sqrt(p) * g[(r + p * i - a * n) % length]  # G_r[i, n] = sqrt(L/b) g(r + i L/b - n a)
+        assert np.abs(f @ q.conj().swapaxes(1, 2) - walnut).max() <= 1e-13 * np.abs(walnut).max()
+        assert np.abs(f @ f.conj().swapaxes(1, 2) - oracle[:m]).max() <= 1e-13 * np.abs(oracle).max()
 
 
 @pytest.mark.parametrize("lat", BLOCK_LATTICES, ids=ids)

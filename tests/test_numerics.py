@@ -112,6 +112,18 @@ def test_frame_svds_share_one_floor_across_stacks():
     ]
 
 
+def test_frame_svds_refuse_blocks_with_more_rows_than_columns():
+    # b b* of an r x d block with r > d has r - d zero eigenvalues that the thin SVD leaves out: its
+    # d singular values are all 1 here, yet the floor fails with ratio 0, as eigh of b b* finds.
+    tall = np.array([np.eye(3)[:, :2]] * 2)
+    ((_, s, _),) = frame_svds([tall.swapaxes(1, 2)])
+    assert np.allclose(s, 1.0)
+    with pytest.raises(NotInvertible) as exc:
+        frame_svds([tall])
+    assert exc.value.ratio == 0.0
+    assert eig_hermitian(tall @ tall.swapaxes(1, 2)).eigenvalues.min() == 0.0
+
+
 def test_frame_svds_give_the_dual_and_tight_blocks():
     # b = U diag(s) V*: U diag(1/s) V* = (b b*)^-1 b and U V* = (b b*)^-1/2 b, for r x d blocks, r <= d.
     rng = np.random.default_rng(4)
