@@ -2,7 +2,7 @@
 
 The analysis map of a window eta under a representation pi is (V_eta phi)(x) = <phi, pi(x) eta>, a |G| x d
 matrix with rows indexed by group elements.  Admissibility of a pair (eta, psi) means V_psi^* V_eta = Id, and
-the natural trace on the right group von Neumann algebra is matrix-trace/|G|.  The frame operator
+the natural trace on the commuting algebra of any representation is matrix-trace/|G|.  The frame operator
 S = V_eta^* V_eta is never inverted: the dual and the tight window come from the SVD of V_eta^*
 (``numerics.frame_svds``, as on the Plancherel fibers), whose s^2 are the eigenvalues of S.
 
@@ -84,10 +84,12 @@ def is_admissible_pair(rep: Rep, eta, psi, tol: float = DEFAULT_TOL) -> CheckRes
 
 
 def natural_trace(t, group: FiniteGroup) -> complex:
-    """The natural trace on VN_r(G): matrix trace divided by |G|."""
+    """The natural trace tr(T)/|G| on the commuting algebra pi(G)' of any representation pi of ``group``:
+    V_psi^* V_eta = |G| E(psi eta^*) lies in pi(G)', E the group average, and <T eta, psi> = tr(T)/|G| for
+    every T in pi(G)' exactly when it is Id.  ``t`` must be square."""
     t = np.asarray(t, dtype=complex)
-    if t.shape != (group.order, group.order):
-        raise DimensionMismatch(f"operator shape {t.shape} does not act on l2 of a group of order {group.order}")
+    if t.ndim != 2 or t.shape[0] != t.shape[1]:
+        raise DimensionMismatch(f"operator shape {t.shape} is not square")
     return complex(np.trace(t)) / group.order
 
 

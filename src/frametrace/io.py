@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FrametraceError, NotAGroup
+from .errors import FrametraceError, IrrepTableError, NotAGroup
 from .gabor import GaborSystem
 from .groups import FiniteGroup, GroupVector, Rep, group_from_cayley
 from .numerics import DEFAULT_TOL
@@ -291,7 +291,7 @@ def save_irreps(table: IrrepTable, path) -> None:
 
 
 def load_irreps(source, group: FiniteGroup, tol: float = DEFAULT_TOL) -> IrrepTable:
-    """Load an irrep table and check it with :func:`validate_irreps` at ``tol``."""
+    """Load an irrep table and check it with :func:`validate_irreps` at ``tol``; a refusal names the file."""
     obj, path = _load_json(source)
     label = _require(obj, "group", path)
     if label != group.label:
@@ -309,7 +309,10 @@ def load_irreps(source, group: FiniteGroup, tol: float = DEFAULT_TOL) -> IrrepTa
                 f"expected {(group.order, dim, dim)}"
             )
         entries.append(Irrep(label=name, rep=Rep(group=group, dim=dim, matrices=mats)))
-    return validate_irreps(group, entries, tol)
+    try:
+        return validate_irreps(group, entries, tol)
+    except IrrepTableError as exc:
+        raise MalformedInput(f"{path}: {exc}") from exc
 
 
 def save_window(sys: GaborSystem, path) -> None:

@@ -19,10 +19,6 @@ DEFAULT_TOL = 1e-9
 #: Relative eigenvalue floor below which an operator counts as singular.
 EIG_FLOOR = 1e-12
 
-#: Relative eigenvalue cut-off below which a direction solves the commutation
-#: equations (commutant bases) or a compressed commutant element is dependent.
-NULLSPACE_CUTOFF = 1e-9
-
 #: Relative singular-value cut-off of a numerical rank (spans and null spaces).
 RANK_CUTOFF = 1e-11
 
@@ -125,15 +121,15 @@ def inv_sqrt_psd(a) -> np.ndarray:
     return HermEig(1.0 / np.sqrt(dec.eigenvalues), dec.eigenvectors).reconstruct()
 
 
-def orthonormal_columns(vectors, rel_cutoff: float = RANK_CUTOFF) -> np.ndarray:
+def orthonormal_columns(vectors) -> np.ndarray:
     """Orthonormal basis for the column span of ``vectors`` (d x k array).
 
-    Uses an SVD with a relative singular-value cutoff, so nearly dependent
+    Uses an SVD with the relative singular-value cut-off ``RANK_CUTOFF``, so nearly dependent
     columns are deduplicated.  Returns a d x r array with orthonormal columns.
     """
     m = np.asarray(vectors, dtype=complex)
     if m.ndim != 2 or m.shape[1] == 0 or not np.any(m):
         return np.zeros((m.shape[0] if m.ndim == 2 else 0, 0), dtype=complex)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    rank = int(np.sum(s > rel_cutoff * s[0]))
+    rank = int(np.sum(s > RANK_CUTOFF * s[0]))
     return u[:, :rank]

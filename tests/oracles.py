@@ -12,7 +12,6 @@ import os
 import numpy as np
 
 from frametrace import io as ftio
-from frametrace.commutant import commutant_of_matrices
 from frametrace.errors import DimensionMismatch, NotAGroup, NotInvariant, NotInvertible
 from frametrace.frames import (
     InvariantProjection,
@@ -280,9 +279,31 @@ def conjugacy_classes(group: FiniteGroup) -> list[list[int]]:
     return classes
 
 
+#: Relative eigenvalue cut-off of :func:`commutant_by_kronecker`: below it a direction solves the
+#: commutation equations.
+KRONECKER_NULLSPACE_CUTOFF = 1e-9
+
+
+def commutant_by_kronecker(matrices) -> list:
+    """The former ``commutant_of_matrices``: orthonormal basis of {T : T U = U T for every U} from the normal
+    equations M = sum_x A_x^* A_x of the stacked commutation equations, which for unitary U collapse to
+    2 n (Id - avg), avg the Hermitian average of kron(U, conj U) on vectorized operators; one d^2 x d^2 eigh."""
+    mats = np.asarray(matrices, dtype=complex)
+    n, d, _ = mats.shape
+    avg = np.zeros((d * d, d * d), dtype=complex)
+    for x in range(n):
+        avg += np.kron(mats[x], mats[x].conj())
+    avg /= n
+    m = 2.0 * n * (np.eye(d * d) - 0.5 * (avg + avg.conj().T))
+    w, q = np.linalg.eigh(m)
+    top = max(float(w[-1]), 1.0)
+    keep = w <= KRONECKER_NULLSPACE_CUTOFF * top
+    return [q[:, j].reshape(d, d) for j in np.nonzero(keep)[0]]
+
+
 def irreducibility_by_commutant(rep: Rep) -> int:
     """Commutant dimension of a rep; 1 means irreducible.  Cross-check oracle."""
-    return len(commutant_of_matrices(rep.matrices))
+    return len(commutant_by_kronecker(rep.matrices))
 
 
 def save_json_indent2(payload: dict, path) -> None:

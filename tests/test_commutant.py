@@ -15,7 +15,9 @@ from frametrace.frames import (
     canonical_dual,
     coefficient_operator,
     is_admissible_pair,
+    is_frame_vector,
 )
+from frametrace.gabor import GaborSystem, gabor_canonical_dual, lattice_ops, wexler_raz_check, wh_group_build, wh_rep
 from frametrace.groups import (
     GroupVector,
     Rep,
@@ -25,6 +27,7 @@ from frametrace.groups import (
     restrict_rep,
 )
 from frametrace.plancherel import builtin_irreps, isotypic_projection, projection_from_fibers
+from oracles import commutant_by_kronecker, random_invariant_projection
 
 
 def commutator_norms(elements, matrices):
@@ -167,3 +170,90 @@ def test_generalized_biorthogonality():
     assert generalized_biorthogonality(lam, basis, e, e, eta, psi).passed
     with pytest.raises(ReferencePairNotAdmissible):
         generalized_biorthogonality(lam, basis, e, 3 * e, e, e)
+
+
+def rand_c(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def span_distance(a, b) -> float:
+    """sin of the largest principal angle between the Frobenius spans of two orthonormal families."""
+    a, b = (np.column_stack([t.reshape(-1) for t in fam]) for fam in (a, b))
+    return float(np.linalg.norm(a - b @ (b.conj().T @ a), 2))
+
+
+def restricted_reps(spec, seed, count):
+    """``count`` restrictions of the regular representation to random invariant ranges of rank >= 1."""
+    g = builtin_group(spec)
+    lam, table, rng = left_regular_rep(g), builtin_irreps(g), np.random.default_rng(seed)
+    reps = []
+    while len(reps) < count:
+        q = random_invariant_projection(table, rng).range_basis()
+        if q.shape[1]:
+            reps.append(restrict_rep(lam, list(q.T)))
+    return reps
+
+
+def parity_cases():
+    """(name, unitary group up to phases) of every shape the group average must handle."""
+    regular = ["cyclic:12", "dihedral:4", "heisenberg:3", "dihedral:12", "cyclic:2 x dihedral:6", "cyclic:1"]
+    cases = [(spec, left_regular_rep(builtin_group(spec)).matrices) for spec in regular]
+    for spec, seed in [("dihedral:4", 40), ("heisenberg:3", 41), ("cyclic:2 x dihedral:6", 42)]:
+        cases += [(f"{spec} restricted to rank {r.dim}", r.matrices) for r in restricted_reps(spec, seed, 3)]
+        cases += [(f"{spec} irrep {s.label}", s.rep.matrices) for s in builtin_irreps(builtin_group(spec)).irreps]
+    rho = next(s for s in builtin_irreps(builtin_group("dihedral:3")).irreps if s.dim == 2).rep.matrices
+    cases.append(("three copies of a 2-dimensional irrep", np.kron(np.eye(3), rho)))  # k = 9 > d = 6
+    for lattice in [(12, 3, 2), (4, 2, 2), (24, 4, 3)]:
+        cases.append((f"wh_rep{lattice}", wh_rep(wh_group_build(*lattice)).matrices))
+        cases.append((f"lattice_ops{lattice}", np.array(lattice_ops(*lattice))))
+    return cases
+
+
+def test_group_average_matches_the_kronecker_oracle():
+    """The range of the group average is the commutant the d^2 x d^2 eigh found: same dimension, span within
+    principal-angle distance 1e-10, every element commuting with every matrix within 1e-12."""
+    for name, mats in parity_cases():
+        new, old = commutant_of_matrices(mats), commutant_by_kronecker(mats)
+        assert len(new) == len(old), name
+        assert span_distance(new, old) <= 1e-10, (name, span_distance(new, old))
+        stack = np.array(new)[:, None]
+        assert np.linalg.norm(stack @ mats - mats @ stack, axis=(2, 3)).max() <= 1e-12, name
+
+
+@pytest.mark.parametrize("lattice", [(12, 3, 2), (4, 2, 2), (24, 4, 3)], ids=["12-3-2", "4-2-2", "24-4-3"])
+def test_wexler_raz_is_traciality_on_the_wh_commutant(lattice):
+    """The paper's Wexler-Raz generalisation: on the Weyl-Heisenberg group, whose q central phases cancel in
+    V_psi^* V_g = q sum_lattice (M T psi)(M T g)^*, gamma is a dual window of g exactly when (g, gamma/q) is an
+    admissible pair, and exactly when it is tracial on the group's own L x L commutant."""
+    wh = wh_group_build(*lattice)
+    rep, rng = wh_rep(wh), np.random.default_rng(44)
+    basis = commutant_basis(rep)
+    g = rand_c(rng, wh.L)
+    sys_ = GaborSystem(wh.L, wh.a, wh.b, g)
+    psi = gabor_canonical_dual(sys_) / wh.q
+    for size in [0.0, 1e-6, 1e-4, 1e-2]:
+        cand = psi + size * np.linalg.norm(psi) * rand_c(rng, wh.L)
+        tra = is_tracial_pair(basis, rep.group, g, cand)
+        adm = is_admissible_pair(rep, g, cand)
+        wr = wexler_raz_check(sys_, wh.q * cand)
+        assert tra.passed == adm.passed == wr.passed == (size == 0.0), (size, tra, adm, wr)
+
+
+@pytest.mark.parametrize("spec", ["dihedral:4", "heisenberg:3", "cyclic:2 x dihedral:6"])
+def test_tracial_matches_admissible_on_a_restricted_rep_commutant(spec):
+    """The natural trace tr(T)/|G| on the d x d commutant of a subrepresentation itself, with no lift to l2(G)."""
+    rng = np.random.default_rng(45)
+    for rep in restricted_reps(spec, 46, 3):
+        basis = commutant_basis(rep)
+        for k in range(6):
+            while True:
+                eta = rand_c(rng, rep.dim)
+                v = coefficient_operator(rep, eta)
+                if is_frame_vector(v):
+                    break
+            psi = canonical_dual(v)
+            if k % 2:
+                psi = psi + 10.0 ** rng.uniform(-6, -2) * np.linalg.norm(psi) * rand_c(rng, rep.dim)
+            tra = is_tracial_pair(basis, rep.group, eta, psi)
+            adm = is_admissible_pair(rep, eta, psi)
+            assert tra.passed == adm.passed == (k % 2 == 0), (spec, rep.dim, k, tra, adm)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from frametrace import io as ftio
 from frametrace.cli import main
-from frametrace.errors import FrametraceError, NotHomomorphism
+from frametrace.errors import FrametraceError, NotComplete, NotHomomorphism, NotInequivalent
 from frametrace.gabor import GaborSystem, reference_window
 from frametrace.groups import GroupVector, Rep, builtin_group
 from frametrace.plancherel import Irrep, builtin_irreps, validate_irreps
@@ -183,6 +183,12 @@ def test_a_bool_among_numbers_reads_as_an_integer(tmp_path):
     assert ftio.load_window(window).window.tolist() == [1.0, 0.5j]
 
 
+def _write_irreps(path, group, irreps) -> None:
+    path.write_text(json.dumps({"group": group.label, "irreps": [
+        {"label": s.label, "dim": s.dim, "matrices": ftio.complex_to_json(s.rep.matrices)} for s in irreps
+    ]}))
+
+
 def test_an_irrep_with_one_nan_entry_is_refused(tmp_path, capsys):
     """A NaN residual fails the irrep checks, as ``within_tol`` fails a NaN: rho1 of dihedral:4 with one
     NaN entry at a non-identity element is refused by name, not passed on to a report."""
@@ -197,9 +203,28 @@ def test_an_irrep_with_one_nan_entry_is_refused(tmp_path, capsys):
     with pytest.raises(NotHomomorphism, match="'rho1'"):
         validate_irreps(group, irreps)
     path = tmp_path / "irreps.json"
-    path.write_text(json.dumps({"group": group.label, "irreps": [
-        {"label": s.label, "dim": s.dim, "matrices": ftio.complex_to_json(s.rep.matrices)} for s in irreps
-    ]}))
+    _write_irreps(path, group, irreps)
     assert main(["group", "analyze", "--builtin", "dihedral:4", "--irreps", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: irrep 'rho1': "), err
+    assert err.startswith(f"error: {path}: irrep 'rho1': "), err
+
+
+@pytest.mark.parametrize(
+    "edit, error, message",
+    [
+        (lambda irreps: irreps[:-1], NotComplete, "sum of squared dims 4 != |G| = 8"),
+        (lambda irreps: [*irreps, irreps[0]], NotInequivalent, "irreps 'triv' and 'triv' are equivalent"),
+    ],
+    ids=["one-irrep-dropped", "one-irrep-twice"],
+)
+def test_an_incomplete_or_repeated_irreps_file_is_refused_with_its_path(tmp_path, capsys, edit, error, message):
+    """validate_irreps refuses the table; the CLI names the file, as for every other malformed input."""
+    group = builtin_group("dihedral:4")
+    irreps = edit(list(builtin_irreps(group).irreps))
+    with pytest.raises(error):
+        validate_irreps(group, irreps)
+    path = tmp_path / "irreps.json"
+    _write_irreps(path, group, irreps)
+    assert main(["group", "analyze", "--builtin", "dihedral:4", "--irreps", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {message}"), err
