@@ -188,8 +188,9 @@ def cmd_frame(args) -> int:
         sqrt = args.action == "tighten"
         try:
             out = fibers.frame_solve(window.data, sqrt)
-        except NotInvertible:
+        except NotInvertible as exc:
             report.add(CheckResult(name=f"{args.action}_not_a_frame", residual=1.0, tol=0.0))
+            report.metadata["frame_bounds_ratio"] = exc.ratio
             return _finish(report, args)
         partner = out if sqrt else window.data
         check = admissible_check(group, admissibility_defect(proj, partner, out), tol)

@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotInvariant, ReferencePairNotAdmissible
+from .errors import DimensionMismatch, NotAGroup, NotInvariant, ReferencePairNotAdmissible
 from .frames import InvariantProjection, is_admissible_pair
 from .groups import FiniteGroup, Rep, delta, convolution_operator
-from .numerics import DEFAULT_TOL, orthonormal_columns, within_tol
+from .numerics import DEFAULT_TOL, RANK_CUTOFF, orthonormal_columns, within_tol
 from .reporting import CheckResult
 
 
@@ -41,7 +41,8 @@ def commutant_of_matrices(matrices) -> list:
     group average E(T) = (1/n) sum_U U T U^* is then an orthogonal projection onto the commutant, of trace
     k = (1/n) sum_U |tr U|^2, its dimension.  E of k + 4 complex Gaussian draws from a fixed seed spans its
     range, read off as the top k left singular vectors (the range finder of Halko, Martinsson and Tropp 2011):
-    (k + 4) 2 n d^3 flops and no d^2 x d^2 matrix.
+    (k + 4) 2 n d^3 flops and no d^2 x d^2 matrix.  A family that is not such a group is refused with
+    :class:`NotAGroup` when the same SVD finds its average's range larger than k: s[k] > ``RANK_CUTOFF`` s[0].
     """
     mats = np.asarray(matrices, dtype=complex)
     n, d, _ = mats.shape
@@ -53,7 +54,10 @@ def commutant_of_matrices(matrices) -> list:
         t = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         ut = (mats @ t).transpose(1, 0, 2).reshape(d, n * d)  # [U_1 T, ..., U_n T]
         draws[:, j] = (ut @ adjoints).reshape(-1)  # n E(T)
-    u = np.linalg.svd(draws, full_matrices=False)[0]
+    u, s, _ = np.linalg.svd(draws, full_matrices=False)
+    if k < s.size and s[k] > RANK_CUTOFF * s[0]:
+        raise NotAGroup(f"the group average has rank above its trace {k}: s[k]/s[0] = {s[k] / s[0]:.3e}; "
+                        "the matrices are not a unitary group up to phases")
     return list(u[:, :k].T.reshape(k, d, d))
 
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotAFrame, NotInvertible
-from .groups import Rep, check_order, group_from_cayley
+from .errors import DimensionMismatch, NotAFrame, NotAGroup, NotInvertible
+from .groups import MAX_ORDER, Rep, check_order, group_from_cayley
 from .numerics import DEFAULT_TOL, _unit_roots, as_vector, frame_svds
 from .reporting import CheckResult
 
@@ -248,10 +248,13 @@ class WHGroup:
 
 
 def wh_group_build(length: int, a: int, b: int) -> WHGroup:
-    """The Weyl-Heisenberg group of the lattice, refused above MAX_ORDER; builds no table."""
+    """The Weyl-Heisenberg group of the lattice; builds no table.  Its operators are (order, L) arrays,
+    refused here above MAX_ORDER^2 entries, the size of the largest Cayley table, before any exists."""
     _check_lattice(length, a, b)
     wh = WHGroup(length, a, b, length // math.gcd(length, a * b), a * b // math.gcd(length, a * b))
-    check_order(wh.order)
+    if wh.order * length > MAX_ORDER ** 2:
+        raise NotAGroup(f"order {wh.order} x L = {wh.order * length} exceeds the supported maximum "
+                        f"{MAX_ORDER ** 2} = {MAX_ORDER}^2")
     return wh
 
 
@@ -264,7 +267,9 @@ def _wh_operators(wh: WHGroup) -> tuple[np.ndarray, np.ndarray]:
 
 
 def wh_rep(wh: WHGroup) -> Rep:
-    """pi(m, n, z) = exp(2 pi i z / q) M_(mb) T_(na) on C^L, on the validated Cayley table of the law."""
+    """pi(m, n, z) = exp(2 pi i z / q) M_(mb) T_(na) on C^L, on the validated Cayley table of the law;
+    an order above MAX_ORDER is refused before the table exists."""
+    check_order(wh.order)
     table = wh.product(*np.ogrid[: wh.order, : wh.order])
     group = group_from_cayley(table, label=f"wh:{wh.L}:{wh.a}:{wh.b}", copy=False)
     return Rep(group=group, dim=wh.L, matrices=_dense(*wh.operators))

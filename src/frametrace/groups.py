@@ -28,15 +28,38 @@ def check_order(order: int) -> None:
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """A finite group given by its Cayley table of element indices."""
+    """A finite group given by its Cayley table of element indices.
+
+    A loaded group holds the table it was validated from and its inverses.  A builtin group holds
+    None for both and writes them from its factors on the first read of :attr:`cayley` or
+    :attr:`inverses`: the Plancherel side (``group analyze``) reads neither.
+    """
 
     order: int
-    cayley: np.ndarray
+    _cayley: np.ndarray | None
     identity: int
-    inverses: np.ndarray
+    _inverses: np.ndarray | None
     generators: tuple  # indices whose left-bracketed words (...((e s1) s2)...) reach every element
     label: str = ""
     factors: tuple = ()  # the (family, n) factors of a builtin group, as builtin_group parsed them
+
+    @functools.cached_property
+    def cayley(self) -> np.ndarray:
+        """The read-only Cayley table: entry [x, y] is the index of x y."""
+        if self._cayley is not None:
+            return self._cayley
+        table = _spec_table(self.factors)
+        table.setflags(write=False)
+        return table
+
+    @functools.cached_property
+    def inverses(self) -> np.ndarray:
+        """The read-only index of each element's inverse."""
+        if self._inverses is not None:
+            return self._inverses
+        inverses = np.argmax(self.cayley == self.identity, axis=1)
+        inverses.setflags(write=False)
+        return inverses
 
     def mul(self, x: int, y: int) -> int:
         return int(self.cayley[x, y])
@@ -192,20 +215,18 @@ def builtin_group(spec: str) -> FiniteGroup:
 
     Supported specs: ``cyclic:n``, ``dihedral:n`` (order 2n), ``heisenberg:n``
     (order n^3), and direct products joined with ``x``, for example
-    ``cyclic:2 x dihedral:3``.  The table, identity (index 0), inverses and generators come from
-    the family formulas, unvalidated: they are the ones :func:`group_from_cayley` finds.
+    ``cyclic:2 x dihedral:3``.  The order, identity (index 0) and generators come from the family
+    formulas, unvalidated: they are the ones :func:`group_from_cayley` finds.  No table is written
+    here; the group writes it, and its inverses, when they are first read.
     """
     factors = _parse_spec(spec)
-    cayley, gens, order = _spec_table(factors), [], 1
+    gens, order = [], 1
     for family, n in reversed(factors):  # the last factor is innermost: it holds the lowest indices
         size, _, words = _FAMILIES[family]
         gens += [order * s for s in dict.fromkeys(words(n)) if s < size(n)]
         order *= size(n)
-    inverses = np.argmax(cayley == 0, axis=1)
-    cayley.setflags(write=False)
-    inverses.setflags(write=False)
     label = " x ".join(f"{family}:{n}" for family, n in factors)
-    return FiniteGroup(order, cayley, 0, inverses, tuple(gens), label, tuple(factors))
+    return FiniteGroup(order, None, 0, None, tuple(gens), label, tuple(factors))
 
 
 @dataclass(frozen=True)

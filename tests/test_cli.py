@@ -54,6 +54,36 @@ def test_group_analyze_builtin(tmp_path):
     assert all(c["pass"] for c in rep["checks"])
 
 
+#: Builtin groups whose ``group analyze`` reads no Cayley table: products, and heisenberg:8, which has no
+#: builtin irreps (8 is not prime), up to order 512.
+UNTABLED_SPECS = ["cyclic:2 x dihedral:128", "cyclic:3 x cyclic:4 x dihedral:5", "heisenberg:3 x cyclic:2",
+                  "heisenberg:8", "dihedral:256", "cyclic:512"]
+
+
+@pytest.mark.parametrize("spec", UNTABLED_SPECS)
+def test_group_analyze_builtin_writes_no_table(tmp_path, monkeypatch, spec):
+    # Its checks read the order, the irreps and the Plancherel kernel, all from the factor formulas.
+    # Its report is the same bytes as a run whose group had its table and inverses written first.
+    forced, lazy = tmp_path / "forced.json", tmp_path / "lazy.json"
+    real = groups.builtin_group
+
+    def built_with_table(s):
+        g = real(s)
+        assert g.cayley is not None and g.inverses is not None
+        return g
+
+    monkeypatch.setattr("frametrace.cli.builtin_group", built_with_table)
+    assert run(["group", "analyze", "--builtin", spec, "--seed", "5", "--out", str(forced)]) == 0
+    monkeypatch.undo()
+
+    def refused(factors):
+        raise AssertionError(f"table of {factors} written")
+
+    monkeypatch.setattr(groups, "_spec_table", refused)
+    assert run(["group", "analyze", "--builtin", spec, "--seed", "5", "--out", str(lazy)]) == 0
+    assert lazy.read_bytes() == forced.read_bytes()
+
+
 @pytest.mark.parametrize("spec", ["cyclic:2x", "xcyclic:2", "cyclic:\u0663"])
 def test_group_analyze_malformed_spec_exits_2(tmp_path, capsys, spec):
     # Each used to run as cyclic:2 or cyclic:3 and exit 0.
@@ -506,11 +536,22 @@ def test_gabor_bridge_builds_its_operator_arrays_once(tmp_path, monkeypatch):
     assert [c["name"] for c in read_report(out)["checks"]] == ["wh_group_axioms", "wh_bridge"]
 
 
+def test_gabor_bridge_above_order_512_passes(tmp_path):
+    # (48/3)(48/4)(48/gcd(48, 12)) = 768 elements, above MAX_ORDER: the bridge holds (768, 48)
+    # operator arrays, 768 x 48 = 36 864 entries, and no Cayley table.
+    out = tmp_path / "r.json"
+    assert run(["gabor", "bridge", "--L", "48", "--a", "4", "--b", "3", "--out", str(out)]) == 0
+    rep = read_report(out)
+    assert rep["metadata"]["wh_order"] == 768
+    assert [c["name"] for c in rep["checks"]] == ["wh_group_axioms", "wh_bridge"]
+
+
 def test_gabor_bridge_above_the_order_cap_exits_2_before_any_array(capsys):
-    # (48/3)(48/4)(48/gcd(48, 12)) = 768 > 512: refused from (L, a, b) alone.
-    code, peak = _traced_peak_mib(["gabor", "bridge", "--L", "48", "--a", "4", "--b", "3"])
+    # (96/4)(96/4)(96/gcd(96, 16)) = 3456 elements on C^96: 331 776 entries per operator array, above
+    # MAX_ORDER^2 = 262 144, refused from (L, a, b) alone.
+    code, peak = _traced_peak_mib(["gabor", "bridge", "--L", "96", "--a", "4", "--b", "4"])
     assert code == 2 and peak < 1, peak
-    assert "order 768 exceeds the supported maximum 512" in capsys.readouterr().err
+    assert "order 3456 x L = 331776 exceeds the supported maximum 262144" in capsys.readouterr().err
 
 
 def test_gabor_malformed_window(tmp_path, capsys):

@@ -10,7 +10,7 @@ from frametrace.commutant import (
     reduced_commutant,
     regular_commutant_basis,
 )
-from frametrace.errors import ReferencePairNotAdmissible
+from frametrace.errors import NotAGroup, ReferencePairNotAdmissible
 from frametrace.frames import (
     canonical_dual,
     coefficient_operator,
@@ -218,6 +218,18 @@ def test_group_average_matches_the_kronecker_oracle():
         assert span_distance(new, old) <= 1e-10, (name, span_distance(new, old))
         stack = np.array(new)[:, None]
         assert np.linalg.norm(stack @ mats - mats @ stack, axis=(2, 3)).max() <= 1e-12, name
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_group_average_refuses_a_family_that_is_not_a_group(seed):
+    """{Id, U} for a random unitary U: its average is no projection, and its range has more dimensions
+    than its trace k, so the top k singular vectors of the draws are not the commutant (of dimension 4).
+    The SVD of the draws shows s[k] far above RANK_CUTOFF s[0]."""
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+    assert len(commutant_by_kronecker([np.eye(4), u])) == 4
+    with pytest.raises(NotAGroup, match="not a unitary group up to phases"):
+        commutant_of_matrices(np.array([np.eye(4), u]))
 
 
 @pytest.mark.parametrize("lattice", [(12, 3, 2), (4, 2, 2), (24, 4, 3)], ids=["12-3-2", "4-2-2", "24-4-3"])

@@ -253,6 +253,29 @@ def test_ill_conditioned_block_passes_on_builtin_fibers(tmp_path, spec, ratio):
         assert check["residual"] <= bound, (action, check["residual"])
 
 
+@pytest.mark.parametrize("action", ["dual", "tighten"])
+@pytest.mark.parametrize("full", [True, False], ids=["full", "subspace"])
+def test_not_a_frame_reports_its_frame_bounds_ratio(tmp_path, action, full):
+    # As gabor dual does: metadata frame_bounds_ratio is the min/max eigenvalue of the frame operator
+    # on the subspace that the floor refused.  A frame's report has no such key.
+    group = builtin_group("dihedral:4")
+    eta, sub, out = (tmp_path / f"{k}.json" for k in ("eta", "sub", "report"))
+    for ratio, code, name in ((1e-13, 1, "not_a_frame"), (1e-6, 0, "reconstruction")):
+        window, span = window_with_ratio(builtin_irreps(group), np.random.default_rng(2), ratio, full)
+        ftio.save_vector(GroupVector(group, window), eta)
+        argv = ["frame", action, "--window", str(eta), "--out", str(out)]
+        if span is not None:
+            sub.write_text(json.dumps({"group": group.label, "vectors": [ftio.complex_to_json(span)]}))
+            argv += ["--subspace", str(sub)]
+        assert main(argv) == code
+        report = json.loads(out.read_text())
+        assert [c["name"] for c in report["checks"]] == [f"{action}_{name}"]
+        if code:
+            assert report["metadata"]["frame_bounds_ratio"] == pytest.approx(ratio, rel=1e-6)
+        else:
+            assert "frame_bounds_ratio" not in report["metadata"]
+
+
 @pytest.mark.parametrize("action, spec, ratio", [
     pytest.param(action, spec, ratio, marks=[pytest.mark.xfail(
         strict=True, reason="table_irreps closure-product error (CHANGES.md FOUND line)")]

@@ -324,8 +324,14 @@ def test_wh_bridge_fails_on_a_corrupted_shift_but_not_on_a_scalar_phase():
 
 
 def test_wh_group_build_refuses_large_orders_up_front():
-    with pytest.raises(NotAGroup, match="order 3456 exceeds the supported maximum 512"):
+    # The operator arrays are order x L: 3456 x 96 entries, above MAX_ORDER^2.
+    with pytest.raises(NotAGroup, match="order 3456 x L = 331776 exceeds the supported maximum 262144"):
         wh_group_build(96, 4, 4)
+    # An order above MAX_ORDER on a short L builds, but has no Cayley table to validate.
+    wh = wh_group_build(48, 4, 3)
+    assert wh.order == 768 and wh.law_residual() <= 1e-13
+    with pytest.raises(NotAGroup, match="order 768 exceeds the supported maximum 512"):
+        wh_rep(wh)
     # The law needs no table, so it is checked at any order.
     assert WHGroup(96, 4, 4, 6, 1).law_residual() <= 1e-13
 

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from frametrace import groups
 from frametrace.errors import NotAGroup, NotInvariant
 from frametrace.groups import (
     MAX_ORDER,
@@ -417,6 +418,38 @@ def test_builtin_group_is_the_validated_table(specs):
         assert np.array_equal(g.inverses, oracle.inverses) and g.inverses.dtype == oracle.inverses.dtype, spec
         assert g.generators == oracle.generators, spec
         assert not g.cayley.flags.writeable and not g.inverses.flags.writeable, spec
+
+
+LAZY_SPECS = ["cyclic:12", "dihedral:5", "heisenberg:3", "heisenberg:8", "cyclic:2 x dihedral:4"]
+
+
+@pytest.mark.parametrize("spec", LAZY_SPECS)
+def test_builtin_group_writes_its_table_once_on_first_read(monkeypatch, spec):
+    # builtin_group writes no table; the first read of cayley writes it, the first read of inverses
+    # searches it, and later reads return the same read-only arrays.
+    calls = []
+    real = groups._spec_table
+    monkeypatch.setattr(groups, "_spec_table", lambda factors: calls.append(factors) or real(factors))
+    g = builtin_group(spec)
+    assert calls == []
+    oracle = group_from_cayley(real(_parse_spec(spec)))
+    assert np.array_equal(g.inverses, oracle.inverses) and len(calls) == 1
+    assert np.array_equal(g.cayley, oracle.cayley) and g.cayley.dtype == oracle.cayley.dtype
+    assert g.cayley is g.cayley and g.inverses is g.inverses and len(calls) == 1
+    assert not g.cayley.flags.writeable and not g.inverses.flags.writeable
+
+
+@pytest.mark.parametrize("spec", LAZY_SPECS)
+def test_builtin_group_and_its_loaded_twin_agree_on_eq_and_hash(spec):
+    # Each side compares or hashes before anything read the builtin table, which __eq__ and __hash__
+    # then write.
+    table = _spec_table(_parse_spec(spec))
+    g, twin = builtin_group(spec), group_from_cayley(table)
+    assert g == twin and builtin_group(spec) == twin and twin == builtin_group(spec)
+    assert hash(builtin_group(spec)) == hash(twin)
+    assert len({builtin_group(spec), twin, g}) == 1
+    # A loaded group keeps the arrays it was validated from.
+    assert twin.cayley is twin._cayley and twin.inverses is twin._inverses
 
 
 def test_direct_product_spec():
