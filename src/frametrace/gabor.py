@@ -8,9 +8,10 @@ operator exactly and span the commutant of the system.
 Every lattice operator is a cyclic shift times a phase, built once by :func:`_tf_shifts`, so the kernels
 work on index arithmetic: V_gamma^* V_g vanishes off the residue classes mod L/b (Walnut), leaving L/b blocks
 of size b read from the b x a correlation array whose DFT holds the Wexler-Raz sums (Janssen).  Block r of
-the frame operator S is G_r G_r^* for a b x L/a Walnut factor (Zibulski-Zeevi): the canonical dual and the
-frame bounds come from its QR and SVD (``numerics.frame_svds``), with no S formed.  ``lattice_ops``,
-``adjoint_lattice_ops`` and ``wh_rep`` are dense views of the same (phase, shift) arrays.
+the frame operator S is G_r G_r^* for a b x L/a Walnut factor; one FFT of the window (Zak transform) gives
+every G_r in Fourier coordinates as small blocks holding each window sample once (Zibulski-Zeevi), and the
+canonical dual and the frame bounds come from their SVD (``numerics.frame_svds``), with no S formed.
+``lattice_ops``, ``adjoint_lattice_ops`` and ``wh_rep`` are dense views of the same (phase, shift) arrays.
 """
 from __future__ import annotations
 
@@ -98,45 +99,45 @@ def _apply_blocks(blocks: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("rij,jr->ir", blocks, v.reshape(blocks.shape[1], -1)).ravel()
 
 
-def _walnut_factors(sys: GaborSystem) -> tuple[np.ndarray, np.ndarray]:
-    """(F, Q) from the QR G_r^* = Q_r F_r^* of the b x L/a Walnut factor G_r[i, n] = sqrt(L/b) g(r + i L/b - n a)
-    of each of the min(a, L/b) distinct classes r: block r of S is G_r G_r^* = F_r F_r^* (Zibulski-Zeevi), the
-    class r + q a rolls G_r's columns by q, and the SVD of F_r (b x min(b, L/a)) costs less than that of G_r."""
-    p = sys.L // sys.b
-    r, n, i = np.ogrid[: min(sys.a, p), : sys.L // sys.a, : sys.b]
-    q, t = np.linalg.qr(np.sqrt(p) * sys.window[(r + p * i - sys.a * n) % sys.L].conj())
-    return t.conj().swapaxes(1, 2), q
+def _zak_blocks(sys: GaborSystem) -> tuple[np.ndarray, np.ndarray]:
+    """The Walnut factors G_r[i, n] = sqrt(L/b) g(r + i L/b - n a) of the c = gcd(L/b, a) distinct classes r in
+    Fourier coordinates (Zibulski-Zeevi): the DFTs in i and n leave (c / sqrt(a)) hat h_r(k), h_r(u) = g(r + u c),
+    at (k mod b, k mod L/a) for k < L/c = lcm(b, L/a), each sample once, in block k mod e of e = gcd(L/a, b).
+    Returns the (c e, b/e, L/(a e)) stack, with the singular values of the G_r, and the position of each k."""
+    length, a, b = sys.L, sys.a, sys.b
+    c, e = math.gcd(length // b, a), math.gcd(length // a, b)
+    k = np.arange(length // c)
+    pos = ((k % e) * (b // e) + k % b // e) * (length // (a * e)) + k % (length // a) // e
+    blocks = np.empty((c, k.size), dtype=complex)
+    blocks[:, pos] = np.fft.fft(sys.window.reshape(-1, c), axis=0).T * (c / np.sqrt(a))
+    return blocks.reshape(c * e, b // e, -1), pos
 
 
 def gabor_frame_operator(sys: GaborSystem) -> np.ndarray:
-    """The dense L x L frame operator S, its Walnut blocks F_r F_r^* scattered on the classes mod L/b."""
-    p = sys.L // sys.b
-    idx = np.arange(p)[:, None] + p * np.arange(sys.b)  # row r: the class of r mod L/b
-    f = _walnut_factors(sys)[0][np.arange(p) % sys.a]
+    """The dense L x L frame operator S, its Walnut blocks V_g^* V_g scattered on the classes mod L/b."""
+    idx = np.arange(sys.L // sys.b)[:, None] + sys.L // sys.b * np.arange(sys.b)  # row r: the class of r mod L/b
     out = np.zeros((sys.L, sys.L), dtype=complex)
-    out[idx[:, :, None], idx[:, None, :]] = f @ f.conj().swapaxes(1, 2)
+    out[idx[:, :, None], idx[:, None, :]] = _walnut_blocks(sys.L, sys.a, sys.b, sys.window, sys.window)
     return out
 
 
 def gabor_canonical_dual(sys: GaborSystem) -> np.ndarray:
-    """Canonical dual S^-1 g from the SVDs F_r = U diag(s) W^* of :func:`_walnut_factors`: g on class r + q a is
-    column -q mod L/a of G_r / sqrt(L/b) = U diag(s) (Q_r W)^* / sqrt(L/b), so S^-1 g is that of U diag(1/s)
-    (Q_r W)^* / sqrt(L/b).  At the floor, raises :class:`NotAFrame` with ``ratio`` = :func:`frame_bounds_ratio`."""
-    f, basis = _walnut_factors(sys)
+    """Canonical dual S^-1 g, in (G_r^+)^* as g is in G_r (S_r = G_r G_r^*): Zak blocks U diag(1/s) V^* where g's
+    are U diag(s) V^*.  At the floor, raises :class:`NotAFrame` with ``ratio`` = :func:`frame_bounds_ratio`."""
+    blocks, pos = _zak_blocks(sys)
     try:
-        ((u, s, wh),) = frame_svds([f])
+        ((u, s, vh),) = frame_svds([blocks])
     except NotInvertible as exc:
         raise NotAFrame(str(exc), ratio=exc.ratio) from exc
-    q, r = np.divmod(np.arange(sys.L // sys.b), sys.a)
-    dual = ((u / s[:, None, :]) @ wh @ basis.conj().swapaxes(1, 2))[r, :, -q % (sys.L // sys.a)]  # row r + q a
-    return dual.T.ravel() / np.sqrt(sys.L // sys.b)
+    dual = ((u / s[:, None, :]) @ vh).reshape(-1, pos.size)[:, pos].T  # (L/c, c): hat h_r(k) at [k, r]
+    return np.fft.ifft(dual * (np.sqrt(sys.a) * pos.size / sys.L), axis=0).ravel()  # sqrt(a) / c, c = L / (L/c)
 
 
 def frame_bounds_ratio(sys: GaborSystem) -> float:
-    """lambda_min / lambda_max of the frame operator: the s^2 of :func:`_walnut_factors`, read as
+    """lambda_min / lambda_max of the frame operator: the s^2 of :func:`_zak_blocks`, read as
     :func:`gabor_canonical_dual` reads them (0 for the zero window and for ab > L)."""
     try:
-        ((_, s, _),) = frame_svds([_walnut_factors(sys)[0]])
+        ((_, s, _),) = frame_svds([_zak_blocks(sys)[0]])
     except NotInvertible as exc:
         return exc.ratio
     return float(np.square(s.min()) / np.square(s.max()))  # as numerics._floor reads the s^2

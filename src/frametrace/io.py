@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import FrametraceError, IrrepTableError, NotAGroup
 from .gabor import GaborSystem
-from .groups import FiniteGroup, GroupVector, Rep, group_from_cayley
+from .groups import FiniteGroup, GroupVector, Rep, _parse_spec, group_from_cayley
 from .numerics import DEFAULT_TOL
 from .plancherel import Irrep, IrrepTable, validate_irreps
 from .reporting import digest_bytes
@@ -160,6 +160,16 @@ def _require_list(obj: dict, key: str, path) -> list:
     return value
 
 
+def _check_group(label, group: FiniteGroup, path, what: str) -> None:
+    """A file's group label: ``group``'s own, or a spec that ``_parse_spec`` reads as its builtin factors."""
+    try:
+        same = label == group.label or isinstance(label, str) and tuple(_parse_spec(label)) == group.factors
+    except NotAGroup:  # a string that is no spec
+        same = False
+    if not same:
+        raise MalformedInput(f"{path}: {what} to group {label!r}, expected {group.label!r}")
+
+
 def _number_array(value, kinds: str, what: str, path) -> np.ndarray:
     """A JSON array as numpy infers it, refused unless its dtype kind is in ``kinds`` ("iu":
     integers, "iuf": numbers): no string, bool or null is coerced; a bool among numbers reads 0/1."""
@@ -246,10 +256,7 @@ def load_vector(source, group: FiniteGroup) -> GroupVector:
     obj, path = _load_json(source)
     label = _require(obj, "group", path)
     raw = _require(obj, "data", path)
-    if label != group.label:
-        raise MalformedInput(
-            f"{path}: vector belongs to group {label!r}, expected {group.label!r}"
-        )
+    _check_group(label, group, path, "vector belongs")
     return GroupVector(group, _vector_from_json(raw, group.order, "vector", path))
 
 
@@ -262,11 +269,7 @@ def load_label(source) -> str:
 def load_vectors(source, group: FiniteGroup) -> list[GroupVector]:
     """Load a list of vectors: {"group": label, "vectors": [[[re, im], ...], ...]}."""
     obj, path = _load_json(source)
-    label = _require(obj, "group", path)
-    if label != group.label:
-        raise MalformedInput(
-            f"{path}: vectors belong to group {label!r}, expected {group.label!r}"
-        )
+    _check_group(_require(obj, "group", path), group, path, "vectors belong")
     return [
         GroupVector(group, _vector_from_json(raw, group.order, f"vector {k}", path))
         for k, raw in enumerate(_require_list(obj, "vectors", path))
@@ -293,11 +296,7 @@ def save_irreps(table: IrrepTable, path) -> None:
 def load_irreps(source, group: FiniteGroup, tol: float = DEFAULT_TOL) -> IrrepTable:
     """Load an irrep table and check it with :func:`validate_irreps` at ``tol``; a refusal names the file."""
     obj, path = _load_json(source)
-    label = _require(obj, "group", path)
-    if label != group.label:
-        raise MalformedInput(
-            f"{path}: irreps belong to group {label!r}, expected {group.label!r}"
-        )
+    _check_group(_require(obj, "group", path), group, path, "irreps belong")
     entries = []
     for item in _require_list(obj, "irreps", path):
         name = _require(item, "label", path)

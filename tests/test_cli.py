@@ -2,6 +2,7 @@
 import builtins
 import hashlib
 import json
+import math
 import sys
 import tracemalloc
 from collections import Counter
@@ -296,6 +297,34 @@ def test_frame_dual_and_check_roundtrip(tmp_path):
     assert rep2["overall_pass"] is True
 
 
+def test_frame_files_may_spell_the_builtin_spec_their_own_way(tmp_path):
+    """A window naming its group "cyclic:2xdihedral:3" builds that group, whose label is "cyclic:2 x dihedral:3";
+    the window, the written dual, a subspace and an irreps file in either spelling all belong to it."""
+    group = builtin_group("cyclic:2 x dihedral:3")
+    rng = np.random.default_rng(11)
+    data = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+    eta, psi, sub = tmp_path / "eta.json", tmp_path / "psi.json", tmp_path / "sub.json"
+    eta.write_text(json.dumps({"group": "cyclic:2xdihedral:3", "data": ftio.complex_to_json(data)}))
+    sub.write_text(json.dumps({"group": " cyclic:2 x  dihedral:3", "vectors": [ftio.complex_to_json(data)]}))
+    assert run(["frame", "dual", "--window", str(eta), "--out-vector", str(psi),
+                "--out", str(tmp_path / "d.json")]) == 0
+    assert ftio.load_label(psi) == group.label
+    assert run(["frame", "check", "--window", str(eta), "--pair", str(eta), str(psi),
+                "--out", str(tmp_path / "c.json")]) == 0
+    assert [v.data.tolist() for v in ftio.load_vectors(sub, group)] == [data.tolist()]
+    irreps = tmp_path / "irreps.json"
+    ftio.save_irreps(builtin_irreps(group), irreps)
+    irreps.write_text(irreps.read_text().replace(group.label, "cyclic:2xdihedral:3"))
+    assert run(["group", "analyze", "--builtin", group.label, "--irreps", str(irreps),
+                "--out", str(tmp_path / "a.json")]) == 0
+    # Another group, a label that is no spec, and a file group under a respelled label are still refused.
+    for label, target in (("dihedral:3 x cyclic:2", group), ("cyclic:2 x", group), (7, group),
+                          ("cyclic:2xdihedral:3", relabelled(group, np.arange(12), label=group.label))):
+        eta.write_text(json.dumps({"group": label, "data": ftio.complex_to_json(data)}))
+        with pytest.raises(ftio.MalformedInput, match="belongs to group"):
+            ftio.load_vector(eta, target)
+
+
 #: Relative bound on |frame dual|tighten output - oracle| for windows of frame-bounds ratio >= 1e-3,
 #: i.e. cond(S) <= 1e3: both sides solve with S = V^* V to about cond(S) * eps = 2.2e-13.  Measured
 #: worst case of the test below: 3.8e-14 (dual, cyclic:512, seed 3, ratio 2.8e-3).
@@ -483,7 +512,7 @@ def _count_calls(monkeypatch, modules, name):
 
 @pytest.mark.parametrize("lattice, bad", [((4, 2, 4), None), ((32, 4, 4), 0)])
 def test_failed_gabor_dual_builds_one_spectrum(tmp_path, monkeypatch, lattice, bad):
-    """The ratio comes from the singular values the dual already computed: one factor build, one SVD."""
+    """The ratio comes from the singular values the dual already computed: one block build, one SVD."""
     import frametrace.gabor as gabor
     import frametrace.numerics as numerics
 
@@ -493,11 +522,11 @@ def test_failed_gabor_dual_builds_one_spectrum(tmp_path, monkeypatch, lattice, b
     sys_ = GaborSystem(*lattice, window=window)
     w, out = tmp_path / "w.json", tmp_path / "r.json"
     ftio.save_window(sys_, w)
-    factors = _count_calls(monkeypatch, [gabor], "_walnut_factors")
+    blocks = _count_calls(monkeypatch, [gabor], "_zak_blocks")
     svds = _count_calls(monkeypatch, [numerics, gabor], "frame_svds")
     flags = [str(x) for pair in zip(("--L", "--a", "--b"), lattice) for x in pair]
     assert run(["gabor", "dual", *flags, "--window", str(w), "--out", str(out)]) == 1
-    assert len(factors) == 1 and len(svds) == 1
+    assert len(blocks) == 1 and len(svds) == 1
     monkeypatch.undo()
     rep = read_report(out)
     assert rep["checks"][0]["name"] == "dual_not_a_frame"
@@ -505,12 +534,14 @@ def test_failed_gabor_dual_builds_one_spectrum(tmp_path, monkeypatch, lattice, b
 
 
 @pytest.mark.parametrize(
-    "lattice, bad, code",
-    [((512, 8, 8), None, 0), ((512, 8, 8), 3, 1), ((48, 16, 4), None, 1)],  # ab > L: no frame
+    "lattice, bad, code, shape",
+    [((512, 8, 8), None, 0, (64, 1, 8)), ((512, 8, 8), 3, 1, (64, 1, 8)),
+     ((48, 16, 4), None, 1, (4, 4, 3))],  # ab > L: no frame
 )
-def test_gabor_dual_factors_only_the_distinct_classes(tmp_path, monkeypatch, lattice, bad, code):
-    """Walnut factor r + q a is factor r with its columns rolled: one stack of min(a, L/b) factors F_r, each
-    b x min(b, L/a), not L/b of them.  For ab > L each has more rows than columns; ``frame_svds`` refuses it."""
+def test_gabor_dual_factors_only_the_distinct_classes(tmp_path, monkeypatch, lattice, bad, code, shape):
+    """Only the c = gcd(L/b, a) Walnut factors G_r, r < c, are distinct: one FFT of the window gives them as
+    e = gcd(L/a, b) Zak blocks each, a stack of shape (c e, b/e, L/(a e)), not L/b factors of size b x L/a.
+    For ab > L each block has more rows than columns; ``frame_svds`` refuses it."""
     import frametrace.gabor as gabor
     import frametrace.numerics as numerics
 
@@ -523,7 +554,9 @@ def test_gabor_dual_factors_only_the_distinct_classes(tmp_path, monkeypatch, lat
     svds = _count_calls(monkeypatch, [numerics, gabor], "frame_svds")
     flags = [str(x) for pair in zip(("--L", "--a", "--b"), lattice) for x in pair]
     assert run(["gabor", "dual", *flags, "--window", str(w), "--out", str(tmp_path / "r.json")]) == code
-    assert [[f.shape for f in args[0]] for args in svds] == [[(min(a, length // b), b, min(b, length // a))]]
+    c, e = math.gcd(length // b, a), math.gcd(length // a, b)
+    assert (c * e, b // e, length // (a * e)) == shape
+    assert [[f.shape for f in args[0]] for args in svds] == [[shape]]
 
 
 def test_gabor_bridge_builds_its_operator_arrays_once(tmp_path, monkeypatch):

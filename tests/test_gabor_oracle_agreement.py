@@ -15,6 +15,7 @@ lattice-swap relation against its dense form.  Windows: random ones, and ones
 that vanish on a residue class mod a, which are never frames.
 """
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from frametrace.gabor import (
     wh_rep,
     wr_fundamental_relation_check,
 )
-from frametrace.gabor import _apply_blocks, _walnut_blocks, _walnut_factors
+from frametrace.gabor import _apply_blocks, _walnut_blocks, _zak_blocks
 from frametrace.numerics import inv_psd
 from oracles import (
     coefficient_map_by_gathers,
@@ -55,8 +56,8 @@ LATTICES = [
     (36, 6, 6), (48, 4, 4), (60, 5, 6), (256, 8, 8), (512, 8, 8),
 ]
 SMALL = [lat for lat in LATTICES if lat[0] <= 60]  # WH groups of order <= 512
-# a does not divide L/b (twice), and a > L/b: then ab > L and no window is a frame.
-BLOCK_LATTICES = LATTICES + [(20, 4, 2), (36, 4, 6), (48, 16, 4)]
+# a does not divide L/b (twice), and a > L/b: then ab > L and no window is a frame; a = L and b = L.
+BLOCK_LATTICES = LATTICES + [(20, 4, 2), (36, 4, 6), (48, 16, 4), (12, 12, 1), (12, 1, 12)]
 PERTURBATIONS = (0.0, 1e-13, 1e-9, 1e-6, 1e-3)
 
 
@@ -161,13 +162,18 @@ def test_walnut_blocks_match_the_gather_oracle(lat):
             assert np.abs(got - oracle).max() <= 1e-13 * np.abs(oracle).max()
             for r in range(length // b):
                 assert got[r].tobytes() == got[r % a].tobytes()
-        f, q = _walnut_factors(GaborSystem(length, a, b, g))  # G_r = F_r Q_r^*, S's blocks F_r F_r^*
-        m, k, p = min(a, length // b), min(b, length // a), length // b
-        assert f.shape == (m, b, k) and q.shape == (m, length // a, k)
-        r, i, n = np.ogrid[:m, :b, : length // a]
-        walnut = np.sqrt(p) * g[(r + p * i - a * n) % length]  # G_r[i, n] = sqrt(L/b) g(r + i L/b - n a)
-        assert np.abs(f @ q.conj().swapaxes(1, 2) - walnut).max() <= 1e-13 * np.abs(walnut).max()
-        assert np.abs(f @ f.conj().swapaxes(1, 2) - oracle[:m]).max() <= 1e-13 * np.abs(oracle).max()
+        # S's block r is G_r G_r^*, G_r[i, n] = sqrt(L/b) g(r + i L/b - n a), and class r has the singular values
+        # of class r mod c, c = gcd(L/b, a): those of its e = gcd(L/a, b) Zak blocks.
+        p, c, e = length // b, math.gcd(length // b, a), math.gcd(length // a, b)
+        r, i, n = np.ogrid[:p, :b, : length // a]
+        walnut = np.sqrt(p) * g[(r + p * i - a * n) % length]
+        assert np.abs(walnut @ walnut.conj().swapaxes(1, 2) - oracle).max() <= 1e-13 * np.abs(oracle).max()
+        blocks, pos = _zak_blocks(GaborSystem(length, a, b, g))
+        assert blocks.shape == (c * e, b // e, length // (a * e))
+        assert np.array_equal(np.sort(pos), np.arange(length // c))  # each sample of g once
+        zak = np.sort(np.linalg.svd(blocks, compute_uv=False).reshape(c, -1), axis=1)
+        walnut_s = np.sort(np.linalg.svd(walnut, compute_uv=False), axis=1)
+        assert np.abs(walnut_s - zak[np.arange(p) % c]).max() <= 1e-13 * walnut_s.max()
 
 
 @pytest.mark.parametrize("lat", BLOCK_LATTICES, ids=ids)
