@@ -7,9 +7,10 @@ operator exactly and span the commutant of the system.
 
 Every lattice operator is a cyclic shift times a phase, built once by :func:`_tf_shifts`, so the kernels
 work on index arithmetic: V_gamma^* V_g vanishes off the residue classes mod L/b (Walnut), leaving L/b blocks
-of size b read from the b x a correlation array whose DFT holds the Wexler-Raz sums (Janssen).  Block r of
-the frame operator S is G_r G_r^* for a b x L/a Walnut factor; one FFT of the window (Zak transform) gives
-every G_r in Fourier coordinates as small blocks holding each window sample once (Zibulski-Zeevi), and the
+of size b read from the b x a correlation array whose DFT holds the Wexler-Raz sums (Janssen).  Both pair checks
+read that DFT alone: by Parseval over the classes mod a, ||V_gamma^* V_g - I||_F is a multiple of its norm.
+Block r of the frame operator S is G_r G_r^* for a b x L/a Walnut factor; one FFT of the window (Zak transform)
+gives every G_r in Fourier coordinates as small blocks holding each window sample once (Zibulski-Zeevi), and the
 canonical dual and the frame bounds come from their SVD (``numerics.frame_svds``), with no S formed.
 ``lattice_ops``, ``adjoint_lattice_ops`` and ``wh_rep`` are dense views of the same (phase, shift) arrays.
 """
@@ -74,11 +75,20 @@ def gabor_coefficient_map(sys: GaborSystem) -> np.ndarray:
 
 
 def _correlation(length: int, a: int, b: int, gamma: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """P[t, c] = sum_(j = c mod a) conj g(j) gamma(j - t L/b): b shifted products of length L,
-    summed over the classes mod a.  Every pairing of gamma with g on the lattice reads this b x a array."""
-    j = np.arange(length)
-    products = g.conj() * gamma[(j - (length // b) * np.arange(b)[:, None]) % length]
-    return products.reshape(b, length // a, a).sum(axis=1)
+    """P[t, c] = sum_(j = c mod a) conj g(j) gamma(j - t L/b), b x a: every pairing of gamma with g on the lattice
+    reads it.  At j = s L/b + r, gamma(j - t L/b) is row s - t of gamma.reshape(b, L/b): a b x b index, no b x L."""
+    s = np.arange(b)
+    rows = gamma.reshape(b, -1)[(s - s[:, None]) % b]  # rows[t, s] = row s - t
+    return np.multiply(g.conj().reshape(b, -1), rows, out=rows).reshape(b, length // a, a).sum(axis=1)
+
+
+def _wr_defect(sys: GaborSystem, gamma) -> np.ndarray:
+    """D[t, s] = <M_(s L/a) T_(t L/b) gamma, g> - (ab/L) [s = t = 0], b x a.  That inner product is
+    sum_j conj g(j) gamma(j - t L/b) exp(2 pi i s j / a), the length-a DFT over s of :func:`_correlation`."""
+    gamma = GaborSystem(sys.L, sys.a, sys.b, gamma).window  # checks the length
+    values = sys.a * np.fft.ifft(_correlation(sys.L, sys.a, sys.b, gamma, sys.window), axis=1)
+    values[0, 0] -= sys.a * sys.b / sys.L  # the identity (s = t = 0)
+    return values
 
 
 def _walnut_blocks(length: int, a: int, b: int, gamma: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -144,10 +154,9 @@ def frame_bounds_ratio(sys: GaborSystem) -> float:
 
 
 def gabor_reconstruction_check(sys: GaborSystem, gamma, tol: float) -> CheckResult:
-    """||V_gamma^* V_g - I||_F from the Walnut blocks (0 for a dual window gamma)."""
-    gamma = GaborSystem(sys.L, sys.a, sys.b, gamma).window  # checks the length
-    blocks = _walnut_blocks(sys.L, sys.a, sys.b, gamma, sys.window)
-    residual = float(np.linalg.norm(blocks - np.eye(sys.b)))
+    """||V_gamma^* V_g - I||_F (0 for a dual window gamma) = (L/b) sqrt(L) / a ||D||_F for the Wexler-Raz
+    defect D (:func:`_wr_defect`): each P[t, c] fills L/a Walnut entries, and Parseval over the classes c."""
+    residual = sys.L / sys.b * math.sqrt(sys.L) / sys.a * float(np.linalg.norm(_wr_defect(sys, gamma)))
     return CheckResult(name="gabor_reconstruction", residual=residual, tol=tol)
 
 
@@ -178,18 +187,9 @@ def adjoint_lattice_ops(length: int, a: int, b: int) -> list[np.ndarray]:
 
 
 def wexler_raz_check(sys: GaborSystem, gamma, tol: float = DEFAULT_TOL) -> CheckResult:
-    """Biorthogonality over the adjoint lattice: <A gamma, g> = (ab/L) [A = Id].
-
-    Passing is equivalent to gamma being a dual window of the system's g.
-    With A = M_(s L/a) T_(t L/b), <A gamma, g> = sum_j conj g(j) gamma(j - t L/b)
-    exp(2 pi i s j / a): the length-a DFT over s of :func:`_correlation`, the
-    array the Walnut blocks of V_gamma^* V_g read.
-    """
-    length, a, b = sys.L, sys.a, sys.b
-    gamma = GaborSystem(length, a, b, gamma).window  # checks the length
-    values = a * np.fft.ifft(_correlation(length, a, b, gamma, sys.window), axis=1)
-    values[0, 0] -= a * b / length  # the identity (s = t = 0)
-    return CheckResult(name="wexler_raz", residual=float(np.abs(values).max()), tol=tol)
+    """Biorthogonality over the adjoint lattice, <A gamma, g> = (ab/L) [A = Id]: max |D| of
+    :func:`_wr_defect`.  Passing is equivalent to gamma being a dual window of the system's g."""
+    return CheckResult(name="wexler_raz", residual=float(np.abs(_wr_defect(sys, gamma)).max()), tol=tol)
 
 
 def wr_fundamental_relation_check(length: int, a: int, b: int, f, g, h, tol: float = DEFAULT_TOL) -> CheckResult:

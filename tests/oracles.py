@@ -330,6 +330,14 @@ def unit_roots_by_exp(k, n: int) -> np.ndarray:
     return np.exp(2j * np.pi * (np.asarray(k) % n) / n)
 
 
+def correlation_by_gather(length: int, a: int, b: int, gamma, g) -> np.ndarray:
+    """The former ``gabor._correlation``: a b x L index gathers the b shifts gamma(j - t L/b) at once,
+    then b x L products with conj g, summed over the classes mod a."""
+    j = np.arange(length)
+    products = g.conj() * gamma[(j - (length // b) * np.arange(b)[:, None]) % length]
+    return products.reshape(b, length // a, a).sum(axis=1)
+
+
 def walnut_blocks_by_gather(length: int, a: int, b: int, gamma, g) -> np.ndarray:
     """The former ``gabor._walnut_blocks``: two (L/b) x b x (L/a) gathers and L/b batched
     matmuls, block r = (L/b) sum_n gamma[idx_r - n a] conj g[idx_r - n a]^T, O(L^2 b / a)."""

@@ -147,16 +147,22 @@ def test_dual_of_a_window_ill_conditioned_inside_its_blocks(lattice, ratio):
 
 def test_dual_at_a_long_window_stays_small():
     """The dual holds each window sample once: one FFT of the window and 16384 Zak blocks of size 1 x 2 at
-    L = 32768, a = b = 128, where the 128 Walnut factors G_r of size 128 x 256 alone take 64 MiB."""
+    L = 32768, a = b = 128, where the 128 Walnut factors G_r of size 128 x 256 alone take 64 MiB.  Each pair
+    check reads the b x a Wexler-Raz array off one b x L product of rolled rows (64 MiB) and no b x L index."""
     sys_ = GaborSystem(32768, 128, 128, rand_c(np.random.default_rng(55), 32768))
-    tracemalloc.start()
-    try:
-        gamma = gabor_canonical_dual(sys_)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    def traced(fn, *args):
+        tracemalloc.start()
+        try:
+            return fn(*args), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    gamma, peak = traced(gabor_canonical_dual, sys_)
     assert peak < 16 * 2**20
-    assert wexler_raz_check(sys_, gamma).passed
+    for check in (gabor_reconstruction_check, wexler_raz_check):
+        result, peak = traced(check, sys_, gamma, DEFAULT_TOL)
+        assert result.passed and peak < 72 * 2**20
 
 
 def test_undersampled_is_not_a_frame():

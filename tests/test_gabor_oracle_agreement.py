@@ -9,10 +9,12 @@ M_(sL/a) and T_(tL/b) at L = 512, where the whole list takes 256 MiB), the
 dense product V_gamma^* V_g and the sum over the dense Weyl-Heisenberg
 representation.  The one (phase, shift) kernel is also checked bitwise against
 the gathers it replaced, and its dense views against the dense products.  The
-Walnut blocks, read from one b x a correlation array, are checked against the
-gather-and-matmul blocks they replaced, and the Walnut form of the
-lattice-swap relation against its dense form.  Windows: random ones, and ones
-that vanish on a residue class mod a, which are never frames.
+b x a correlation array is checked bitwise against the b x L gather it replaced;
+the Walnut blocks read from it, against the gather-and-matmul blocks they
+replaced, and the reconstruction check, which reads no block, against their
+norm.  The Walnut form of the lattice-swap relation is checked against its
+dense form.  Windows: random ones, and ones that vanish on a residue class
+mod a, which are never frames.
 """
 import dataclasses
 import math
@@ -37,10 +39,11 @@ from frametrace.gabor import (
     wh_rep,
     wr_fundamental_relation_check,
 )
-from frametrace.gabor import _apply_blocks, _walnut_blocks, _zak_blocks
+from frametrace.gabor import _apply_blocks, _correlation, _walnut_blocks, _zak_blocks
 from frametrace.numerics import inv_psd
 from oracles import (
     coefficient_map_by_gathers,
+    correlation_by_gather,
     lattice_ops_dense,
     modulation,
     translation,
@@ -155,13 +158,23 @@ def test_walnut_blocks_match_the_gather_oracle(lat):
     for seed in seeds(length):
         rng = np.random.default_rng(seed)
         _, g = windows(length, a, seed)[0]
-        for gamma in (rand_c(rng, length), g):
+        random_gamma = rand_c(rng, length)
+        for gamma in (random_gamma, g):
+            assert np.array_equal(_correlation(length, a, b, gamma, g), correlation_by_gather(length, a, b, gamma, g))
             got = _walnut_blocks(length, a, b, gamma, g)
             oracle = walnut_blocks_by_gather(length, a, b, gamma, g)
             assert got.shape == oracle.shape == (length // b, b, b)
             assert np.abs(got - oracle).max() <= 1e-13 * np.abs(oracle).max()
             for r in range(length // b):
                 assert got[r].tobytes() == got[r % a].tobytes()
+        # The reconstruction check forms no block: (L/b) sqrt(L) / a times the norm of the Wexler-Raz defect.
+        # A dual's residual is rounding on both routes, so it is compared relative to the blocks' norm.
+        sys_ = GaborSystem(length, a, b, g)
+        for gamma in [random_gamma] + ([gabor_canonical_dual(sys_)] if a * b <= length else []):
+            blocks = walnut_blocks_by_gather(length, a, b, gamma, g)
+            want = np.linalg.norm(blocks - np.eye(b))
+            scale = want if gamma is random_gamma else np.linalg.norm(blocks)
+            assert abs(gabor_reconstruction_check(sys_, gamma, 1e-9).residual - want) <= 1e-13 * scale
         # S's block r is G_r G_r^*, G_r[i, n] = sqrt(L/b) g(r + i L/b - n a), and class r has the singular values
         # of class r mod c, c = gcd(L/b, a): those of its e = gcd(L/a, b) Zak blocks.
         p, c, e = length // b, math.gcd(length // b, a), math.gcd(length // a, b)
