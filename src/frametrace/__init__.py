@@ -75,7 +75,7 @@ from .numerics import (
     EIG_FLOOR,
     HermEig,
     eig_hermitian,
-    frame_svds,
+    frame_duals,
 )
 from .plancherel import (
     FiberSubspace,

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import io as ftio
 from .commutant import tracial_check
-from .errors import FrametraceError, NotAFrame, NotInRange, NotInvertible, UnsupportedGroup
+from .errors import FrametraceError, NotAFrame, NotInRange, UnsupportedGroup
 from .frames import InvariantProjection, admissibility_defect, admissible_check, trace_of_projection
 from .gabor import (
     GaborSystem,
@@ -185,14 +185,14 @@ def cmd_frame(args) -> int:
     report.metadata["subcommand"] = args.action
 
     if args.action in ("dual", "tighten"):
-        sqrt = args.action == "tighten"
+        tight = args.action == "tighten"
         try:
-            out = fibers.frame_solve(window.data, sqrt)
-        except NotInvertible as exc:
+            out = fibers.frame_solve(window.data, tight)
+        except NotAFrame as exc:
             report.add(CheckResult(name=f"{args.action}_not_a_frame", residual=1.0, tol=0.0))
             report.metadata["frame_bounds_ratio"] = exc.ratio
             return _finish(report, args)
-        partner = out if sqrt else window.data
+        partner = out if tight else window.data
         check = admissible_check(group, admissibility_defect(proj, partner, out), tol)
         report.add(check.renamed(f"{args.action}_reconstruction"))
         if args.out_vector:

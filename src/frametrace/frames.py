@@ -3,8 +3,8 @@
 The analysis map of a window eta under a representation pi is (V_eta phi)(x) = <phi, pi(x) eta>, a |G| x d
 matrix with rows indexed by group elements.  Admissibility of a pair (eta, psi) means V_psi^* V_eta = Id, and
 the natural trace on the commuting algebra of any representation is matrix-trace/|G|.  The frame operator
-S = V_eta^* V_eta is never inverted: the dual and the tight window come from the SVD of V_eta^*
-(``numerics.frame_svds``, as on the Plancherel fibers), whose s^2 are the eigenvalues of S.
+S = V_eta^* V_eta is never inverted: the dual and the tight window are column e of the dual factors of V_eta^*
+(``numerics.frame_duals``, as on the Plancherel fibers and the Gabor Zak blocks), whose s^2 are the eigenvalues of S.
 
 For left translation on l2(G), V_eta = R_eta^*, with R_f the right convolution by f, so V_psi^* V_eta = R_c
 lies in the commuting algebra, with c = eta* * psi (``groups.star_convolve``), and S = R_(eta* * eta).  A
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotInvariant, NotInvertible
+from .errors import DimensionMismatch, NotAFrame, NotInvariant
 from .groups import FiniteGroup, GroupVector, Rep, convolution_operator, involution, star_convolve
 from .numerics import (
     DEFAULT_TOL,
@@ -24,7 +24,7 @@ from .numerics import (
     RANK_CUTOFF,
     as_vector,
     eig_hermitian,
-    frame_svds,
+    frame_duals,
     orthonormal_columns,
     within_tol,
 )
@@ -35,7 +35,6 @@ from .reporting import CheckResult
 class CoefficientOperator:
     """Analysis operator V_eta of a window under a representation; its row ``identity`` is conj eta."""
 
-    vector: np.ndarray = field(repr=False)
     matrix: np.ndarray = field(repr=False)  # |G| x dim
     identity: int
 
@@ -46,7 +45,7 @@ def coefficient_operator(rep: Rep, eta) -> CoefficientOperator:
     if eta.shape[0] != rep.dim:
         raise DimensionMismatch(f"window length {eta.shape[0]} != rep dim {rep.dim}")
     orbit = np.einsum("xij,j->xi", rep.matrices, eta)
-    return CoefficientOperator(vector=eta, matrix=orbit.conj(), identity=rep.group.identity)
+    return CoefficientOperator(matrix=orbit.conj(), identity=rep.group.identity)
 
 
 def frame_operator(v: CoefficientOperator) -> np.ndarray:
@@ -56,24 +55,24 @@ def frame_operator(v: CoefficientOperator) -> np.ndarray:
 
 
 def is_frame_vector(v: CoefficientOperator) -> bool:
-    """True iff the frame operator is invertible above the eigenvalue floor (``frame_svds`` of V^*)."""
+    """True iff the frame operator is invertible above the eigenvalue floor (``frame_duals`` of V^*)."""
     try:
-        return bool(frame_svds([v.matrix.conj().T]))
-    except NotInvertible:
+        return bool(frame_duals([v.matrix.conj().T]))
+    except NotAFrame:
         return False
 
 
 def canonical_dual(v: CoefficientOperator) -> np.ndarray:
     """Minimal-norm dual window S^-1 eta = W diag(1/s) U^*[:, e] from the SVD V^* = W diag(s) U^*, whose
-    column e is eta and whose s^2 are the eigenvalues of S = V^* V; raises NotInvertible for non-frames."""
-    ((w, s, uh),) = frame_svds([v.matrix.conj().T])
-    return w @ (uh[:, v.identity] / s)
+    column e is eta and whose s^2 are the eigenvalues of S = V^* V; raises NotAFrame for non-frames."""
+    ((left, uh),), _ = frame_duals([v.matrix.conj().T])
+    return left @ uh[:, v.identity]
 
 
 def tighten(v: CoefficientOperator) -> np.ndarray:
     """Self-dual window S^-1/2 eta = W U^*[:, e], column e of the polar factor of V^*."""
-    ((w, _, uh),) = frame_svds([v.matrix.conj().T])
-    return w @ uh[:, v.identity]
+    ((left, uh),), _ = frame_duals([v.matrix.conj().T], tight=True)
+    return left @ uh[:, v.identity]
 
 
 def is_admissible_pair(rep: Rep, eta, psi, tol: float = DEFAULT_TOL) -> CheckResult:

@@ -11,7 +11,7 @@ of size b read from the b x a correlation array whose DFT holds the Wexler-Raz s
 read that DFT alone: by Parseval over the classes mod a, ||V_gamma^* V_g - I||_F is a multiple of its norm.
 Block r of the frame operator S is G_r G_r^* for a b x L/a Walnut factor; one FFT of the window (Zak transform)
 gives every G_r in Fourier coordinates as small blocks holding each window sample once (Zibulski-Zeevi), and the
-canonical dual and the frame bounds come from their SVD (``numerics.frame_svds``), with no S formed.
+canonical dual and the frame-bounds ratio come from their SVD (``numerics.frame_duals``), with no S formed.
 ``lattice_ops``, ``adjoint_lattice_ops`` and ``wh_rep`` are dense views of the same (phase, shift) arrays.
 """
 from __future__ import annotations
@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotAFrame, NotAGroup, NotInvertible
+from .errors import DimensionMismatch, NotAFrame, NotAGroup
 from .groups import MAX_ORDER, Rep, check_order, group_from_cayley
-from .numerics import DEFAULT_TOL, _unit_roots, as_vector, frame_svds
+from .numerics import DEFAULT_TOL, _unit_roots, as_vector, frame_duals
 from .reporting import CheckResult
 
 
@@ -135,22 +135,18 @@ def gabor_canonical_dual(sys: GaborSystem) -> np.ndarray:
     """Canonical dual S^-1 g, in (G_r^+)^* as g is in G_r (S_r = G_r G_r^*): Zak blocks U diag(1/s) V^* where g's
     are U diag(s) V^*.  At the floor, raises :class:`NotAFrame` with ``ratio`` = :func:`frame_bounds_ratio`."""
     blocks, pos = _zak_blocks(sys)
-    try:
-        ((u, s, vh),) = frame_svds([blocks])
-    except NotInvertible as exc:
-        raise NotAFrame(str(exc), ratio=exc.ratio) from exc
-    dual = ((u / s[:, None, :]) @ vh).reshape(-1, pos.size)[:, pos].T  # (L/c, c): hat h_r(k) at [k, r]
+    ((left, vh),), _ = frame_duals([blocks])
+    dual = (left @ vh).reshape(-1, pos.size)[:, pos].T  # (L/c, c): hat h_r(k) at [k, r]
     return np.fft.ifft(dual * (np.sqrt(sys.a) * pos.size / sys.L), axis=0).ravel()  # sqrt(a) / c, c = L / (L/c)
 
 
 def frame_bounds_ratio(sys: GaborSystem) -> float:
-    """lambda_min / lambda_max of the frame operator: the s^2 of :func:`_zak_blocks`, read as
-    :func:`gabor_canonical_dual` reads them (0 for the zero window and for ab > L)."""
+    """lambda_min / lambda_max of the frame operator: the ratio that :func:`gabor_canonical_dual`'s solver
+    tests on the s^2 of :func:`_zak_blocks` (0 for the zero window and for ab > L)."""
     try:
-        ((_, s, _),) = frame_svds([_zak_blocks(sys)[0]])
-    except NotInvertible as exc:
+        return frame_duals([_zak_blocks(sys)[0]])[1]
+    except NotAFrame as exc:
         return exc.ratio
-    return float(np.square(s.min()) / np.square(s.max()))  # as numerics._floor reads the s^2
 
 
 def gabor_reconstruction_check(sys: GaborSystem, gamma, tol: float) -> CheckResult:

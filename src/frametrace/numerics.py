@@ -3,7 +3,8 @@
 All operations work on ordinary numpy arrays of complex doubles, with
 non-finite entries rejected.  The Hermitian kernels also take a stack of
 square matrices (the blocks of a block-diagonal operator) as one operator:
-one Hermitian test, one spectrum, one floor.
+one Hermitian test, one spectrum, one floor.  :func:`frame_duals` is the one frame solver: every dual and
+tight window (representations, Plancherel fibers, Gabor Zak blocks) and frame-bounds ratio come from it.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian, NotInvertible
+from .errors import DimensionMismatch, NotAFrame, NotHermitian
 
 #: Default relative tolerance for operator-identity checks.
 DEFAULT_TOL = 1e-9
@@ -79,45 +80,40 @@ def eig_hermitian(a) -> HermEig:
     return HermEig(eigenvalues=w, eigenvectors=q)
 
 
-def _floor(w) -> None:
-    """Raise :class:`NotInvertible`, carrying the ratio min/max, when the smallest of the eigenvalues
-    ``w`` (an array of any shape) is at or below ``EIG_FLOOR`` times the largest, or none is positive."""
+def _floor(w) -> float:
+    """The ratio min/max of the eigenvalues ``w`` (any shape); raises :class:`NotAFrame` carrying it when the
+    smallest is at or below ``EIG_FLOOR`` times the largest, or none is positive (ratio 0)."""
     low, top = (float(w.min()), float(w.max())) if w.size else (0.0, 0.0)
+    ratio = low / top if top > 0.0 else 0.0
     if top <= 0.0 or low <= EIG_FLOOR * top:
-        raise NotInvertible(
-            f"eigenvalue floor violated: min={low:.3e}, max={top:.3e}, floor={EIG_FLOOR:.1e}",
-            ratio=low / top if top > 0.0 else 0.0,
-        )
+        raise NotAFrame(f"eigenvalue floor violated: min={low:.3e}, max={top:.3e}, floor={EIG_FLOOR:.1e}", ratio=ratio)
+    return ratio
 
 
-def _psd_spectrum(a) -> HermEig:
-    """Hermitian eigendecomposition of a matrix or a stack, past the ``EIG_FLOOR`` test of :func:`_floor`."""
-    dec = eig_hermitian(a)
-    _floor(dec.eigenvalues)
-    return dec
-
-
-def frame_svds(stacks) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Thin SVDs (U, s, V*) of each (m, r, d) stack of analysis blocks b = U diag(s) V*, b b* acting on the first
-    axis.  One :func:`_floor` decision covers the s^2 of all stacks (one frame operator's eigenvalues) and the
-    r - d zeros a block with r > d has beyond its thin SVD; an empty list raises.  U diag(1/s) V* and U V* give the
-    dual and tight window with no b b* formed: error sqrt(kappa) eps, not kappa eps (Higham 2002, ch. 20)."""
+def frame_duals(stacks, tight: bool = False) -> tuple[list[tuple[np.ndarray, np.ndarray]], float]:
+    """Dual blocks of each (m, r, d) stack of analysis blocks b = U diag(s) V* (b b* acts on the first axis) as
+    factor pairs (U diag(1/s), V*), product (b b*)^-1 b, or with ``tight`` (U, V*), b's polar factor; and the
+    frame-bounds ratio min/max s^2.  One thin SVD per stack and one :func:`_floor` decision over the s^2 of all
+    stacks (one frame operator's eigenvalues) and the r - d zeros a block with r > d has beyond its thin SVD; an
+    empty list raises.  No b b* is formed: error sqrt(kappa) eps, not kappa eps (Higham 2002, ch. 20)."""
     svds = [np.linalg.svd(b, full_matrices=False) for b in stacks]
     tall = any(b.shape[-2] > b.shape[-1] for b in stacks)
-    _floor(np.concatenate([np.square(s).ravel() for _, s, _ in svds] + [np.zeros(int(tall))]))
-    return svds
+    ratio = _floor(np.concatenate([np.square(s).ravel() for _, s, _ in svds] + [np.zeros(int(tall))]))
+    return [(u if tight else u / s[..., None, :], vh) for u, s, vh in svds], ratio
 
 
 def inv_psd(a) -> np.ndarray:
     """Inverse of a Hermitian positive definite matrix, or the stack of inverses of a stack, by ``eigh``:
-    the normal-equations reference that the tests hold :func:`frame_svds` to."""
-    dec = _psd_spectrum(a)
+    the normal-equations reference that the tests hold :func:`frame_duals` to."""
+    dec = eig_hermitian(a)
+    _floor(dec.eigenvalues)
     return HermEig(1.0 / dec.eigenvalues, dec.eigenvectors).reconstruct()
 
 
 def inv_sqrt_psd(a) -> np.ndarray:
     """Inverse square root A^(-1/2) of a Hermitian positive definite matrix (or stack), by ``eigh``."""
-    dec = _psd_spectrum(a)
+    dec = eig_hermitian(a)
+    _floor(dec.eigenvalues)
     return HermEig(1.0 / np.sqrt(dec.eigenvalues), dec.eigenvectors).reconstruct()
 
 

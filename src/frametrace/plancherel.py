@@ -17,6 +17,8 @@ blocks are the fiber projections P_sigma on the multiplicity space, and the
 fiber admissibility criterion reads  psihat(sigma) etahat(sigma)^* = P_sigma
 (the paper-side fiber vectors are the adjoints of our analysis blocks, which
 is what turns the usual "psi^* eta" into "psi eta^*" in this orientation).
+A frame operator on an invariant subspace acts fiber by fiber: ``FiberSubspace``
+analyses into stacked blocks and ``numerics.frame_duals`` solves them all.
 """
 from __future__ import annotations
 
@@ -44,7 +46,7 @@ from .numerics import (
     PROJECTION_RANK_CUT,
     RANK_CUTOFF,
     _unit_roots,
-    frame_svds,
+    frame_duals,
     within_tol,
 )
 from .reporting import CheckResult
@@ -242,12 +244,12 @@ def _class_labels(group: FiniteGroup) -> np.ndarray:
     return group.cayley[group.cayley, group.inverses[:, None]].min(axis=0)
 
 
-def _closure_plan(group: FiniteGroup) -> list:
+def _closure_plan(group: FiniteGroup, seeds) -> list:
     """(z, x, y) index arrays with z = x y, one triple per round, reaching each element but e and the
-    generators once: Light's doubling closure R <- R R from {e} and the generators, about log2 |G| + 1
-    rounds, so a product of generator matrices along it is at most that many levels deep."""
+    ``seeds`` once: Light's doubling closure R <- R R from {e} and the seeds, about log2 |G| + 1
+    rounds, so a product of seed matrices along it is at most that many levels deep."""
     known = np.zeros(group.order, dtype=bool)
-    known[[group.identity, *group.generators]] = True
+    known[[group.identity, *seeds]] = True
     plan = []
     while not known.all():
         r, z = np.flatnonzero(known), np.flatnonzero(~known)
@@ -315,16 +317,22 @@ def _dixon_split(group: FiniteGroup, rng: np.random.Generator) -> IrrepTable | N
     degrees = [d for d, c in kept for _ in c]
     if len(degrees) != reps.size or sum(d * d for d in degrees) != n:
         return None
-    # sigma(s) = Q* lambda(s) Q at the generators, (lambda(s) Q)[y] = Q[s^-1 y]; every other element by
-    # stacked products along the closure, one stack per dimension class.
-    plan = _closure_plan(group)
+    # sigma(s) = Q* lambda(s) Q, (lambda(s) Q)[y] = Q[s^-1 y], at the seeds: the generators, their pair products
+    # (a rotation from two reflections) and the repeated squares s^(2^k) of each, up to e or a repeat, so s^m is
+    # a product of about log2 m of them.  Every other element by stacked products along the closure.
+    gens, seeds = group.generators, []
+    for s in [*gens, *(group.cayley[x, y] for i, x in enumerate(gens) for y in gens[i + 1:])]:
+        while s != e and s not in seeds:
+            seeds.append(s)
+            s = int(group.cayley[s, s])
+    plan = _closure_plan(group, seeds)
     blocks = []
     for d, c in kept:
         u = q[:, starts[c][:, None] + np.arange(d)]  # (|G|, m, d)
         uh = u.transpose(1, 2, 0).conj()  # (m, d, |G|)
         mats = np.empty((n, c.size, d, d), dtype=complex)
         mats[e] = np.eye(d)
-        for s in group.generators:  # at most log2 |G| of them
+        for s in seeds:  # about log2 |G| per generator and pair
             v, _, wh = np.linalg.svd(uh @ u[group.cayley[group.inverses[s]]].swapaxes(0, 1))
             mats[s] = v @ wh  # the polar factor: unitary, and the first-order error of Q* Q - I cancels
         for zs, xs, ys in plan:
@@ -502,17 +510,17 @@ class FiberSubspace:
             flat[cols] = (u @ u.conj().swapaxes(-1, -2)).reshape(cols.shape)
         return InvariantProjection(inverse_plancherel(PlancherelCoefficients(self.table, flat)))
 
-    def frame_solve(self, eta, sqrt: bool = False) -> np.ndarray:
-        """S^-1 eta (S^-1/2 eta with ``sqrt``) on the subspace, for S the frame operator of eta projected
+    def frame_solve(self, eta, tight: bool = False) -> np.ndarray:
+        """S^-1 eta (S^-1/2 eta with ``tight``) on the subspace, for S the frame operator of eta projected
         to it.  S acts on fiber sigma as left multiplication by chat = P etahat etahat* P, so in the
         coordinates u, with b = u* etahat = U diag(s) V*, psihat = u U diag(1/s) V* (or u U V*, b's polar
-        factor).  ``frame_svds`` takes one ``EIG_FLOOR`` decision over every s^2, the eigenvalues of S on
-        the subspace without their multiplicities d_sigma, and raises :class:`NotInvertible` if it fails."""
+        factor).  ``frame_duals`` takes one ``EIG_FLOOR`` decision over every s^2, the eigenvalues of S on
+        the subspace without their multiplicities d_sigma, and raises :class:`NotAFrame` if it fails."""
         flat = _coefficients(self.table, _samples(self.table, eta))
         bs = [u.conj().swapaxes(-1, -2) @ flat[cols].reshape(*u.shape[:2], -1) for cols, u in self.ranges]
         out = np.zeros_like(flat)
-        for (cols, u), (left, s, vh) in zip(self.ranges, frame_svds(bs)):
-            out[cols] = (u @ (left if sqrt else left / s[..., None, :]) @ vh).reshape(cols.shape)
+        for (cols, u), (left, vh) in zip(self.ranges, frame_duals(bs, tight)[0]):
+            out[cols] = (u @ left @ vh).reshape(cols.shape)
         return _synthesis(self.table, out)
 
 

@@ -345,7 +345,7 @@ def test_full_space_frame_vectors_agree_with_the_coefficient_operator_oracle(tmp
         rng = np.random.default_rng(seed)
         eta = rng.standard_normal(g.order) + 1j * rng.standard_normal(g.order)
         eta[g.identity] += 3 * np.sqrt(g.order)  # eta^(sigma) = 3 sqrt|G| Id + noise of about that size
-        v = CoefficientOperator(vector=eta, matrix=regular_coefficient_matrix(g, eta), identity=g.identity)
+        v = CoefficientOperator(matrix=regular_coefficient_matrix(g, eta), identity=g.identity)
         w = np.linalg.eigvalsh(frame_operator(v))
         assert w[0] >= 1e-3 * w[-1], (seed, w[0] / w[-1])
         ftio.save_vector(GroupVector(g, eta), eta_path)
@@ -523,10 +523,10 @@ def test_failed_gabor_dual_builds_one_spectrum(tmp_path, monkeypatch, lattice, b
     w, out = tmp_path / "w.json", tmp_path / "r.json"
     ftio.save_window(sys_, w)
     blocks = _count_calls(monkeypatch, [gabor], "_zak_blocks")
-    svds = _count_calls(monkeypatch, [numerics, gabor], "frame_svds")
+    solves = _count_calls(monkeypatch, [numerics, gabor], "frame_duals")
     flags = [str(x) for pair in zip(("--L", "--a", "--b"), lattice) for x in pair]
     assert run(["gabor", "dual", *flags, "--window", str(w), "--out", str(out)]) == 1
-    assert len(blocks) == 1 and len(svds) == 1
+    assert len(blocks) == 1 and len(solves) == 1
     monkeypatch.undo()
     rep = read_report(out)
     assert rep["checks"][0]["name"] == "dual_not_a_frame"
@@ -541,7 +541,7 @@ def test_failed_gabor_dual_builds_one_spectrum(tmp_path, monkeypatch, lattice, b
 def test_gabor_dual_factors_only_the_distinct_classes(tmp_path, monkeypatch, lattice, bad, code, shape):
     """Only the c = gcd(L/b, a) Walnut factors G_r, r < c, are distinct: one FFT of the window gives them as
     e = gcd(L/a, b) Zak blocks each, a stack of shape (c e, b/e, L/(a e)), not L/b factors of size b x L/a.
-    For ab > L each block has more rows than columns; ``frame_svds`` refuses it."""
+    For ab > L each block has more rows than columns; ``frame_duals`` refuses it."""
     import frametrace.gabor as gabor
     import frametrace.numerics as numerics
 
@@ -551,12 +551,12 @@ def test_gabor_dual_factors_only_the_distinct_classes(tmp_path, monkeypatch, lat
         window[bad::a] = 0.0
     w = tmp_path / "w.json"
     ftio.save_window(GaborSystem(*lattice, window=window), w)
-    svds = _count_calls(monkeypatch, [numerics, gabor], "frame_svds")
+    solves = _count_calls(monkeypatch, [numerics, gabor], "frame_duals")
     flags = [str(x) for pair in zip(("--L", "--a", "--b"), lattice) for x in pair]
     assert run(["gabor", "dual", *flags, "--window", str(w), "--out", str(tmp_path / "r.json")]) == code
     c, e = math.gcd(length // b, a), math.gcd(length // a, b)
     assert (c * e, b // e, length // (a * e)) == shape
-    assert [[f.shape for f in args[0]] for args in svds] == [[shape]]
+    assert [[f.shape for f in args[0]] for args in solves] == [[shape]]
 
 
 def test_gabor_bridge_builds_its_operator_arrays_once(tmp_path, monkeypatch):
@@ -895,8 +895,7 @@ def test_subspace_outputs_agree_with_an_eigh_basis_oracle(tmp_path, spec, action
     got = ftio.load_vector(out, g).data
     q = projection_from_spanning(g, [span]).range_basis()  # the eigenvectors of R_h
     assert 0 < q.shape[1] < g.order
-    v = CoefficientOperator(vector=q.conj().T @ window, matrix=regular_coefficient_matrix(g, window) @ q,
-                           identity=g.identity)
+    v = CoefficientOperator(matrix=regular_coefficient_matrix(g, window) @ q, identity=g.identity)
     expect = q @ solve(v)
     assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
 
@@ -946,6 +945,28 @@ def test_frame_builds_a_dense_right_convolution_only_to_decompose_it(tmp_path, m
              "check": ["--pair", "eta.json", "psi.json"], "decompose": []}[action]
     assert run(["frame", action, "--window", "eta.json", *flag, *sub, *extra, "--out", "r.json"]) == 0
     assert len(calls) == dense
+
+
+@pytest.mark.parametrize("subspace", [False, True], ids=["full", "subspace"])
+def test_frame_dual_on_the_fibers_makes_one_solver_call(tmp_path, monkeypatch, subspace):
+    # Every fiber block of the job goes through one frame_duals call: one EIG_FLOOR decision.
+    import frametrace.numerics as numerics
+    import frametrace.plancherel as plancherel
+
+    monkeypatch.chdir(tmp_path)
+    g = builtin_group("dihedral:8")
+    window = np.random.default_rng(47).standard_normal(g.order)
+    sub = []
+    if subspace:
+        window = coset_average(g, window)  # its orbit spans a proper invariant subspace
+        spanning = {"group": g.label, "vectors": [ftio.complex_to_json(window)]}
+        (tmp_path / "sub.json").write_text(json.dumps(spanning))
+        sub = ["--subspace", "sub.json"]
+    ftio.save_vector(GroupVector(g, window), "eta.json")
+    solves = _count_calls(monkeypatch, [numerics, plancherel], "frame_duals")
+    assert run(["frame", "dual", "--window", "eta.json", *sub, "--out-vector", "psi.json", "--out", "d.json"]) == 0
+    assert len(solves) == 1
+    assert read_report(tmp_path / "d.json")["checks"][0]["name"] == "dual_reconstruction"
 
 
 @pytest.mark.parametrize("subspace", [False, True], ids=["full", "subspace"])

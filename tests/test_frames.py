@@ -224,7 +224,7 @@ def test_dual_null_space_matches_the_column_oracle(spec):
 
 def test_more_dimensions_than_group_elements_is_not_a_frame():
     # The orbit of eta spans at most |G| < dim directions: S has a zero eigenvalue the thin SVD of the
-    # 3 x 2 matrix V^* leaves out, and frame_svds counts it.
+    # 3 x 2 matrix V^* leaves out, and frame_duals counts it.
     g = builtin_group("cyclic:2")
     rep = Rep(group=g, dim=3, matrices=np.array([np.eye(3)] * 2, dtype=complex))
     v = coefficient_operator(rep, [1.0, 2.0, 3.0])
@@ -246,7 +246,7 @@ def window_from_fibers(table, rng, ratio):
 @pytest.mark.parametrize("spec", ["dihedral:16", "heisenberg:5"])
 @pytest.mark.parametrize("ratio", [1e-6, 1e-8, 1e-10, 1e-11])
 def test_dual_and_tighten_beat_the_normal_equations(spec, ratio):
-    # canonical_dual and tighten solve from the SVD of V^* (frame_svds), which loses sqrt(kappa) eps, not
+    # canonical_dual and tighten solve from the SVD of V^* (frame_duals), which loses sqrt(kappa) eps, not
     # the kappa eps of inverting S = V^* V by eigh (inv_psd, inv_sqrt_psd).  Smallest gain seen: 194x for the
     # dual, about 4000x for tighten.
     g = builtin_group(spec)

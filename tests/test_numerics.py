@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frametrace.errors import DimensionMismatch, NotHermitian, NotInvertible
+from frametrace.errors import DimensionMismatch, NotAFrame, NotHermitian, NotInvertible
 from frametrace.numerics import (
+    EIG_FLOOR,
     _unit_roots,
     as_vector,
     eig_hermitian,
-    frame_svds,
+    frame_duals,
     frob_norm,
     inv_psd,
     inv_sqrt_psd,
@@ -92,46 +93,66 @@ def test_stack_is_one_operator_for_the_floor():
         eig_hermitian(np.zeros((3, 2, 4)))
 
 
-def test_frame_svds_share_one_floor_across_stacks():
+def test_frame_duals_share_one_floor_across_stacks():
     # Analysis blocks of one operator in stacks of 1 x 1 and 2 x 2 blocks: each stack alone is well
     # conditioned, together the s^2 have min/max = 1e-13 <= EIG_FLOOR; the ratio is that of the union.
     small, large = np.full((3, 1, 1), np.sqrt(1e-13)), np.array([np.eye(2), np.sqrt(2) * np.eye(2)])
-    ((_, s, _),) = frame_svds([small])
-    assert np.allclose(s ** 2, 1e-13)
-    with pytest.raises(NotInvertible) as exc:
-        frame_svds([small, large])
+    ((left, _),), ratio = frame_duals([small])
+    assert np.allclose(np.abs(left), 1 / np.sqrt(1e-13)) and ratio == 1.0
+    with pytest.raises(NotAFrame) as exc:
+        frame_duals([small, large])
     assert exc.value.ratio == pytest.approx(0.5e-13)
-    with pytest.raises(NotInvertible) as exc:
-        frame_svds([])
+    with pytest.raises(NotAFrame) as exc:
+        frame_duals([])
     assert exc.value.ratio == 0.0
-    with pytest.raises(NotInvertible):
-        frame_svds([np.zeros((2, 1, 3))])
-    svds = frame_svds([10 * small, large])
-    assert [(u.shape, s.shape, vh.shape) for u, s, vh in svds] == [
-        ((3, 1, 1), (3, 1), (3, 1, 1)), ((2, 2, 2), (2, 2), (2, 2, 2))
-    ]
+    with pytest.raises(NotAFrame):
+        frame_duals([np.zeros((2, 1, 3))])
+    duals, ratio = frame_duals([10 * small, large])
+    assert [(left.shape, vh.shape) for left, vh in duals] == [((3, 1, 1), (3, 1, 1)), ((2, 2, 2), (2, 2, 2))]
+    assert ratio == pytest.approx(0.5e-11)
 
 
-def test_frame_svds_refuse_blocks_with_more_rows_than_columns():
+def test_frame_duals_refuse_blocks_with_more_rows_than_columns():
     # b b* of an r x d block with r > d has r - d zero eigenvalues that the thin SVD leaves out: its
     # d singular values are all 1 here, yet the floor fails with ratio 0, as eigh of b b* finds.
     tall = np.array([np.eye(3)[:, :2]] * 2)
-    ((_, s, _),) = frame_svds([tall.swapaxes(1, 2)])
-    assert np.allclose(s, 1.0)
-    with pytest.raises(NotInvertible) as exc:
-        frame_svds([tall])
+    assert frame_duals([tall.swapaxes(1, 2)])[1] == pytest.approx(1.0)
+    with pytest.raises(NotAFrame) as exc:
+        frame_duals([tall])
     assert exc.value.ratio == 0.0
     assert eig_hermitian(tall @ tall.swapaxes(1, 2)).eigenvalues.min() == 0.0
 
 
-def test_frame_svds_give_the_dual_and_tight_blocks():
+def test_frame_duals_give_the_dual_and_tight_blocks():
     # b = U diag(s) V*: U diag(1/s) V* = (b b*)^-1 b and U V* = (b b*)^-1/2 b, for r x d blocks, r <= d.
     rng = np.random.default_rng(4)
     stacks = [rand_c(rng, 5, 1, 3), rand_c(rng, 2, 2, 3), rand_c(rng, 4, 3, 3)]
-    for b, (u, s, vh) in zip(stacks, frame_svds(stacks)):
+    duals, tights = frame_duals(stacks)[0], frame_duals(stacks, tight=True)[0]
+    for b, (left, vh), (u, wh) in zip(stacks, duals, tights):
         gram = b @ b.conj().swapaxes(-1, -2)
-        assert np.allclose((u / s[..., None, :]) @ vh, inv_psd(gram) @ b, atol=1e-12)
-        assert np.allclose(u @ vh, inv_sqrt_psd(gram) @ b, atol=1e-12)
+        assert np.allclose(left @ vh, inv_psd(gram) @ b, atol=1e-12)
+        assert np.allclose(u @ wh, inv_sqrt_psd(gram) @ b, atol=1e-12)
+
+
+def test_frame_duals_return_the_ratio_the_floor_tests():
+    # The ratio is min/max of the eigenvalues of the stacked b b*, the frame operator; just below
+    # EIG_FLOOR the NotAFrame raised carries the same ratio.
+    rng = np.random.default_rng(7)
+    stacks = [rand_c(rng, 5, 1, 3), rand_c(rng, 2, 2, 3), rand_c(rng, 4, 3, 3)]
+    lam = np.concatenate([np.linalg.eigvalsh(b @ b.conj().swapaxes(-1, -2)).ravel() for b in stacks])
+    assert frame_duals(stacks)[1] == pytest.approx(lam.min() / lam.max(), rel=1e-12)
+    q = np.linalg.qr(rand_c(rng, 3, 3))[0]
+    for scale in (1.1, 0.9):  # just above the floor, just below it
+        b = (q * np.sqrt([1.0, 0.5, scale * EIG_FLOOR]))[None]
+        lam = np.linalg.eigvalsh(b @ b.conj().swapaxes(-1, -2))
+        if scale > 1:
+            ratio = frame_duals([b])[1]
+        else:
+            with pytest.raises(NotAFrame) as exc:
+                frame_duals([b])
+            ratio = exc.value.ratio
+        assert ratio == pytest.approx(scale * EIG_FLOOR, rel=1e-9)
+        assert ratio == pytest.approx(lam.min() / lam.max(), rel=1e-3)
 
 
 def test_stack_agrees_with_block_diagonal():

@@ -88,6 +88,21 @@ def test_the_draw_changes_no_label_and_no_character(spec):
         assert np.max(np.abs(characters(other) - characters(first))) <= 1e-9
 
 
+@pytest.mark.parametrize("spec, perm_seed", [
+    ("dihedral:256", 0), ("dihedral:256", 1), ("cyclic:512", 0), ("cyclic:512", 1),
+    ("cyclic:2 x dihedral:128", 0), ("cyclic:2 x dihedral:128", 1),
+    ("cyclic:2 x dihedral:128", 4),  # Light's generators are three involutions: rotations are their products
+])
+def test_table_kernel_meets_parseval_to_a_few_eps(spec, perm_seed):
+    # ||M W M* - I||_F for the kernel M and the weights W = d_sigma/|G|: the builtin irreps read about
+    # 9e-15.  Products along Light's closure from the generators alone piled up one rounding per factor
+    # on long words (up to 5.8e-13 here); seeded with the pair products and repeated squares, about 2e-14.
+    group = builtin_group(spec)
+    table = table_irreps(relabelled(group, np.random.default_rng(perm_seed).permutation(group.order)))
+    m = table.kernel
+    assert np.linalg.norm((m * plancherel._weights(table)) @ m.conj().T - np.eye(group.order)) <= 5e-14
+
+
 def test_a_draw_that_does_not_split_is_redrawn(monkeypatch):
     group = twin_of("dihedral:4")[2]
     split, seeds = plancherel._dixon_split, []
